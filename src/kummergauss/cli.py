@@ -8,7 +8,6 @@ fails, 2 on a configuration error.
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -108,30 +107,27 @@ def run_quartic(cfg, level=None):
                    first_nonzero_degree=det.valuation())]
 
 
-def run_pde(cfg, level=None):
-    level = level or cfg.sigma_level
-    s = _frame(cfg, level)
+def _residual_checks(prefix, residuals, level):
+    """One check per residual: it must vanish through the sigma level."""
     out = []
-    for i, r in enumerate(pde_residuals(s), start=1):
+    for i, r in enumerate(residuals, start=1):
         z = _zero_through(r.num)
-        out.append(_check("pde-%d-level-%d" % (i, level), z >= level,
+        out.append(_check("%s-%d-level-%d" % (prefix, i, level), z >= level,
                           expected_order=level, zero_through=z,
                           validated_order=r.validity,
                           exactly_zero=r.num.valuation() is None))
     return out
+
+
+def run_pde(cfg, level=None):
+    level = level or cfg.sigma_level
+    return _residual_checks("pde", pde_residuals(_frame(cfg, level)), level)
 
 
 def run_kernel(cfg, level=None):
     level = level or cfg.sigma_level
-    s = _frame(cfg, level)
-    out = []
-    for i, r in enumerate(kernel_residual(s), start=1):
-        z = _zero_through(r.num)
-        out.append(_check("kernel-row-%d-level-%d" % (i, level), z >= level,
-                          expected_order=level, zero_through=z,
-                          validated_order=r.validity,
-                          exactly_zero=r.num.valuation() is None))
-    return out
+    return _residual_checks("kernel-row", kernel_residual(_frame(cfg, level)),
+                            level)
 
 
 def run_metric(cfg):
@@ -211,6 +207,18 @@ def _point_echo(p):
             "lambdas": [format_rational(x) for x in p.lambdas]}
 
 
+def _dz_failures(points):
+    """Echoes of the points whose jet dZ differs from the closed form."""
+    bad = []
+    for p in points:
+        _, _, Z, _ = xyz_jets(p)
+        dz1, dz2 = dz_closed_form(p)
+        if not (Z.get(1, 0) - dz1).is_zero() \
+                or not (Z.get(0, 1) - dz2).is_zero():
+            bad.append(_point_echo(p))
+    return bad
+
+
 def run_inversion(cfg):
     out = []
     # fixed witnesses, including the two Z sheet values
@@ -234,17 +242,12 @@ def run_inversion(cfg):
     points = random_admissible_points(cfg.seed, cfg.points,
                                       lambdas=cfg.point_lambdas())
     bad = []
-    dz_bad = []
     for p in points:
         for q in (p, p.swapped(), p.both_flipped(),
                   p.swapped().both_flipped()):
             if not quartic_check(q).is_zero():
                 bad.append(_point_echo(q))
-        _, _, Z, _ = xyz_jets(p)
-        dz1, dz2 = dz_closed_form(p)
-        if not (Z.get(1, 0) - dz1).is_zero() \
-                or not (Z.get(0, 1) - dz2).is_zero():
-            dz_bad.append(_point_echo(p))
+    dz_bad = _dz_failures(points)
     out.append(_check("inversion-random-quartic", not bad,
                       points=len(points), sign_choices=4, failures=bad))
     out.append(_check("inversion-random-dz", not dz_bad,
@@ -279,13 +282,7 @@ def run_ricci_point(cfg):
 def run_dz(cfg):
     points = random_admissible_points(cfg.seed, cfg.points,
                                       lambdas=cfg.point_lambdas())
-    bad = []
-    for p in points:
-        _, _, Z, _ = xyz_jets(p)
-        dz1, dz2 = dz_closed_form(p)
-        if not (Z.get(1, 0) - dz1).is_zero() \
-                or not (Z.get(0, 1) - dz2).is_zero():
-            bad.append(_point_echo(p))
+    bad = _dz_failures(points)
     return [_check("dz-closed-form", not bad, points=len(points),
                    failures=bad)]
 
@@ -441,10 +438,10 @@ def build_parser():
                          "l0,l1,l2,l3,l4 (default symbolic)")
     ap.add_argument("--sigma-level", type=int, default=7,
                     help="sigma truncation level: 3, 5 or 7 (default 7)")
-    ap.add_argument("--max-order", type=int, default=None,
+    ap.add_argument("--max-order", type=int, default=DEFAULT_ORDER,
                     help="series working order, at least sigma-level+2 and "
-                         "at most %d (default %d; env KUMMER_MAX_ORDER "
-                         "overrides)" % (MAX_ORDER_LIMIT, DEFAULT_ORDER))
+                         "at most %d (default %d)"
+                         % (MAX_ORDER_LIMIT, DEFAULT_ORDER))
     ap.add_argument("--seed", type=int, default=20260803,
                     help="seed for the random point streams")
     ap.add_argument("--points", type=int, default=20,
@@ -458,18 +455,8 @@ def build_parser():
 
 
 def config_from_args(args):
-    max_order = args.max_order
-    if max_order is None:
-        env = os.environ.get("KUMMER_MAX_ORDER")
-        if env is not None:
-            try:
-                max_order = int(env)
-            except ValueError:
-                raise ConfigError("KUMMER_MAX_ORDER must be an integer")
-        else:
-            max_order = DEFAULT_ORDER
     return RunConfig(command=args.command, lambdas=_parse_lambda(args.lam),
-                     sigma_level=args.sigma_level, max_order=max_order,
+                     sigma_level=args.sigma_level, max_order=args.max_order,
                      seed=args.seed, points=args.points, output=args.output,
                      format=args.format, tolerance=args.tol)
 

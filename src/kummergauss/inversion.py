@@ -4,12 +4,13 @@ over the quadratic extension algebra."""
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .jets import Jet, NumericRing, QuadExtJetRing
 from .quadext import NonInvertibleError, QuadExtContext
 from .rings import rat
-from .tensor import MetricTensor, christoffel, ricci, riemann
+from .sigma import kummer_matrix
+from .tensor import (MetricTensor, christoffel, det4, inverse_metric, ricci,
+                     riemann)
 
 JET_ORDER = 3
 
@@ -23,6 +24,7 @@ class SingularPointError(ArithmeticError):
 
 
 def f5_scalar(x, lam):
+    """The curve quintic at x, which may be a rational or a jet."""
     l0, l1, l2, l3, l4 = lam
     return ((((4 * x + l4) * x + l3) * x + l2) * x + l1) * x + l0
 
@@ -30,13 +32,6 @@ def f5_scalar(x, lam):
 def f5_deriv_scalar(x, lam):
     _, l1, l2, l3, l4 = lam
     return (((20 * x + 4 * l4) * x + 3 * l3) * x + 2 * l2) * x + l1
-
-
-def _f5_jet(xj, lam):
-    acc = xj.scale(4).add_scalar(lam[4])
-    for c in (lam[3], lam[2], lam[1], lam[0]):
-        acc = (acc * xj).add_scalar(c)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -86,19 +81,17 @@ class ChartBPoint:
 class _Backend:
     """Carries the jet coefficient ring and the two square-root elements."""
 
-    def __init__(self, ring, y1, y2, c1, c2):
+    def __init__(self, ring, y1, y2):
         self.ring = ring
         self.y1 = y1
         self.y2 = y2
-        self.c1 = c1  # as ring-compatible scalars for the recurrence
-        self.c2 = c2
 
 
 def exact_backend(p):
     ctx = QuadExtContext(p.c1, p.c2)
     ring = QuadExtJetRing(ctx)
     return _Backend(ring, ctx.y1.scale(rat(p.sign1)),
-                    ctx.y2.scale(rat(p.sign2)), p.c1, p.c2)
+                    ctx.y2.scale(rat(p.sign2)))
 
 
 def complex_backend(p):
@@ -106,7 +99,7 @@ def complex_backend(p):
     ring = NumericRing(complex)
     y1 = p.sign1 * cmath.sqrt(complex(p.c1))
     y2 = p.sign2 * cmath.sqrt(complex(p.c2))
-    return _Backend(ring, y1, y2, complex(p.c1), complex(p.c2))
+    return _Backend(ring, y1, y2)
 
 
 def _sqrt_jet(s, y0, ring, slot):
@@ -131,9 +124,8 @@ def lift_point(p, backend=None, order=JET_ORDER):
     ring = bk.ring
     jx1 = Jet.coordinate(ring, order, ring.from_rat(p.x1), 0)
     jx2 = Jet.coordinate(ring, order, ring.from_rat(p.x2), 1)
-    lam = [Fraction(int(v.numerator), int(v.denominator)) for v in p.lambdas]
-    jy1 = _sqrt_jet(_f5_jet(jx1, lam), bk.y1, ring, 0)
-    jy2 = _sqrt_jet(_f5_jet(jx2, lam), bk.y2, ring, 1)
+    jy1 = _sqrt_jet(f5_scalar(jx1, p.lambdas), bk.y1, ring, 0)
+    jy2 = _sqrt_jet(f5_scalar(jx2, p.lambdas), bk.y2, ring, 1)
     return {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2, "backend": bk}
 
 
@@ -153,12 +145,12 @@ def xyz_jets(p, backend=None, order=JET_ORDER):
     lifted = lift_point(p, backend=backend, order=order)
     jx1, jx2 = lifted["x1"], lifted["x2"]
     jy1, jy2 = lifted["y1"], lifted["y2"]
-    lam = [Fraction(int(v.numerator), int(v.denominator)) for v in p.lambdas]
     X = jx1 + jx2
     Y = -(jx1 * jx2)
     diffj = jx1 - jx2
     denom = (diffj * diffj).scale(4)
-    Z = (_F_jet(jx1, jx2, lam) - (jy1 * jy2).scale(2)) * denom.inverse()
+    Z = (_F_jet(jx1, jx2, p.lambdas) - (jy1 * jy2).scale(2)) \
+        * denom.inverse()
     return X, Y, Z, lifted
 
 
@@ -194,44 +186,14 @@ def dz_closed_form(p):
     return dz1, dz2
 
 
-def quartic_det_scalar(X, Y, Z, lam, ctx, variant="wp11"):
-    """det K with scalar entries over the quadratic extension algebra."""
-    l0, l1, l2, l3, l4 = [ctx.rational(v) for v in lam]
-    half = rat(1, 2)
-    two = ctx.rational(rat(2))
-    diag2 = -l2 - Z.scale(rat(4)) if variant == "wp11" \
-        else -l2 - X.scale(rat(4))
-    m = [
-        [-l0, l1.scale(half), Z.scale(rat(2)), Y.scale(rat(-2))],
-        [l1.scale(half), diag2, l3.scale(half) + Y.scale(rat(2)),
-         X.scale(rat(2))],
-        [Z.scale(rat(2)), l3.scale(half) + Y.scale(rat(2)),
-         -l4 - X.scale(rat(4)), two],
-        [Y.scale(rat(-2)), X.scale(rat(2)), two, ctx.zero],
-    ]
-    total = ctx.zero
-    # Laplace expansion along the last row
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in range(3)]
-        d3 = ctx.zero
-        for c3 in range(3):
-            sub = [[minor[r][c] for c in range(3) if c != c3]
-                   for r in range(1, 3)]
-            term = minor[0][c3] * (sub[0][0] * sub[1][1]
-                                   - sub[0][1] * sub[1][0])
-            d3 = d3 + (-term if c3 == 1 else term)
-        signed = d3 * m[3][col]
-        total = total + (signed if col % 2 == 1 else -signed)
-    return total
-
-
 def quartic_check(p, variant="wp11"):
     """Value of det K at the point's (X, Y, Z); exactly zero on the surface
     with the adopted kernel-matrix entry."""
     X, Y, Z, lifted = xyz_jets(p)
     ctx = lifted["backend"].ring.ctx
-    return quartic_det_scalar(X.base, Y.base, Z.base, p.lambdas, ctx,
-                              variant=variant)
+    lam = [ctx.rational(v) for v in p.lambdas]
+    return det4(kummer_matrix(lam, X.base, Y.base, Z.base,
+                              ctx.rational(2), ctx.zero, variant))
 
 
 def metric_point(p, backend=None):
@@ -251,15 +213,11 @@ def metric_point(p, backend=None):
 def ricci_point(p, backend=None):
     """Exact Ricci components at the base point via the generic tensor
     pipeline over the jet ring."""
-    g, lifted = metric_point(p, backend=backend)
-    ring = lifted["x1"].ring
-    det = g.g11 * g.g22 - g.g12 * g.g12
+    g, _ = metric_point(p, backend=backend)
     try:
-        det_inv = det.inverse()
+        ginv = inverse_metric(g)
     except NonInvertibleError as e:
         raise SingularPointError(str(e))
-    ginv = MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),
-                        g.g11 * det_inv)
     ric = ricci(riemann(christoffel(g, ginv)))
     return {
         "R11": ric.r11.base,
@@ -290,8 +248,8 @@ def random_admissible_points(seed, count, lambdas=(0, 0, 0, 0, 0),
             continue
         # require an invertible metric determinant on the principal sheet
         try:
-            ricci_point(p)
-        except (SingularPointError, NonInvertibleError):
+            inverse_metric(metric_point(p)[0])
+        except NonInvertibleError:
             continue
         out.append(p)
     return out

@@ -2,8 +2,9 @@
 
 A jet of order n stores the Taylor coefficients (not scaled derivatives)
 in two displacements through total degree n.  Coefficients may be exact
-quadratic-extension scalars, rationals, floats or complex numbers; the
-ring adapter supplies zero, embedding of rationals, and inversion.
+quadratic-extension scalars (which contain the rationals), floats or
+complex numbers; the ring adapter supplies zero, embedding of rationals,
+and inversion.
 """
 
 from fractions import Fraction
@@ -25,9 +26,6 @@ class NumericRing:
     def inv(self, x):
         return self.one / x
 
-    def is_zero(self, x, tol=0.0):
-        return abs(x) <= tol
-
 
 class QuadExtJetRing:
     """Adapter for jets with quadratic-extension coefficients."""
@@ -42,28 +40,6 @@ class QuadExtJetRing:
 
     def inv(self, x):
         return x.inv()
-
-    def is_zero(self, x, tol=None):
-        return x.is_zero()
-
-
-class ExactRing:
-    """Adapter for plain rational coefficients."""
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def from_rat(self, q):
-        return Fraction(q.numerator, q.denominator)
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("jet constant term is zero")
-        return 1 / x
-
-    def is_zero(self, x, tol=None):
-        return x == 0
 
 
 class Jet:
@@ -91,12 +67,6 @@ class Jet:
     def base(self):
         return self.get(0, 0)
 
-    def _clean(self):
-        for k in [k for k, v in self.coeffs.items()
-                  if self.ring.is_zero(v) and v == self.ring.zero]:
-            del self.coeffs[k]
-        return self
-
     def __add__(self, other):
         if not isinstance(other, Jet):
             other = Jet.constant(self.ring, self.order,
@@ -118,8 +88,6 @@ class Jet:
                    {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

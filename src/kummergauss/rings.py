@@ -9,14 +9,11 @@ any remaining variables (the curve moduli) are weightless.
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def rat(p, q=1):
-        return _mpq(p, q)
-except ImportError:  # pragma: no cover - gmpy2 is normally available
-    def rat(p, q=1):
-        return Fraction(p, q)
+def rat(p, q=1):
+    """The one exact rational type of the package."""
+    return Fraction(p, q)
+
 
 _SHIFT = 8
 _MASK = (1 << _SHIFT) - 1
@@ -121,7 +118,7 @@ class Poly:
 
     @classmethod
     def const(cls, ctx, value):
-        value = rat(value) if not isinstance(value, (int, Fraction)) else rat(value)
+        value = rat(value)
         if value == 0:
             return cls(ctx)
         return cls(ctx, {0: value})
@@ -410,10 +407,6 @@ class TruncatedSeries:
     @property
     def ctx(self):
         return self.body.ctx
-
-    @classmethod
-    def from_poly(cls, poly, known_order):
-        return cls(poly, known_order)
 
     def _check(self, other):
         if self.ctx != other.ctx:

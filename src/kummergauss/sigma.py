@@ -11,7 +11,7 @@ division is ever forced.
 from fractions import Fraction
 
 from .rings import (Context, Poly, TruncatedSeries, exact_divide, rat)
-from .tensor import MetricTensor, christoffel, riemann, ricci
+from .tensor import MetricTensor, christoffel, det4, riemann, ricci
 
 LAMBDA_NAMES = ("l0", "l1", "l2", "l3", "l4")
 DEFAULT_ORDER = 16
@@ -74,15 +74,12 @@ class SigmaSeries:
         if lambdas is None:
             self.ctx = _SYMBOLIC_CTX
             self.lam = [Poly.var(self.ctx, n) for n in LAMBDA_NAMES]
-            self.lambda_mode = "symbolic"
         else:
             if len(lambdas) != 5:
                 raise ValueError("need five lambda values")
             self.ctx = _NUMERIC_CTX
             self.lam = [Poly.const(self.ctx, rat(x) if isinstance(x, int)
                                    else x) for x in lambdas]
-            self.lambda_mode = "specialized"
-        self.lambda_values = lambdas
         poly = sigma_poly if sigma_poly is not None \
             else _sigma_poly(self.ctx, self.lam, level)
         self.sigma_poly = poly
@@ -257,9 +254,6 @@ class SigmaRational:
     def is_zero_through(self, order=None):
         return self.num.is_zero_through(order)
 
-    def first_nonzero_degree(self):
-        return self.num.valuation()
-
     def __str__(self):
         return "(%s) / sigma^%d Dhat^%d" % (self.num, self.sig_pow,
                                             self.det_pow)
@@ -330,18 +324,19 @@ def pde_residuals(s):
     return [r1, r2, r3, r4, r5]
 
 
-def kummer_matrix(s, X, Y, Z, variant="wp11"):
-    """The 4x4 kernel matrix of the consistency conditions.
+def kummer_matrix(lam, X, Y, Z, two, zero, variant="wp11"):
+    """The 4x4 kernel matrix of the consistency conditions, over any ring
+    whose elements have ``.scale``: the sigma chart passes SigmaRationals,
+    the inversion chart quadratic-extension scalars.  ``lam``, ``two`` and
+    ``zero`` are the five moduli and the constants already in that ring.
 
     ``variant`` selects the second diagonal entry: "wp11" is
     -l2 - 4 Z (the kernel-matrix form, adopted); "wp22" is the
     -l2 - 4 X variant printed with the quartic, kept for comparison.
     """
-    l0, l1, l2, l3, l4 = [s.lam_scalar(i) for i in range(5)]
+    l0, l1, l2, l3, l4 = lam
     half = Fraction(1, 2)
     diag2 = -l2 - Z.scale(4) if variant == "wp11" else -l2 - X.scale(4)
-    two = s.scalar(2)
-    zero = s.scalar(0)
     return [
         [-l0, l1.scale(half), Z.scale(2), Y.scale(-2)],
         [l1.scale(half), diag2, l3.scale(half) + Y.scale(2), X.scale(2)],
@@ -350,30 +345,16 @@ def kummer_matrix(s, X, Y, Z, variant="wp11"):
     ]
 
 
-def _det4(m):
-    """Determinant by expansion along the last row (it carries a zero)."""
-    total = None
-    for col in range(4):
-        entry = m[3][col]
-        minor = [[m[r][c] for c in range(4) if c != col] for r in range(3)]
-        d3 = None
-        for c3 in range(3):
-            sub = [[minor[r][c] for c in range(3) if c != c3]
-                   for r in range(1, 3)]
-            term = minor[0][c3] * (sub[0][0] * sub[1][1]
-                                   - sub[0][1] * sub[1][0])
-            if c3 == 1:
-                term = -term
-            d3 = term if d3 is None else d3 + term
-        signed = d3 * entry if col % 2 == 1 else -(d3 * entry)
-        total = signed if total is None else total + signed
-    return total
+def _frame_kummer_matrix(s, variant="wp11"):
+    """The kernel matrix at the frame's (wp22, wp21, wp11)."""
+    lam = [s.lam_scalar(i) for i in range(5)]
+    return kummer_matrix(lam, wp2(s, 22), wp2(s, 21), wp2(s, 11),
+                         s.scalar(2), s.scalar(0), variant)
 
 
 def kummer_det(s, variant="wp11"):
     """sigma^8 * det K as a series with its validated order."""
-    X, Y, Z = wp2(s, 22), wp2(s, 21), wp2(s, 11)
-    det = _det4(kummer_matrix(s, X, Y, Z, variant=variant))
+    det = det4(_frame_kummer_matrix(s, variant))
     cleared = det._raise_to(8, 0)
     return cleared.num
 
@@ -381,8 +362,7 @@ def kummer_det(s, variant="wp11"):
 def kernel_residual(s):
     """K . (wp222, wp221, wp211, wp111)^T; all four entries vanish through
     their validated order."""
-    X, Y, Z = wp2(s, 22), wp2(s, 21), wp2(s, 11)
-    K = kummer_matrix(s, X, Y, Z)
+    K = _frame_kummer_matrix(s)
     vec = [wp3(s, k) for k in ("222", "221", "211", "111")]
     out = []
     for row in K:

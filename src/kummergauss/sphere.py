@@ -10,8 +10,8 @@ import numpy as np
 from .jets import Jet, NumericRing
 from .quadext import rational_sqrt
 from .rings import Context, Poly, rat
-from .tensor import MetricTensor, christoffel, ricci, riemann, \
-    scalar_curvature
+from .tensor import (MetricTensor, christoffel, inverse_metric, ricci,
+                     riemann, scalar_curvature)
 
 POLE_MARGIN = 1e-3
 
@@ -138,10 +138,7 @@ def kahler_metric_jets(u, v, order=_JET_ORDER):
 
 
 def _jet_chart_report(g):
-    det = g.g11 * g.g22 - g.g12 * g.g12
-    det_inv = det.inverse()
-    ginv = MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),
-                        g.g11 * det_inv)
+    ginv = inverse_metric(g)
     ric = ricci(riemann(christoffel(g, ginv)))
     scal = scalar_curvature(g, ginv, ric)
     dev = max(abs(ric.r11.base - g.g11.base),

@@ -1,8 +1,10 @@
-"""Two-coordinate tensor calculus over an abstract differential ring.
+"""Two-coordinate tensor calculus over an abstract differential ring, plus
+the 4x4 determinant shared by the kernel-matrix checks of both charts.
 
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
-index i in {0, 1}, and ``.half()``.  The same code drives exact series,
-exact point-jets and floating-point charts.
+index i in {0, 1}, and ``.half()``; ``inverse_metric`` also needs
+``.inverse()``.  The same code drives exact series, exact point-jets and
+floating-point charts.
 """
 
 
@@ -22,9 +24,6 @@ class MetricTensor:
         if i == 1 and j == 1:
             return self.g22
         return self.g12
-
-    def __iter__(self):
-        return iter((self.g11, self.g12, self.g22))
 
 
 class Christoffel:
@@ -69,6 +68,36 @@ class RicciTensor:
         if i == 1 and j == 1:
             return self.r22
         return self.r12
+
+
+def det4(m):
+    """Determinant of a 4x4 matrix by expansion along the last row (the
+    kernel matrix carries a zero there)."""
+    total = None
+    for col in range(4):
+        entry = m[3][col]
+        minor = [[m[r][c] for c in range(4) if c != col] for r in range(3)]
+        d3 = None
+        for c3 in range(3):
+            sub = [[minor[r][c] for c in range(3) if c != c3]
+                   for r in range(1, 3)]
+            term = minor[0][c3] * (sub[0][0] * sub[1][1]
+                                   - sub[0][1] * sub[1][0])
+            if c3 == 1:
+                term = -term
+            d3 = term if d3 is None else d3 + term
+        signed = d3 * entry if col % 2 == 1 else -(d3 * entry)
+        total = signed if total is None else total + signed
+    return total
+
+
+def inverse_metric(g):
+    """Inverse metric through the ring's ``inverse()`` of det g; the ring's
+    error propagates when the determinant is not invertible."""
+    det = g.g11 * g.g22 - g.g12 * g.g12
+    det_inv = det.inverse()
+    return MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),
+                        g.g11 * det_inv)
 
 
 def christoffel(g, ginv):
@@ -122,10 +151,3 @@ def scalar_curvature(g, ginv, ric):
             acc = term if acc is None else acc + term
     return acc
 
-
-def einstein_residual(g, ginv, ric):
-    """R_{mu nu} - (R/2) g_{mu nu}; identically zero in two dimensions."""
-    r = scalar_curvature(g, ginv, ric)
-    half_r = r.half()
-    return [ric.comp(i, j) - half_r * g.comp(i, j)
-            for i in range(2) for j in range(2)]

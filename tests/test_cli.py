@@ -7,6 +7,7 @@ import pytest
 
 from kummergauss import cli
 from kummergauss.cli import ConfigError, RunConfig, config_from_args, run
+from kummergauss.sigma import DEFAULT_ORDER
 
 
 def quick_cfg(command, **kw):
@@ -53,13 +54,11 @@ def test_lambda_parsing():
         cli._parse_lambda("a,b,c,d,e")
 
 
-def test_env_override_for_max_order(monkeypatch):
+def test_environment_does_not_set_max_order(monkeypatch):
+    """Only --max-order sets the working order; the environment does not."""
     args = cli.build_parser().parse_args(["quartic-verify"])
     monkeypatch.setenv("KUMMER_MAX_ORDER", "12")
-    assert config_from_args(args).max_order == 12
-    monkeypatch.setenv("KUMMER_MAX_ORDER", "not-a-number")
-    with pytest.raises(ConfigError):
-        config_from_args(args)
+    assert config_from_args(args).max_order == DEFAULT_ORDER
 
 
 # -- exit codes -------------------------------------------------------

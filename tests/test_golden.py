@@ -1,0 +1,51 @@
+"""Golden-report regression: canonical reports of a few fast exact
+configurations are frozen by their sha256, so a refactor that changes any
+reported byte (apart from the timing and version fields) fails here."""
+
+import hashlib
+import json
+
+import pytest
+
+from kummergauss.cli import RunConfig, run
+from kummergauss.rings import parse_rational
+
+LAM = tuple(parse_rational(x) for x in ("1/2", "-3", "2/7", "5", "-1"))
+ZERO = (0, 0, 0, 0, 0)
+
+GOLDEN = [
+    (dict(command="quartic-verify", sigma_level=5, lambdas=LAM),
+     "2c9d2b1782d3a4a0ba8d520b106b64cf91cafad2154f73c10919fd4b5fcd0267"),
+    (dict(command="pde-verify", sigma_level=5, lambdas=LAM),
+     "c740db21b8d62c6c3187b163e3b131ac590f9bddb0f81749b3788a60bf3c6c51"),
+    (dict(command="kernel-verify", sigma_level=5, lambdas=LAM),
+     "52513194a46e35440b980f8bbce01d1f9c14c183349bf37a322b08670b754e39"),
+    (dict(command="metric-report", sigma_level=3),
+     "8fd5ac0cafe10f93e2c47470c9907b15611d11ab038ceab9fd57dc6b9e752312"),
+    (dict(command="ricci-leading", sigma_level=3, max_order=12),
+     "44c30700cb3c6011cf2056ebbae07a323583dc383ac2ab152d7c4a450aef101b"),
+    (dict(command="inversion-verify", points=3, seed=11, lambdas=ZERO),
+     "cc985b520a73eb62806b38a42c8ec53777ab752b51d00433be2a814c5e4f7da6"),
+    (dict(command="inversion-verify", points=3, seed=11, lambdas=LAM),
+     "19466b786498a1ff25a0ba52288c03d2fabcc8af45a1e0484d340c7039807751"),
+    (dict(command="ricci-point", points=3, seed=11, lambdas=ZERO),
+     "146af5e47cd2346cb2b42af2a701baf44d7a5f290cb9867653d9a22456a61f2e"),
+    (dict(command="ricci-point", points=3, seed=11, lambdas=LAM),
+     "2e921a71e97e3855c971d08558ec61c2f7852aed8b1009c956c5fce7d3255292"),
+]
+
+
+def report_digest(cfg):
+    report, code = run(cfg)
+    assert code == 0
+    report.pop("wall_time_s")
+    report.pop("versions")
+    text = json.dumps(report, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kw,digest", GOLDEN,
+    ids=["%s-%d" % (kw["command"], i) for i, (kw, _) in enumerate(GOLDEN)])
+def test_report_matches_golden_digest(kw, digest):
+    assert report_digest(RunConfig(**kw)) == digest

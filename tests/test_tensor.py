@@ -1,11 +1,16 @@
 """Tests for the generic two-coordinate tensor pipeline, driven through
 jets so the same code paths the charts use are exercised."""
 
+import itertools
 import math
+import random
+from fractions import Fraction
 
 from kummergauss.jets import Jet, NumericRing
-from kummergauss.tensor import (MetricTensor, christoffel, einstein_residual,
-                                ricci, riemann, scalar_curvature)
+from kummergauss.quadext import QuadExtContext
+from kummergauss.tensor import (MetricTensor, christoffel, det4,
+                                inverse_metric, ricci, riemann,
+                                scalar_curvature)
 
 RING = NumericRing(float)
 ORDER = 3
@@ -17,13 +22,6 @@ def jc(value):
 
 def coord(base, which):
     return Jet.coordinate(RING, ORDER, float(base), which)
-
-
-def inverse_metric(g):
-    det = g.g11 * g.g22 - g.g12 * g.g12
-    det_inv = det.inverse()
-    return MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),
-                        g.g11 * det_inv)
 
 
 def sphere_metric(theta):
@@ -156,5 +154,41 @@ def test_two_dimensional_einstein_identity():
         g = conformal_metric(u, v)
         ginv = inverse_metric(g)
         ric = ricci(riemann(christoffel(g, ginv)))
-        for comp in einstein_residual(g, ginv, ric):
-            assert abs(comp.base) < 1e-13
+        half_r = scalar_curvature(g, ginv, ric).half()
+        for i in range(2):
+            for j in range(2):
+                comp = ric.comp(i, j) - half_r * g.comp(i, j)
+                assert abs(comp.base) < 1e-13
+
+
+# -- the shared 4x4 determinant ---------------------------------------
+
+def leibniz_det(m, zero):
+    """Determinant as the signed sum over all permutations."""
+    total = zero
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(1 for a in range(4) for b in range(a + 1, 4)
+                         if perm[a] > perm[b])
+        term = m[0][perm[0]]
+        for row in range(1, 4):
+            term = term * m[row][perm[row]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_shared_determinant_matches_leibniz_over_rationals():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+              for _ in range(4)] for _ in range(4)]
+        assert det4(m) == leibniz_det(m, Fraction(0))
+
+
+def test_shared_determinant_matches_leibniz_over_quadratic_extension():
+    rng = random.Random(20261019)
+    ctx = QuadExtContext(2, -7)
+    for _ in range(10):
+        m = [[ctx.element(*[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                            for _ in range(4)])
+              for _ in range(4)] for _ in range(4)]
+        assert det4(m) == leibniz_det(m, ctx.zero)
