@@ -5,8 +5,16 @@ Monomials are packed into a single integer, 8 bits per variable, so that
 monomial multiplication is integer addition.  The first ``grading`` context
 variables (the coordinates) carry the grading weight used for truncation;
 any remaining variables (the curve moduli) are weightless.
+
+Coefficients are stored as canonical lowest-terms ``Fraction``s.  Products
+bring each factor over one common denominator and multiply integer
+numerators, so the inner loop does no per-term gcd; a product whose
+exponents could overflow the 8-bit fields raises ``ContextError``.
 """
 
+import functools
+import math
+import operator
 from fractions import Fraction
 
 
@@ -186,20 +194,29 @@ class Poly:
         return (-self) + other
 
     def mul(self, other, cap=None):
-        """Product, optionally dropping terms of grading degree > cap."""
+        """Product, optionally dropping terms of grading degree > cap.
+
+        Each factor is brought over one common denominator, so the product
+        loop multiplies and adds Python integers; every stored coefficient
+        of the result is still a canonical lowest-terms ``Fraction``.
+        """
         self._check(other)
         ctx = self.ctx
+        _check_exponent_sums(ctx, self.terms, other.terms)
+        den1, ints1 = _integer_terms(self.terms)
+        den2, ints2 = _integer_terms(other.terms)
         out = {}
+        get = out.get
         if cap is None:
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
+            items2 = list(ints2.items())
+            for k1, c1 in ints1.items():
+                for k2, c2 in items2:
                     k = k1 + k2
-                    s = out.get(k)
-                    out[k] = c1 * c2 if s is None else s + c1 * c2
+                    out[k] = get(k, 0) + c1 * c2
         else:
             # bucket by grading degree so the cap prunes whole blocks
-            b1 = self._buckets()
-            b2 = other._buckets()
+            b1 = _buckets(ctx, ints1)
+            b2 = _buckets(ctx, ints2)
             for d1, t1 in b1.items():
                 for d2, t2 in b2.items():
                     if d1 + d2 > cap:
@@ -207,18 +224,9 @@ class Poly:
                     for k1, c1 in t1:
                         for k2, c2 in t2:
                             k = k1 + k2
-                            s = out.get(k)
-                            out[k] = c1 * c2 if s is None else s + c1 * c2
-        for k in [k for k, c in out.items() if c == 0]:
-            del out[k]
-        return Poly(ctx, out)
-
-    def _buckets(self):
-        gdeg = self.ctx.grading_degree
-        bs = {}
-        for k, c in self.terms.items():
-            bs.setdefault(gdeg(k), []).append((k, c))
-        return bs
+                            out[k] = get(k, 0) + c1 * c2
+        den = den1 * den2
+        return Poly(ctx, {k: Fraction(n, den) for k, n in out.items() if n})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -387,6 +395,47 @@ class Poly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _integer_terms(terms):
+    """(D, {key: int}) with D the lcm of the coefficient denominators and
+    every coefficient equal to its int over D."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in terms.items()}
+
+
+def _buckets(ctx, terms):
+    gdeg = ctx.grading_degree
+    bs = {}
+    for k, c in terms.items():
+        bs.setdefault(gdeg(k), []).append((k, c))
+    return bs
+
+
+def _field_maxima(ctx, keys):
+    return [max(((k >> (_SHIFT * i)) & _MASK for k in keys), default=0)
+            for i in range(ctx.n)]
+
+
+def _check_exponent_sums(ctx, terms1, terms2):
+    """Raise ContextError when some variable's exponent in the product of
+    two term dicts could exceed the packed field, which would otherwise
+    carry silently into the next variable.
+
+    The bitwise OR of a factor's keys bounds every field from above, so
+    the exact per-variable maxima are only computed when the bounds could
+    sum past the limit."""
+    or1 = functools.reduce(operator.or_, terms1, 0)
+    or2 = functools.reduce(operator.or_, terms2, 0)
+    if all(((or1 >> (_SHIFT * i)) & _MASK) + ((or2 >> (_SHIFT * i)) & _MASK)
+           <= _EXP_LIMIT for i in range(ctx.n)):
+        return
+    for i, (e1, e2) in enumerate(zip(_field_maxima(ctx, terms1),
+                                     _field_maxima(ctx, terms2))):
+        if e1 + e2 > _EXP_LIMIT:
+            raise ContextError("exponent of %r in product exceeds %d"
+                               % (ctx.names[i], _EXP_LIMIT))
 
 
 class TruncatedSeries:

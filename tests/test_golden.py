@@ -32,6 +32,10 @@ GOLDEN = [
      "146af5e47cd2346cb2b42af2a701baf44d7a5f290cb9867653d9a22456a61f2e"),
     (dict(command="ricci-point", points=3, seed=11, lambdas=LAM),
      "2e921a71e97e3855c971d08558ec61c2f7852aed8b1009c956c5fce7d3255292"),
+    (dict(command="metric-report", sigma_level=7, lambdas=LAM),
+     "ff18dc07c8ab552930f3fab4b1e8993429760b79fb894a3f30e3218450330cad"),
+    (dict(command="ricci-leading", sigma_level=7, max_order=12, lambdas=LAM),
+     "1914b84de61986252bdb7b092e93a6b361f9b76d3bb99c2228226ff53df9cd63"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Property tests for the exact polynomial and truncated-series layer."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from kummergauss.rings import (Context, ContextError, NotDivisibleError, Poly,
 
 CTX = Context(("u", "v"), grading=2)
 CTX3 = Context(("u", "v", "a"), grading=2)
+# shaped like the symbolic sigma context: (u, v) graded, five weightless moduli
+CTX7 = Context(("u", "v", "l0", "l1", "l2", "l3", "l4"), grading=2)
 
 
 def random_poly(rng, ctx=CTX, max_deg=5, terms=6, max_coeff=9):
@@ -89,6 +93,111 @@ def test_eval_requires_every_used_variable():
 def test_mixed_contexts_rejected():
     with pytest.raises(ContextError):
         Poly.var(CTX, "u") + Poly.var(CTX3, "u")
+
+
+# -- the integer product kernel against the Fraction schoolbook loop ---
+
+def _mul_reference(p, q, cap=None):
+    """Terms of p * q by the plain Fraction schoolbook loop, dropping terms
+    of grading degree > cap; the reference for Poly.mul."""
+    out = {}
+    if cap is None:
+        for k1, c1 in p.terms.items():
+            for k2, c2 in q.terms.items():
+                k = k1 + k2
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+    else:
+        gdeg = p.ctx.grading_degree
+
+        def buckets(poly):
+            bs = {}
+            for k, c in poly.terms.items():
+                bs.setdefault(gdeg(k), []).append((k, c))
+            return bs
+
+        b1 = buckets(p)
+        b2 = buckets(q)
+        for d1, t1 in b1.items():
+            for d2, t2 in b2.items():
+                if d1 + d2 > cap:
+                    continue
+                for k1, c1 in t1:
+                    for k2, c2 in t2:
+                        k = k1 + k2
+                        s = out.get(k)
+                        out[k] = c1 * c2 if s is None else s + c1 * c2
+    for k in [k for k, c in out.items() if c == 0]:
+        del out[k]
+    return out
+
+
+def _wide_poly(rng, ctx, max_deg, terms):
+    """Random polynomial with signed coefficients and denominators <= 5040;
+    a few exponents per variable so products collide and cancel."""
+    items = []
+    for _ in range(rng.randint(0, terms)):
+        exps = [rng.randint(0, max_deg) for _ in range(ctx.grading)]
+        exps += [rng.randint(0, 1) for _ in range(ctx.n - ctx.grading)]
+        c = rat(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 5040))
+        items.append((exps, c))
+    return Poly.from_terms(ctx, items)
+
+
+def _kernel_pairs(rng, ctx, count):
+    """Seeded factor pairs: random ones, (p + r, p - r) whose cross terms
+    cancel exactly, and pairs with an empty or a constant factor."""
+    for i in range(count):
+        p = _wide_poly(rng, ctx, 4, 8)
+        r = _wide_poly(rng, ctx, 4, 8)
+        kind = i % 4
+        if kind == 0:
+            yield p, r
+        elif kind == 1:
+            yield p + r, p - r
+        elif kind == 2:
+            yield p, Poly.zero(ctx)
+            yield Poly.zero(ctx), r
+        else:
+            c = rat(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 5040))
+            yield Poly.const(ctx, c), r
+            yield p, Poly.const(ctx, c)
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX7], ids=["uv", "uv+moduli"])
+def test_mul_matches_fraction_reference(ctx):
+    rng = random.Random(20261018)
+    merged = 0  # uncapped products where terms collided or cancelled
+    for p, q in _kernel_pairs(rng, ctx, 200):
+        for cap in (None, rng.randint(-1, 12)):
+            want = _mul_reference(p, q, cap)
+            got = p.mul(q, cap=cap).terms
+            assert got == want
+            for c in got.values():
+                assert type(c) is Fraction and c != 0
+                assert math.gcd(c.numerator, c.denominator) == 1
+            if cap is None and len(got) < len(p.terms) * len(q.terms):
+                merged += 1
+    assert merged > 20
+
+
+def test_mul_rejects_exponent_overflow():
+    u = Poly.var(CTX, "u")
+    with pytest.raises(ContextError):
+        u ** 200 * u ** 100
+
+
+def test_mul_rejects_weightless_exponent_overflow_under_cap():
+    a = Poly.var(CTX3, "a")
+    with pytest.raises(ContextError):
+        (a ** 200).mul(a ** 100, cap=2)
+
+
+def test_mul_reaches_exponent_limit():
+    u = Poly.var(CTX, "u")
+    assert u ** 200 * u ** 55 == Poly.from_terms(CTX, [((255, 0), 1)])
+    # the keys' bitwise OR (255) overstates the largest exponent (128)
+    assert (u ** 128 + u ** 127) * u == u ** 129 + u ** 128
 
 
 # -- hypothesis: small random polynomials -----------------------------
