@@ -289,27 +289,21 @@ def run_dz(cfg):
 
 # -- double-sphere commands -------------------------------------------
 
+def _exact_zero_checks(prefix, rep):
+    """One check per ``max_<name>_dev`` field of an exact chart report; it
+    passes only when that residual is exactly zero."""
+    return [_check("%s-%s" % (prefix, key[len("max_"):-len("_dev")]),
+                   dev == 0, points=rep["points"],
+                   **{key: format_rational(dev)})
+            for key, dev in rep.items() if key.startswith("max_")]
+
+
 def run_sphere(cfg):
-    rep = sphere_einstein_check()
-    dev = float(rep["max_einstein_dev"])
-    sdev = float(rep["max_scalar_dev"])
-    return [_check("sphere-einstein", dev <= 1e-12, tolerance=1e-12,
-                   max_einstein_dev=dev, grid_points=rep["points"]),
-            _check("sphere-scalar", sdev <= 1e-12, tolerance=1e-12,
-                   max_scalar_dev=sdev)]
+    return _exact_zero_checks("sphere", sphere_einstein_check())
 
 
 def run_kahler(cfg):
-    rep = kahler_conformal_check()
-    dev = float(rep["max_einstein_dev"])
-    sdev = float(rep["max_scalar_dev"])
-    cdev = float(rep["max_conformal_dev"])
-    return [_check("kahler-einstein", dev <= 1e-10, tolerance=1e-10,
-                   max_einstein_dev=dev, points=rep["points"]),
-            _check("kahler-scalar", sdev <= 1e-10, tolerance=1e-10,
-                   max_scalar_dev=sdev),
-            _check("kahler-conformal", cdev <= 1e-10, tolerance=1e-10,
-                   max_conformal_dev=cdev)]
+    return _exact_zero_checks("kahler", kahler_conformal_check())
 
 
 def run_chern(cfg):

@@ -1,17 +1,18 @@
 """Bivariate Taylor jets at a point, generic over the coefficient ring.
 
 A jet of order n stores the Taylor coefficients (not scaled derivatives)
-in two displacements through total degree n.  Coefficients may be exact
-quadratic-extension scalars (which contain the rationals), floats or
-complex numbers; the ring adapter supplies zero, embedding of rationals,
-and inversion.
+in two displacements through total degree n.  The charts use exact
+coefficients (quadratic-extension scalars, or ``NumericRing(Fraction)``);
+floats and complex numbers remain only in the tests and the
+``complex_backend`` reference.  The ring adapter supplies zero, embedding
+of rationals, and inversion.
 """
 
 from fractions import Fraction
 
 
 class NumericRing:
-    """Adapter for float or complex jet coefficients."""
+    """Adapter for Fraction, float or complex jet coefficients."""
 
     def __init__(self, dtype=float):
         self.dtype = dtype

@@ -453,6 +453,13 @@ class TruncatedSeries:
         self.body = body.truncated(known_order)
         self.known_order = known_order
 
+    @classmethod
+    def _capped(cls, body, known_order):
+        """Wrap a body with no term above ``known_order``, unchecked."""
+        s = object.__new__(cls)
+        s.body, s.known_order = body, known_order
+        return s
+
     @property
     def ctx(self):
         return self.body.ctx
@@ -466,11 +473,14 @@ class TruncatedSeries:
             other = TruncatedSeries(Poly.const(self.ctx, other),
                                     self.known_order)
         self._check(other)
+        if self.known_order == other.known_order:
+            return TruncatedSeries._capped(self.body + other.body,
+                                           self.known_order)
         n = min(self.known_order, other.known_order)
         return TruncatedSeries(self.body + other.body, n)
 
     def __neg__(self):
-        return TruncatedSeries(-self.body, self.known_order)
+        return TruncatedSeries._capped(-self.body, self.known_order)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -490,12 +500,12 @@ class TruncatedSeries:
             n = max(self.known_order, other.known_order)
             return TruncatedSeries(Poly.zero(self.ctx), n)
         n = min(self.known_order + vt, other.known_order + vs)
-        return TruncatedSeries(self.body.mul(other.body, cap=n), n)
+        return TruncatedSeries._capped(self.body.mul(other.body, cap=n), n)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        return TruncatedSeries(self.body.scale(c), self.known_order)
+        return TruncatedSeries._capped(self.body.scale(c), self.known_order)
 
     def diff(self, var):
         """Derivative in a grading variable; one order of validity is lost."""

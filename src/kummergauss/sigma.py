@@ -70,7 +70,6 @@ class SigmaSeries:
             raise ValueError("sigma level must be 3, 5 or 7")
         self.level = level
         self.order = order
-        self.trust_order = level + 2  # horizon relative to the full series
         if lambdas is None:
             self.ctx = _SYMBOLIC_CTX
             self.lam = [Poly.var(self.ctx, n) for n in LAMBDA_NAMES]
@@ -91,7 +90,6 @@ class SigmaSeries:
                             1: self.sigma}
         self._dhat_pows = {}
         self._sigD = None
-        self._d_sigD = None
 
     # -- sigma derivatives --------------------------------------------
 
@@ -122,9 +120,6 @@ class SigmaSeries:
                            1: dhat}
         self._dhat_d = [dhat.diff("u"), dhat.diff("v")]
         self._sigD = self.sigma * dhat
-        sd_u, sd_v = self.sd(1), self.sd(2)
-        self._d_sigD = [sd_u * dhat + self.sigma * self._dhat_d[0],
-                        sd_v * dhat + self.sigma * self._dhat_d[1]]
 
     def dhat_pow(self, k):
         if self.dhat is None:

@@ -4,16 +4,13 @@ conformal plane chart and the Chern-number quadrature."""
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .jets import Jet, NumericRing
 from .quadext import rational_sqrt
 from .rings import Context, Poly, rat
 from .tensor import (MetricTensor, christoffel, inverse_metric, ricci,
                      riemann, scalar_curvature)
-
-POLE_MARGIN = 1e-3
 
 
 class DegenerateTetradError(ArithmeticError):
@@ -95,41 +92,37 @@ def fresnel_reduce(a2=1, b2=1, c2=1):
     return quartic, identity
 
 
-# -- float-jet charts -------------------------------------------------
+# -- exact jet charts -------------------------------------------------
 
-# extended precision: the inverse metric near the pole margin reaches
-# ~1e6, so binary64 cancellation alone would exceed the 1e-12 targets
-_RING = NumericRing(np.longdouble)
+_RING = NumericRing(Fraction)
 _JET_ORDER = 3
+# theta = 2 atan t runs from about 1e-3 (t = 1/2000) through the equator
+# (t = 1) to about pi - 1e-3 (t = 2000)
+_SPHERE_TS = tuple(Fraction(t) for t in (
+    "1/2000 1/200 1/50 1/10 1/5 1/3 1/2 2/3 4/5 1 "
+    "5/4 3/2 2 3 5 10 50 200 1000 2000").split())
+_KAHLER_POINTS = ((0, 0), (Fraction(1, 2), Fraction(1, 3)), (1, 0),
+                  (Fraction(-7, 10), Fraction(2, 5)),
+                  (Fraction(5, 2), Fraction(-5, 4)))
 
 
-def _sin_jet(theta, order=_JET_ORDER):
-    """Taylor jet of sin at theta in displacement slot 0."""
-    t = np.longdouble(theta)
-    s, c = np.sin(t), np.cos(t)
-    derivs = [s, c, -s, -c]
-    coeffs = {}
-    fact = np.longdouble(1.0)
-    for k in range(order + 1):
-        if k:
-            fact *= k
-        coeffs[(k, 0)] = derivs[k % 4] / fact
-    return Jet(_RING, order, coeffs)
-
-
-def sphere_metric_jets(theta, order=_JET_ORDER):
+def sphere_metric_jets(t, order=_JET_ORDER):
     """Round-sphere metric diag(1, sin^2 theta) as analytic jets in
-    (theta, phi)."""
-    one = Jet.constant(_RING, order, np.longdouble(1.0))
-    zero = Jet(_RING, order, {})
-    sj = _sin_jet(theta, order)
-    return MetricTensor(one, zero, sj * sj)
+    (theta, phi) at theta = 2 atan t.  The Taylor jet of sin is rational:
+    sin theta = 2t/(1+t^2) and cos theta = (1-t^2)/(1+t^2)."""
+    t = Fraction(t)
+    s, c = 2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)
+    derivs = [s, c, -s, -c]
+    sj = Jet(_RING, order, {(k, 0): derivs[k % 4] / math.factorial(k)
+                            for k in range(order + 1)})
+    one = Jet.constant(_RING, order, Fraction(1))
+    return MetricTensor(one, Jet(_RING, order, {}), sj * sj)
 
 
 def kahler_metric_jets(u, v, order=_JET_ORDER):
     """Conformal plane chart 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2 as jets."""
-    ju = Jet.coordinate(_RING, order, np.longdouble(u), 0)
-    jv = Jet.coordinate(_RING, order, np.longdouble(v), 1)
+    ju = Jet.coordinate(_RING, order, Fraction(u), 0)
+    jv = Jet.coordinate(_RING, order, Fraction(v), 1)
     f = (ju * ju + jv * jv).add_scalar(1)
     finv = f.inverse()
     conf = (finv * finv).scale(4)
@@ -137,59 +130,44 @@ def kahler_metric_jets(u, v, order=_JET_ORDER):
     return MetricTensor(conf, zero, conf)
 
 
-def _jet_chart_report(g):
-    ginv = inverse_metric(g)
-    ric = ricci(riemann(christoffel(g, ginv)))
-    scal = scalar_curvature(g, ginv, ric)
-    dev = max(abs(ric.r11.base - g.g11.base),
-              abs(ric.r12.base - g.g12.base),
-              abs(ric.r22.base - g.g22.base))
-    return {"einstein_dev": dev, "scalar": scal.base,
-            "ricci": (ric.r11.base, ric.r12.base, ric.r22.base),
-            "metric": (g.g11.base, g.g12.base, g.g22.base)}
-
-
-def sphere_einstein_check(grid=None, n_theta=20, n_phi=20,
-                          margin=POLE_MARGIN):
-    """Verify R_ij = g_ij and R = 2 on a (theta, phi) grid.
-
-    The metric does not depend on phi, but the grid is walked anyway to
-    mirror the chart's domain."""
-    if grid is None:
-        grid = [(margin + (math.pi - 2 * margin) * i / (n_theta - 1),
-                 2 * math.pi * j / n_phi)
-                for i in range(n_theta) for j in range(n_phi)]
-    max_dev = 0.0
-    max_scal_dev = 0.0
-    for theta, _phi in grid:
-        if not margin <= theta <= math.pi - margin:
-            raise ValueError("theta %.3g violates the pole margin" % theta)
-        rep = _jet_chart_report(sphere_metric_jets(theta))
-        max_dev = max(max_dev, rep["einstein_dev"])
-        max_scal_dev = max(max_scal_dev, abs(rep["scalar"] - 2.0))
-    return {"points": len(grid), "max_einstein_dev": max_dev,
+def _chart_report(metrics):
+    """Largest |R_ij - g_ij| and |R - 2| over the base points of the metric
+    jets: both vanish exactly on an Einstein chart with scalar curvature 2."""
+    max_dev = max_scal_dev = Fraction(0)
+    for g in metrics:
+        ginv = inverse_metric(g)
+        ric = ricci(riemann(christoffel(g, ginv)))
+        max_dev = max(max_dev, abs(ric.r11.base - g.g11.base),
+                      abs(ric.r12.base - g.g12.base),
+                      abs(ric.r22.base - g.g22.base))
+        scal = scalar_curvature(g, ginv, ric)
+        max_scal_dev = max(max_scal_dev, abs(scal.base - 2))
+    return {"points": len(metrics), "max_einstein_dev": max_dev,
             "max_scalar_dev": max_scal_dev}
 
 
+def sphere_einstein_check(ts=None):
+    """Verify R_ij = g_ij and R = 2 exactly at theta = 2 atan t for
+    rational t > 0.  The metric does not depend on phi, so each t is one
+    point."""
+    ts = _SPHERE_TS if ts is None else ts
+    if any(t <= 0 for t in ts):
+        raise ValueError("theta = 2 atan t needs t > 0; t = 0 is the pole")
+    return _chart_report([sphere_metric_jets(t) for t in ts])
+
+
 def kahler_conformal_check(points=None):
-    """Check the conformal chart is Einstein with R = 2 at sample points
-    and that the metric really is the conformal factor times identity."""
-    if points is None:
-        points = [(0.0, 0.0), (0.5, 1.0 / 3.0), (1.0, 0.0), (-0.7, 0.4),
-                  (2.5, -1.25)]
-    max_dev = 0.0
-    max_scal_dev = 0.0
-    max_conf_dev = 0.0
-    for u, v in points:
-        g = kahler_metric_jets(u, v)
-        conf = 4.0 / (1.0 + u * u + v * v) ** 2
+    """Check exactly that the conformal chart is Einstein with R = 2 at
+    rational sample points and that the metric really is the conformal
+    factor times identity."""
+    points = _KAHLER_POINTS if points is None else points
+    metrics = [kahler_metric_jets(u, v) for u, v in points]
+    max_conf_dev = Fraction(0)
+    for (u, v), g in zip(points, metrics):
+        conf = 4 / (1 + Fraction(u) ** 2 + Fraction(v) ** 2) ** 2
         max_conf_dev = max(max_conf_dev, abs(g.g11.base - conf),
                            abs(g.g22.base - conf), abs(g.g12.base))
-        rep = _jet_chart_report(g)
-        max_dev = max(max_dev, rep["einstein_dev"])
-        max_scal_dev = max(max_scal_dev, abs(rep["scalar"] - 2.0))
-    return {"points": len(points), "max_einstein_dev": max_dev,
-            "max_scalar_dev": max_scal_dev, "max_conformal_dev": max_conf_dev}
+    return dict(_chart_report(metrics), max_conformal_dev=max_conf_dev)
 
 
 def plane_integrand(u, v):
@@ -209,6 +187,25 @@ def _pairwise_sum(values):
     return vals[0]
 
 
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] by
+    Newton's iteration on the Legendre three-term recurrence.  The guesses
+    cos(pi (i + 3/4) / (n + 1/2)) lie within O(1/n^2) of the roots, so
+    eight steps reach double precision."""
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(8):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            x -= p1 / dp
+        nodes[i], nodes[n - 1 - i] = -x, x
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
+    return nodes, weights
+
+
 def chern_number(tolerance=1e-6, gl_order=16, max_panels=1 << 14):
     """First Chern number of the sphere chart by quadrature.
 
@@ -219,7 +216,7 @@ def chern_number(tolerance=1e-6, gl_order=16, max_panels=1 << 14):
     """
     if tolerance < 1e-10:
         raise ValueError("tolerance must be >= 1e-10")
-    nodes, weights = np.polynomial.legendre.leggauss(gl_order)
+    nodes, weights = _gauss_legendre(gl_order)
 
     def integrand(t):
         r = t / (1.0 - t)

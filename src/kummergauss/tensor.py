@@ -3,8 +3,9 @@ the 4x4 determinant shared by the kernel-matrix checks of both charts.
 
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
 index i in {0, 1}, and ``.half()``; ``inverse_metric`` also needs
-``.inverse()``.  The same code drives exact series, exact point-jets and
-floating-point charts.
+``.inverse()``.  The same code drives exact series and exact point-jets;
+floats and complex numbers reach it only from the tests and the
+``complex_backend`` reference.
 """
 
 

@@ -137,11 +137,12 @@ def test_criterion_7_sphere_suite():
     chern = chern_number(tolerance=1e-6)
     goe = goepel_constants(GoepelInput(1, 1, 1, -3))
     _, fresnel_ok = fresnel_reduce()
-    ok = (sph["points"] == 400
-          and sph["max_einstein_dev"] <= 1e-12
-          and sph["max_scalar_dev"] <= 1e-12
-          and kah["max_einstein_dev"] <= 1e-10
-          and kah["max_scalar_dev"] <= 1e-10
+    ok = (sph["points"] == 20
+          and sph["max_einstein_dev"] == 0
+          and sph["max_scalar_dev"] == 0
+          and kah["max_einstein_dev"] == 0
+          and kah["max_scalar_dev"] == 0
+          and kah["max_conformal_dev"] == 0
           and abs(chern - 2.0) <= 1e-6
           and goe == (2, 2, 2, 0)
           and fresnel_ok)

@@ -2,9 +2,14 @@
 JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import kummergauss
 from kummergauss import cli
 from kummergauss.cli import ConfigError, RunConfig, config_from_args, run
 from kummergauss.sigma import DEFAULT_ORDER
@@ -158,3 +163,24 @@ def test_all_covers_every_family():
     for stem in ("quartic", "pde", "kernel", "metric", "ricci", "inversion",
                  "dz", "sphere", "kahler", "chern", "goepel", "fresnel"):
         assert stem in names, stem
+
+
+def test_runs_without_numpy():
+    """No runtime dependency: with numpy unimportable every module still
+    imports and the double-sphere commands pass."""
+    script = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        sys.modules["numpy"] = None
+        import kummergauss
+        for mod in pkgutil.iter_modules(kummergauss.__path__):
+            importlib.import_module("kummergauss." + mod.name)
+        from kummergauss.cli import RunConfig, run
+        for command in ("sphere-verify", "kahler-verify", "chern"):
+            report, code = run(RunConfig(command=command))
+            assert code == 0, report
+    """)
+    src = os.path.dirname(os.path.dirname(kummergauss.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

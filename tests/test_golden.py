@@ -36,6 +36,13 @@ GOLDEN = [
      "ff18dc07c8ab552930f3fab4b1e8993429760b79fb894a3f30e3218450330cad"),
     (dict(command="ricci-leading", sigma_level=7, max_order=12, lambdas=LAM),
      "1914b84de61986252bdb7b092e93a6b361f9b76d3bb99c2228226ff53df9cd63"),
+    (dict(command="chern"),
+     "ab9f19c3fa986a58cde28dbd38dc681df8fc6092b05e98cd2d906867ecf1c876"),
+    # exact double-sphere reports: every residual prints as "0/1"
+    (dict(command="sphere-verify"),
+     "f73390ebc61150678a8fc53d255602a0b01c7ce0b2441c12f17eac874d5ba6bc"),
+    (dict(command="kahler-verify"),
+     "ea3b13f00e90dce70ba83f55ba5b6d5d3568c1571dc7d90bf07e01156729311b"),
 ]
 
 

@@ -274,9 +274,15 @@ def test_series_mul_randomized_agrees_with_poly_product():
         q = random_poly(rng, max_deg=3)
         n = rng.randint(2, 8)
         m = rng.randint(2, 8)
-        s = TruncatedSeries(p, n) * TruncatedSeries(q, m)
+        a, b = TruncatedSeries(p, n), TruncatedSeries(q, m)
+        s = a * b
         assert s.body == (p.truncated(n) * q.truncated(m)).truncated(
             s.known_order)
+        # results built without a truncation pass keep the invariant too
+        for r in (s, -a, a.scale(Fraction(-3, 7)), a + b,
+                  a + TruncatedSeries(q, n), a - b):
+            assert all(CTX.grading_degree(k) <= r.known_order
+                       for k in r.body.terms)
 
 
 def test_lambda_free_part_strips_moduli():

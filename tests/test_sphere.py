@@ -2,6 +2,7 @@
 Fresnel reduction, the Einstein checks and the Chern quadrature."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from kummergauss.sphere import (DegenerateTetradError, GoepelInput,
                                 fresnel_quartic, fresnel_reduce,
                                 goepel_constants, kahler_conformal_check,
                                 plane_integrand, sphere_einstein_check)
+from kummergauss.sphere import _SPHERE_TS
 
 
 # -- tetrad constants -------------------------------------------------
@@ -68,22 +70,30 @@ def test_fresnel_general_axes_expansion():
 # -- Einstein checks --------------------------------------------------
 
 def test_sphere_einstein_within_tolerance():
+    # theta = 2 atan t spans [1e-3, pi - 1e-3] to 4 digits, equator included
+    thetas = [2 * math.atan(t) for t in _SPHERE_TS]
+    assert 1 in _SPHERE_TS and len(set(_SPHERE_TS)) == 20
+    assert round(min(thetas), 4) == 1e-3
+    assert round(max(thetas), 4) == round(math.pi - 1e-3, 4)
     rep = sphere_einstein_check()
-    assert rep["points"] == 400
-    assert rep["max_einstein_dev"] <= 1e-12
-    assert rep["max_scalar_dev"] <= 1e-12
+    assert rep["points"] == 20
+    assert rep["max_einstein_dev"] == 0
+    assert rep["max_scalar_dev"] == 0
 
 
-def test_sphere_rejects_points_inside_pole_margin():
-    with pytest.raises(ValueError):
-        sphere_einstein_check(grid=[(1e-5, 0.0)])
+def test_sphere_rejects_pole():
+    # t = 0 is the pole theta = 0; negative t leaves the chart
+    for t in (0, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            sphere_einstein_check(ts=[Fraction(1, 2), t])
 
 
 def test_kahler_einstein_and_conformal_within_tolerance():
     rep = kahler_conformal_check()
-    assert rep["max_einstein_dev"] <= 1e-10
-    assert rep["max_scalar_dev"] <= 1e-10
-    assert rep["max_conformal_dev"] <= 1e-10
+    assert rep["points"] == 5
+    assert rep["max_einstein_dev"] == 0
+    assert rep["max_scalar_dev"] == 0
+    assert rep["max_conformal_dev"] == 0
 
 
 # -- quadrature -------------------------------------------------------
