@@ -188,8 +188,9 @@ def dz_closed_form(p):
 
 def quartic_check(p, variant="wp11"):
     """Value of det K at the point's (X, Y, Z); exactly zero on the surface
-    with the adopted kernel-matrix entry."""
-    X, Y, Z, lifted = xyz_jets(p)
+    with the adopted kernel-matrix entry.  Only the base values enter, so
+    the point is lifted at jet order 0."""
+    X, Y, Z, lifted = xyz_jets(p, order=0)
     ctx = lifted["backend"].ring.ctx
     lam = [ctx.rational(v) for v in p.lambdas]
     return det4(kummer_matrix(lam, X.base, Y.base, Z.base,

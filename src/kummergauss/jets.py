@@ -82,17 +82,12 @@ class Jet:
             out[k] = self.get(*k) + other.get(*k)
         return Jet(self.ring, n, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Jet(self.ring, self.order,
                    {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -152,12 +147,6 @@ class Jet:
             power = power * (-e)
             acc = acc + power
         return acc.scale_elem(ic0)
-
-    def __pow__(self, n):
-        result = Jet.constant(self.ring, self.order, self.ring.one)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __str__(self):
         items = sorted(self.coeffs.items())

@@ -1,8 +1,15 @@
 """Exact arithmetic in the rank-4 algebra Q[y1, y2] with y1^2 = c1,
-y2^2 = c2 fixed rationals: elements a + b y1 + c y2 + d y1 y2."""
+y2^2 = c2 fixed rationals: elements a + b y1 + c y2 + d y1 y2.
+
+An element stores four integer numerators over one positive integer
+denominator in canonical form (the gcd of the five integers is 1, zero is
+0/1), so every operation runs on Python ints and equal values have equal
+fields.  ``.a``, ``.b``, ``.c`` and ``.d`` read the parts as lowest-terms
+``Fraction``s."""
 
 import cmath
 import math
+from fractions import Fraction
 
 from .rings import rat
 
@@ -26,6 +33,11 @@ class QuadExtContext:
     def __init__(self, c1, c2):
         self.c1 = rat(c1) if isinstance(c1, int) else c1
         self.c2 = rat(c2) if isinstance(c2, int) else c2
+        n1, d1 = self.c1.numerator, self.c1.denominator
+        n2, d2 = self.c2.numerator, self.c2.denominator
+        # the product rule times d1 d2: 1 -> d1 d2, y1^2 -> n1 d2,
+        # y2^2 -> n2 d1, (y1 y2)^2 -> n1 n2
+        self.rule = (d1 * d2, n1 * d2, n2 * d1, n1 * n2)
 
     def __eq__(self, other):
         return (isinstance(other, QuadExtContext)
@@ -35,10 +47,10 @@ class QuadExtContext:
         return hash((self.c1, self.c2))
 
     def element(self, a=0, b=0, c=0, d=0):
-        return QuadExtScalar(self, rat(a) if isinstance(a, int) else a,
-                             rat(b) if isinstance(b, int) else b,
-                             rat(c) if isinstance(c, int) else c,
-                             rat(d) if isinstance(d, int) else d)
+        qs = [rat(q) if isinstance(q, int) else q for q in (a, b, c, d)]
+        den = math.lcm(*[q.denominator for q in qs])
+        return QuadExtScalar(self, *[q.numerator * (den // q.denominator)
+                                     for q in qs], den)
 
     def rational(self, q):
         return self.element(a=q)
@@ -61,18 +73,26 @@ class QuadExtContext:
 
 
 class QuadExtScalar:
-    __slots__ = ("ctx", "a", "b", "c", "d")
+    """(na + nb y1 + nc y2 + nd y1 y2) / den in lowest terms."""
 
-    def __init__(self, ctx, a, b, c, d):
-        self.ctx = ctx
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+    __slots__ = ("ctx", "na", "nb", "nc", "nd", "den")
+
+    def __init__(self, ctx, na, nb, nc, nd, den):
+        """Integer numerators over ``den`` > 0; their gcd is divided out."""
+        g = math.gcd(na, nb, nc, nd, den)
+        if g != 1:
+            na, nb, nc, nd, den = na // g, nb // g, nc // g, nd // g, den // g
+        self.ctx, self.na, self.nb, self.nc, self.nd, self.den = (
+            ctx, na, nb, nc, nd, den)
+
+    a = property(lambda self: Fraction(self.na, self.den))
+    b = property(lambda self: Fraction(self.nb, self.den))
+    c = property(lambda self: Fraction(self.nc, self.den))
+    d = property(lambda self: Fraction(self.nd, self.den))
 
     def _coerce(self, other):
         if isinstance(other, QuadExtScalar):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("mixed quadratic extension contexts")
             return other
         return self.ctx.rational(rat(other) if isinstance(other, int)
@@ -80,13 +100,17 @@ class QuadExtScalar:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadExtScalar(self.ctx, self.a + o.a, self.b + o.b,
-                             self.c + o.c, self.d + o.d)
+        e1, e2 = self.den, o.den
+        return QuadExtScalar(self.ctx, self.na * e2 + o.na * e1,
+                             self.nb * e2 + o.nb * e1,
+                             self.nc * e2 + o.nc * e1,
+                             self.nd * e2 + o.nd * e1, e1 * e2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExtScalar(self.ctx, -self.a, -self.b, -self.c, -self.d)
+        return QuadExtScalar(self.ctx, -self.na, -self.nb, -self.nc,
+                             -self.nd, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -96,55 +120,64 @@ class QuadExtScalar:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        k1, k2 = self.ctx.c1, self.ctx.c2
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
+        r, k1, k2, k12 = self.ctx.rule
+        a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
+        a2, b2, c2, d2 = o.na, o.nb, o.nc, o.nd
         return QuadExtScalar(
             self.ctx,
-            a1 * a2 + k1 * b1 * b2 + k2 * c1 * c2 + k1 * k2 * d1 * d2,
-            a1 * b2 + b1 * a2 + k2 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + k1 * (b1 * d2 + d1 * b2),
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+            r * a1 * a2 + k1 * b1 * b2 + k2 * c1 * c2 + k12 * d1 * d2,
+            r * (a1 * b2 + b1 * a2) + k2 * (c1 * d2 + d1 * c2),
+            r * (a1 * c2 + c1 * a2) + k1 * (b1 * d2 + d1 * b2),
+            r * (a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2),
+            r * self.den * o.den)
 
     __rmul__ = __mul__
 
     def scale(self, q):
-        return QuadExtScalar(self.ctx, self.a * q, self.b * q, self.c * q,
-                             self.d * q)
+        q = rat(q) if isinstance(q, int) else q
+        n = q.numerator
+        return QuadExtScalar(self.ctx, self.na * n, self.nb * n, self.nc * n,
+                             self.nd * n, self.den * q.denominator)
 
     def conj1(self):
-        return QuadExtScalar(self.ctx, self.a, -self.b, self.c, -self.d)
+        return QuadExtScalar(self.ctx, self.na, -self.nb, self.nc,
+                             -self.nd, self.den)
 
     def conj2(self):
-        return QuadExtScalar(self.ctx, self.a, self.b, -self.c, -self.d)
+        return QuadExtScalar(self.ctx, self.na, self.nb, -self.nc,
+                             -self.nd, self.den)
 
     def norm(self):
         """Product of the four sign conjugates; always rational."""
         n = self * self.conj1() * self.conj2() * self.conj1().conj2()
-        assert n.b == 0 and n.c == 0 and n.d == 0
+        assert n.nb == 0 and n.nc == 0 and n.nd == 0
         return n.a
 
     def inv(self):
         cof = self.conj1() * self.conj2() * self.conj1().conj2()
-        n = (self * cof).a
-        if n == 0:
+        n = self * cof  # n.na / n.den, rational
+        if n.na == 0:
             raise NonInvertibleError("zero norm: %s" % (self,))
-        return cof.scale(1 / n)
+        # cof / (na / den) = (den cof) / na
+        s = n.den if n.na > 0 else -n.den
+        return QuadExtScalar(self.ctx, cof.na * s, cof.nb * s, cof.nc * s,
+                             cof.nd * s, cof.den * abs(n.na))
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return self.na == 0 and self.nb == 0 and self.nc == 0 and self.nd == 0
 
     def __eq__(self, other):
         if isinstance(other, QuadExtScalar):
-            return (self.ctx == other.ctx and self.a == other.a
-                    and self.b == other.b and self.c == other.c
-                    and self.d == other.d)
+            return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                    and self.na == other.na
+                    and self.nb == other.nb and self.nc == other.nc
+                    and self.nd == other.nd and self.den == other.den)
         if isinstance(other, int):
             return self == self.ctx.rational(rat(other))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash((self.na, self.nb, self.nc, self.nd, self.den))
 
     def rational_value(self):
         """Exact value with y_i -> sqrt(c_i); both c_i must be perfect

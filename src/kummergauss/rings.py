@@ -164,21 +164,7 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.ctx, other)
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s == 0:
-                    del out[k]
-                else:
-                    out[k] = s
-        return Poly(self.ctx, out)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -186,9 +172,26 @@ class Poly:
         return Poly(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op):
+        """Sum or difference (``op`` is operator.add or operator.sub), term
+        by term; terms that cancel are dropped."""
         if not isinstance(other, Poly):
             other = Poly.const(self.ctx, other)
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = c if op is operator.add else -c
+            else:
+                s = op(s, c)
+                if s == 0:
+                    del out[k]
+                else:
+                    out[k] = s
+        return Poly(self.ctx, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -469,24 +472,24 @@ class TruncatedSeries:
             raise ContextError("mixed variable contexts")
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries(Poly.const(self.ctx, other),
-                                    self.known_order)
-        self._check(other)
-        if self.known_order == other.known_order:
-            return TruncatedSeries._capped(self.body + other.body,
-                                           self.known_order)
-        n = min(self.known_order, other.known_order)
-        return TruncatedSeries(self.body + other.body, n)
+        return self._combine(other, operator.add)
 
     def __neg__(self):
         return TruncatedSeries._capped(-self.body, self.known_order)
 
     def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other, op):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries(Poly.const(self.ctx, other),
                                     self.known_order)
-        return self + (-other)
+        self._check(other)
+        if self.known_order == other.known_order:
+            return TruncatedSeries._capped(op(self.body, other.body),
+                                           self.known_order)
+        n = min(self.known_order, other.known_order)
+        return TruncatedSeries(op(self.body, other.body), n)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):

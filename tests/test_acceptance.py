@@ -190,7 +190,8 @@ def test_criterion_8_property_suites():
     ring = NumericRing(float)
     ju = Jet.coordinate(ring, 3, 0.4, 0)
     jv = Jet.coordinate(ring, 3, -0.2, 1)
-    conf = ((ju * ju + jv * jv).add_scalar(1) ** 2).inverse().scale(4)
+    w = (ju * ju + jv * jv).add_scalar(1)
+    conf = (w * w).inverse().scale(4)
     g = MetricTensor(conf, Jet(ring, 3, {}), conf)
     det_inv = (g.g11 * g.g22 - g.g12 * g.g12).inverse()
     ginv = MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),

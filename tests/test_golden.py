@@ -43,6 +43,10 @@ GOLDEN = [
      "f73390ebc61150678a8fc53d255602a0b01c7ce0b2441c12f17eac874d5ba6bc"),
     (dict(command="kahler-verify"),
      "ea3b13f00e90dce70ba83f55ba5b6d5d3568c1571dc7d90bf07e01156729311b"),
+    (dict(command="dz-check", points=3, seed=11, lambdas=ZERO),
+     "c473fc32a2fc502b98da0ecc8217613192755ede4ac7c723c6907b3b44caa962"),
+    (dict(command="dz-check", points=3, seed=11, lambdas=LAM),
+     "5fdc7fab52a91f18d47d75fbaffc6f5c640e96d3086de55e6bd7241f01ce3c16"),
 ]
 
 

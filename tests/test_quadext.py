@@ -1,5 +1,6 @@
 """Tests for the two-square-root extension algebra and the jet layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -99,6 +100,123 @@ def test_mixed_contexts_rejected():
     b = QuadExtContext(2, 5).y1
     with pytest.raises(ValueError):
         a + b
+    with pytest.raises(ValueError):
+        a * b
+
+
+# -- integer kernel against the Fraction formulas ---------------------
+
+def _mul_reference(ctx, x, y):
+    """The product rule on Fraction parts, as computed before the integer
+    kernel."""
+    k1, k2 = ctx.c1, ctx.c2
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 + k1 * b1 * b2 + k2 * c1 * c2 + k1 * k2 * d1 * d2,
+            a1 * b2 + b1 * a2 + k2 * (c1 * d2 + d1 * c2),
+            a1 * c2 + c1 * a2 + k1 * (b1 * d2 + d1 * b2),
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+
+
+def _add_reference(x, y):
+    return tuple(p + q for p, q in zip(x, y))
+
+
+def parts(x):
+    return (x.a, x.b, x.c, x.d)
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.na, x.nb, x.nc, x.nd, x.den) == 1
+    if x.is_zero():
+        assert (x.na, x.den) == (0, 1)
+    assert all(type(q) is Fraction for q in parts(x))
+
+
+# c_i of both signs, integral and with denominators up to 5040
+KERNEL_CONTEXTS = [(rat(5), rat(-2)), (rat(-3, 7), rat(11, 5040)),
+                   (rat(-1), rat(-1, 4)), (rat(7, 9), rat(13)),
+                   (rat(1, 5040), rat(-5040))]
+
+
+def random_parts(rng):
+    """Fraction parts: zero, rational, or mixed, with denominators up to
+    5040."""
+    kind = rng.random()
+    if kind < 0.05:
+        return (rat(0),) * 4
+    out = []
+    for i in range(4):
+        if (kind < 0.2 and i > 0) or rng.random() < 0.2:
+            out.append(rat(0))
+        else:
+            out.append(rat(rng.randint(-10 ** 6, 10 ** 6),
+                           rng.choice((1, 2, 7, 36, 720, 5040,
+                                       rng.randint(1, 5040)))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("c1,c2", KERNEL_CONTEXTS,
+                         ids=["%s,%s" % c for c in KERNEL_CONTEXTS])
+def test_kernel_matches_fraction_reference(c1, c2):
+    rng = random.Random(20261018 + KERNEL_CONTEXTS.index((c1, c2)))
+    ctx = QuadExtContext(c1, c2)
+    for _ in range(120):
+        xp, yp = random_parts(rng), random_parts(rng)
+        pairs = [(xp, yp),
+                 # cross terms cancel: (p + r)(p - r) and x conj(x)
+                 (_add_reference(xp, yp),
+                  _add_reference(xp, tuple(-q for q in yp))),
+                 (xp, (xp[0], -xp[1], xp[2], -xp[3])),
+                 (xp, tuple(-q for q in xp))]
+        for u, v in pairs:
+            x, y = ctx.element(*u), ctx.element(*v)
+            assert parts(x) == u and parts(y) == v
+            prod, total = x * y, x + y
+            assert parts(prod) == _mul_reference(ctx, u, v)
+            assert parts(total) == _add_reference(u, v)
+            assert parts(x - y) == _add_reference(u, tuple(-q for q in v))
+            q = rat(rng.randint(-50, 50), rng.randint(1, 5040))
+            assert parts(x.scale(q)) == tuple(p * q for p in u)
+            assert parts(x.conj1()) == (u[0], -u[1], u[2], -u[3])
+            for z in (x, y, prod, total, x.scale(q), -x, x.conj2()):
+                assert_canonical(z)
+            if u[0] * u[1] != 0:  # mostly invertible; norms of both signs
+                inv = x.inv()
+                assert x * inv == ctx.one
+                assert_canonical(inv)
+
+
+def test_equal_values_have_equal_fields_and_hash():
+    rng = random.Random(20261018)
+    ctx = QuadExtContext(rat(-3, 7), rat(5, 2))
+    zeros = [ctx.zero, ctx.element(0, 0, 0, 0)]
+    done = 0
+    while done < 60:
+        x = ctx.element(*random_parts(rng))
+        y = ctx.element(*random_parts(rng))
+        try:
+            yinv = y.inv()
+            xinv = x.inv()
+        except NonInvertibleError:
+            continue
+        done += 1
+        paths = [ctx.element(*parts(x)), x * ctx.one, ctx.one * x,
+                 x.scale(rat(6, 35)).scale(rat(35, 6)),
+                 (x + x).scale(rat(1, 2)), xinv.inv(), x * y * yinv,
+                 x + ctx.zero, -(-x)]
+        for p in paths:
+            assert p == x and hash(p) == hash(x)
+            assert (p.na, p.nb, p.nc, p.nd, p.den) == (x.na, x.nb, x.nc,
+                                                       x.nd, x.den)
+            assert_canonical(p)
+        assert_canonical(xinv)
+        zeros += [x - x, x.scale(0), x * ctx.zero, x + (-x)]
+    for z in zeros:
+        assert z == ctx.zero and z == 0 and hash(z) == hash(ctx.zero)
+        assert_canonical(z)
+    assert ctx.rational(rat(3, 4)).scale(4) == 3
 
 
 # -- embeddings -------------------------------------------------------
