@@ -8,6 +8,7 @@ fails, 2 on a configuration error.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -18,9 +19,9 @@ from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, gauss_metric, kernel_residual,
                     kummer_det, metric_det_inverse, pde_residuals, ricci_hat)
-from .sphere import (GoepelInput, QuadratureError, chern_number,
-                     fresnel_reduce, goepel_constants,
-                     kahler_conformal_check, sphere_einstein_check)
+from .sphere import (GoepelInput, chern_number, fresnel_reduce,
+                     goepel_constants, kahler_conformal_check,
+                     sphere_einstein_check)
 
 MAX_ORDER_LIMIT = 20
 
@@ -61,8 +62,8 @@ class RunConfig:
             raise ConfigError("lambda wants exactly five rationals")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.tolerance < 1e-10:
-            raise ConfigError("tolerance must be at least 1e-10")
+        if not math.isfinite(self.tolerance) or self.tolerance < 1e-10:
+            raise ConfigError("tolerance must be finite and at least 1e-10")
 
     def lambda_echo(self):
         if self.lambdas is None:
@@ -307,13 +308,13 @@ def run_kahler(cfg):
 
 
 def run_chern(cfg):
-    try:
-        val = chern_number(tolerance=cfg.tolerance)
-    except QuadratureError as e:
-        return [_check("chern-number", False, tolerance=cfg.tolerance,
-                       error=str(e))]
-    return [_check("chern-number", abs(val - 2.0) <= cfg.tolerance,
-                   tolerance=cfg.tolerance, value=val)]
+    radius, c1, limit = chern_number(tolerance=cfg.tolerance)
+    remainder = 2 - c1
+    return [_check("chern-number", limit == 2 and remainder <= cfg.tolerance,
+                   tolerance=cfg.tolerance, radius=format_rational(radius),
+                   c1=format_rational(c1),
+                   remainder=format_rational(remainder),
+                   limit=None if limit is None else format_rational(limit))]
 
 
 def run_goepel(cfg):
@@ -441,7 +442,8 @@ def build_parser():
     ap.add_argument("--points", type=int, default=20,
                     help="random point count for the chart checks")
     ap.add_argument("--tol", type=float, default=1e-6,
-                    help="tolerance for the Chern quadrature")
+                    help="largest remainder 2 - c1(R) the exact Chern "
+                         "number may leave (at least 1e-10)")
     ap.add_argument("--output", default="-",
                     help="report destination path, '-' for stdout")
     ap.add_argument("--format", choices=("json", "text"), default="json")

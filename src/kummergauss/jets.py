@@ -91,7 +91,7 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return self.scale_elem(other)
+            return self.scale(other)
         n = min(self.order, other.order)
         out = {}
         for (i1, j1), c1 in self.coeffs.items():
@@ -106,13 +106,10 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def scale_elem(self, e):
-        """Multiply every coefficient by a ring element."""
+    def scale(self, e):
+        """Multiply every coefficient by a ring element or a rational."""
         return Jet(self.ring, self.order,
                    {k: v * e for k, v in self.coeffs.items()})
-
-    def scale(self, q):
-        return self.scale_elem(self.ring.from_rat(q))
 
     def half(self):
         return self.scale(Fraction(1, 2))
@@ -130,23 +127,22 @@ class Jet:
         out = {}
         for (i, j), c in self.coeffs.items():
             if which == 0 and i > 0:
-                out[(i - 1, j)] = c * self.ring.from_rat(Fraction(i))
+                out[(i - 1, j)] = c * i
             elif which == 1 and j > 0:
-                out[(i, j - 1)] = c * self.ring.from_rat(Fraction(j))
+                out[(i, j - 1)] = c * j
         return Jet(self.ring, self.order - 1, out)
 
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
         ic0 = self.ring.inv(self.base)
-        rest = self.scale_elem(ic0)
-        rest.coeffs = dict(rest.coeffs)
+        rest = self.scale(ic0)
         e = rest.add_scalar(Fraction(-1))  # valuation >= 1
         acc = Jet.constant(self.ring, self.order, self.ring.one)
         power = Jet.constant(self.ring, self.order, self.ring.one)
         for _ in range(self.order):
             power = power * (-e)
             acc = acc + power
-        return acc.scale_elem(ic0)
+        return acc.scale(ic0)
 
     def __str__(self):
         items = sorted(self.coeffs.items())

@@ -119,6 +119,8 @@ class QuadExtScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, QuadExtScalar):
+            return self.scale(other)
         o = self._coerce(other)
         r, k1, k2, k12 = self.ctx.rule
         a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
@@ -134,7 +136,7 @@ class QuadExtScalar:
     __rmul__ = __mul__
 
     def scale(self, q):
-        q = rat(q) if isinstance(q, int) else q
+        """Multiply by an int or a ``Fraction``."""
         n = q.numerator
         return QuadExtScalar(self.ctx, self.na * n, self.nb * n, self.nc * n,
                              self.nd * n, self.den * q.denominator)

@@ -271,27 +271,17 @@ def wp2(s, ij):
 
 
 def wp3(s, ijk):
-    """Third log derivative from the displayed cubic numerators over
-    sigma^3 (independent of differentiating wp2)."""
+    """Third log derivative wp_ijk = -(sigma^2 s_ijk - sigma (s_ij s_k +
+    s_ik s_j + s_jk s_i) + 2 s_i s_j s_k) / sigma^3, with s_i = sigma_i
+    (independent of differentiating wp2)."""
     key = str(ijk)
-    sig = s.sigma
-    s1, s2 = s.sd(1), s.sd(2)
-    if key == "222":
-        inner = sig * sig * s.sd(2, 2, 2) - (sig * s2 * s.sd(2, 2)).scale(3) \
-            + (s2 * s2 * s2).scale(2)
-    elif key == "221":
-        inner = sig * sig * s.sd(2, 2, 1) \
-            - sig * (s.sd(2, 2) * s1 + (s.sd(2, 1) * s2).scale(2)) \
-            + (s2 * s2 * s1).scale(2)
-    elif key == "211":
-        inner = sig * sig * s.sd(2, 1, 1) \
-            - sig * ((s.sd(2, 1) * s1).scale(2) + s.sd(1, 1) * s2) \
-            + (s2 * s1 * s1).scale(2)
-    elif key == "111":
-        inner = sig * sig * s.sd(1, 1, 1) - (sig * s1 * s.sd(1, 1)).scale(3) \
-            + (s1 * s1 * s1).scale(2)
-    else:
+    if key not in ("222", "221", "211", "111"):
         raise ValueError("ijk must be one of 222, 221, 211, 111")
+    i, j, k = (int(c) for c in key)
+    sig, si, sj, sk = s.sigma, s.sd(i), s.sd(j), s.sd(k)
+    pairs = s.sd(i, j) * sk + s.sd(i, k) * sj + s.sd(j, k) * si
+    inner = sig * sig * s.sd(i, j, k) - sig * pairs \
+        + (si * sj * sk).scale(2)
     return s.rational(-inner, sig_pow=3)
 
 

@@ -1,6 +1,7 @@
 """Double-sphere specialization: Goepel tetrad constants, the Fresnel
-quartic reduction, Einstein-metric verification on the round sphere, the
-conformal plane chart and the Chern-number quadrature."""
+quartic reduction, exact Einstein-metric verification on the round sphere
+and the conformal plane chart, and the first Chern number read exactly
+from that chart's metric."""
 
 import math
 from dataclasses import dataclass
@@ -15,10 +16,6 @@ from .tensor import (MetricTensor, christoffel, inverse_metric, ricci,
 
 class DegenerateTetradError(ArithmeticError):
     """A Goepel constant denominator vanishes."""
-
-
-class QuadratureError(ArithmeticError):
-    """Panel refinement did not converge within budget."""
 
 
 @dataclass(frozen=True)
@@ -170,76 +167,42 @@ def kahler_conformal_check(points=None):
     return dict(_chart_report(metrics), max_conformal_dev=max_conf_dev)
 
 
-def plane_integrand(u, v):
-    """Chern-class density (2/pi) / (1 + u^2 + v^2)^2 on the plane."""
-    return (2.0 / math.pi) / (1.0 + u * u + v * v) ** 2
+_PLANE = Context(("u", "v"))
+_AXIS = Context(("u",), grading=1)
+_MIN_TOLERANCE = Fraction(1, 10 ** 10)
 
 
-def _pairwise_sum(values):
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+def chern_number(tolerance=Fraction(1, 10 ** 6)):
+    """First Chern number of the double sphere, read from its Kaehler
+    metric f |dz|^2.
 
+    By Gauss-Bonnet the curvature over the disc |z| <= R integrates to
+    2 pi c1(R) with c1(R) = -R f_u / (2f) at (R, 0), taken exactly from
+    the metric jets.  R is the least power of two with 2 - c1(R) at most
+    ``tolerance``.  The limit of c1 is the ratio of the leading
+    coefficients of u q_u / q; that ratio must equal the jet value at
+    every radius tried, otherwise the limit is None (the metric is not
+    the chart the limit was derived for).
 
-def _gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] by
-    Newton's iteration on the Legendre three-term recurrence.  The guesses
-    cos(pi (i + 3/4) / (n + 1/2)) lie within O(1/n^2) of the roots, so
-    eight steps reach double precision."""
-    nodes, weights = [0.0] * n, [0.0] * n
-    for i in range((n + 1) // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(8):
-            p0, p1 = 1.0, x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            x -= p1 / dp
-        nodes[i], nodes[n - 1 - i] = -x, x
-        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
-    return nodes, weights
-
-
-def chern_number(tolerance=1e-6, gl_order=16, max_panels=1 << 14):
-    """First Chern number of the sphere chart by quadrature.
-
-    Polar substitution reduces the plane integral to the radial profile
-    2 pi * r / (1+r^2)^2 times the angular average; the half line is
-    compactified by r = t / (1 - t) and integrated with Gauss-Legendre
-    panels, doubled until successive estimates differ by tolerance/10.
+    Returns (R, c1(R), limit).
     """
-    if tolerance < 1e-10:
+    if not tolerance >= _MIN_TOLERANCE:
         raise ValueError("tolerance must be >= 1e-10")
-    nodes, weights = _gauss_legendre(gl_order)
-
-    def integrand(t):
-        r = t / (1.0 - t)
-        # 2 pi r / (1+r^2)^2 * (2/pi) * dr/dt
-        return 4.0 * r / (1.0 + r * r) ** 2 / (1.0 - t) ** 2
-
-    prev = None
-    n = 8
-    while n <= max_panels:
-        pieces = []
-        width = 1.0 / n
-        for i in range(n):
-            a = i * width
-            mid = a + 0.5 * width
-            half = 0.5 * width
-            pieces.append(half * _pairwise_sum(
-                w * integrand(mid + half * x)
-                for x, w in zip(nodes, weights)))
-        est = _pairwise_sum(pieces)
-        if prev is not None and abs(est - prev) < tolerance / 10.0:
-            return est
-        prev = est
-        n *= 2
-    raise QuadratureError(
-        "no convergence below %g with %d panels (last %.3e)"
-        % (tolerance, max_panels, prev))
+    # on the axis v = 0 the chart f = 4/q^2, q = 1 + u^2 + v^2, has
+    # c1 = u q_u / q; u q_u has the degree of q, so the limit is the ratio
+    # of their top coefficients
+    u, v = Poly.var(_PLANE, "u"), Poly.var(_PLANE, "v")
+    q = Poly.const(_PLANE, 1) + u * u + v * v
+    num, den = (p.map_context(_AXIS, {"v": 0})
+                for p in (u * q.diff("u"), q))
+    top = [den.grading_degree_max()]
+    limit = num.coefficient(top) / den.coefficient(top)
+    radius = 1
+    while True:
+        f = kahler_metric_jets(radius, 0, order=1).g11
+        c1 = -radius * f.get(1, 0) / (2 * f.base)
+        if c1 != num.eval({"u": radius}) / den.eval({"u": radius}):
+            return radius, c1, None
+        if 2 - c1 <= tolerance:
+            return radius, c1, limit
+        radius *= 2

@@ -134,7 +134,7 @@ def test_criterion_6_diagonal_discrepancy():
 def test_criterion_7_sphere_suite():
     sph = sphere_einstein_check()
     kah = kahler_conformal_check()
-    chern = chern_number(tolerance=1e-6)
+    _, c1, limit = chern_number(tolerance=1e-6)
     goe = goepel_constants(GoepelInput(1, 1, 1, -3))
     _, fresnel_ok = fresnel_reduce()
     ok = (sph["points"] == 20
@@ -143,7 +143,8 @@ def test_criterion_7_sphere_suite():
           and kah["max_einstein_dev"] == 0
           and kah["max_scalar_dev"] == 0
           and kah["max_conformal_dev"] == 0
-          and abs(chern - 2.0) <= 1e-6
+          and limit == 2
+          and 0 < 2 - c1 <= 1e-6
           and goe == (2, 2, 2, 0)
           and fresnel_ok)
     report(7, "sphere Einstein, Kaehler, Chern, tetrad, Fresnel", ok)

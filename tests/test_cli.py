@@ -34,6 +34,14 @@ def test_order_cap_enforced():
         quick_cfg("quartic-verify", max_order=24).validate()
 
 
+def test_non_finite_tolerance_rejected():
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            quick_cfg("chern", tolerance=tol).validate()
+    assert cli.main(["chern", "--tol", "inf"]) == 2
+    assert cli.main(["chern", "--tol", "nan"]) == 2
+
+
 def test_bad_level_rejected():
     with pytest.raises(ConfigError):
         quick_cfg("quartic-verify", sigma_level=4).validate()

@@ -36,8 +36,9 @@ GOLDEN = [
      "ff18dc07c8ab552930f3fab4b1e8993429760b79fb894a3f30e3218450330cad"),
     (dict(command="ricci-leading", sigma_level=7, max_order=12, lambdas=LAM),
      "1914b84de61986252bdb7b092e93a6b361f9b76d3bb99c2228226ff53df9cd63"),
+    # exact Chern number: radius, c1, remainder and limit as "p/q"
     (dict(command="chern"),
-     "ab9f19c3fa986a58cde28dbd38dc681df8fc6092b05e98cd2d906867ecf1c876"),
+     "a103c8ef71797e32966f6f547b5237d63449c0070aac8d9d4b0443249ccb60b1"),
     # exact double-sphere reports: every residual prints as "0/1"
     (dict(command="sphere-verify"),
      "f73390ebc61150678a8fc53d255602a0b01c7ce0b2441c12f17eac874d5ba6bc"),

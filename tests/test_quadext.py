@@ -178,7 +178,11 @@ def test_kernel_matches_fraction_reference(c1, c2):
             assert parts(total) == _add_reference(u, v)
             assert parts(x - y) == _add_reference(u, tuple(-q for q in v))
             q = rat(rng.randint(-50, 50), rng.randint(1, 5040))
-            assert parts(x.scale(q)) == tuple(p * q for p in u)
+            # rational operands, Fraction and int, on either side
+            for r in (q, q.numerator):
+                for z in (x.scale(r), x * r, r * x):
+                    assert parts(z) == tuple(p * r for p in u)
+                    assert_canonical(z)
             assert parts(x.conj1()) == (u[0], -u[1], u[2], -u[3])
             for z in (x, y, prod, total, x.scale(q), -x, x.conj2()):
                 assert_canonical(z)

@@ -1,18 +1,22 @@
 """Tests for the double-sphere specialization: tetrad constants, the
-Fresnel reduction, the Einstein checks and the Chern quadrature."""
+Fresnel reduction, the Einstein checks and the exact Chern number."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
+from kummergauss import sphere
+from kummergauss.cli import RunConfig, run
+from kummergauss.jets import Jet
 from kummergauss.rings import Poly, rat
 from kummergauss.sphere import (DegenerateTetradError, GoepelInput,
-                                QuadratureError, chern_number,
-                                fresnel_quartic, fresnel_reduce,
-                                goepel_constants, kahler_conformal_check,
-                                plane_integrand, sphere_einstein_check)
+                                chern_number, fresnel_quartic,
+                                fresnel_reduce, goepel_constants,
+                                kahler_conformal_check, kahler_metric_jets,
+                                sphere_einstein_check)
 from kummergauss.sphere import _SPHERE_TS
+from kummergauss.tensor import MetricTensor
 
 
 # -- tetrad constants -------------------------------------------------
@@ -96,27 +100,60 @@ def test_kahler_einstein_and_conformal_within_tolerance():
     assert rep["max_conformal_dev"] == 0
 
 
-# -- quadrature -------------------------------------------------------
+# -- Chern number -----------------------------------------------------
 
-def test_plane_integrand_value():
-    assert abs(plane_integrand(0.0, 0.0) - 2.0 / math.pi) < 1e-15
-    assert abs(plane_integrand(1.0, 0.0) - 0.5 / math.pi) < 1e-15
+def c1_from_jets(radius):
+    """-R f_u / (2f) at (R, 0) for the conformal factor f of the chart."""
+    f = kahler_metric_jets(radius, 0, order=1).g11
+    return -radius * f.get(1, 0) / (2 * f.base)
+
+
+def test_chern_density_from_metric_jets():
+    # closed form c1(R) = 2R^2 / (1 + R^2)
+    assert c1_from_jets(1) == 1
+    assert c1_from_jets(3) == Fraction(9, 5)
+    assert c1_from_jets(1000) == Fraction(2000000, 1000001)
 
 
 def test_chern_number_is_two():
-    val = chern_number(tolerance=1e-6)
-    assert abs(val - 2.0) <= 1e-6
+    radius, c1, limit = chern_number(tolerance=1e-6)
+    assert limit == 2 and type(limit) is Fraction
+    assert 0 < 2 - c1 <= 1e-6
+    assert c1 == c1_from_jets(radius)
+    # the least power of two: half the radius misses the tolerance
+    assert 2 - c1_from_jets(radius // 2) > 1e-6
+    assert (radius, c1) == (2048, Fraction(8388608, 4194305))
 
 
 def test_chern_number_deterministic():
     assert chern_number() == chern_number()
 
 
-def test_chern_quadrature_budget_enforced():
-    with pytest.raises(QuadratureError):
-        chern_number(tolerance=1e-10, gl_order=2, max_panels=8)
+def test_chern_meets_tightest_tolerance():
+    radius, c1, limit = chern_number(tolerance=1e-10)
+    assert limit == 2
+    assert 0 < 2 - c1 <= 1e-10
+    assert radius == 262144
+
+
+def test_chern_fails_on_a_metric_off_the_chart(monkeypatch):
+    # f = 16/q^4 in place of 4/q^2: c1(R) = 4R^2/(1+R^2) no longer equals
+    # u q_u / q, although its remainder at R = 1 is exactly zero
+    chart = sphere.kahler_metric_jets
+
+    def squared(u, v, order):
+        f = chart(u, v, order).g11
+        return MetricTensor(f * f, Jet(f.ring, f.order, {}), f * f)
+
+    monkeypatch.setattr(sphere, "kahler_metric_jets", squared)
+    assert chern_number() == (1, 2, None)
+    report, code = run(RunConfig("chern"))
+    assert code == 1
+    assert report["checks"][0]["status"] == "fail"
+    assert report["checks"][0]["limit"] is None
 
 
 def test_chern_rejects_silly_tolerance():
-    with pytest.raises(ValueError):
-        chern_number(tolerance=1e-15)
+    for tol in (1e-15, 0, -1, float("nan")):
+        with pytest.raises(ValueError):
+            chern_number(tolerance=tol)
