@@ -12,23 +12,19 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import __version__, reference
 from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
                         random_admissible_points, ricci_point, xyz_jets)
 from .rings import format_rational, parse_rational
-from .sigma import (DEFAULT_ORDER, build_sigma, gauss_metric, kernel_residual,
-                    kummer_det, metric_det_inverse, pde_residuals, ricci_hat)
+from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
+                    pde_residuals, ricci_hat)
 from .sphere import (GoepelInput, chern_number, fresnel_reduce,
                      goepel_constants, kahler_conformal_check,
                      sphere_einstein_check)
 
 MAX_ORDER_LIMIT = 20
-
-COMMANDS = ("quartic-verify", "pde-verify", "kernel-verify", "metric-report",
-            "ricci-leading", "inversion-verify", "ricci-point", "dz-check",
-            "sphere-verify", "kahler-verify", "chern", "goepel", "fresnel",
-            "all")
 
 
 class ConfigError(ValueError):
@@ -54,8 +50,10 @@ class RunConfig:
             raise ConfigError("sigma level must be 3, 5 or 7")
         if self.max_order > MAX_ORDER_LIMIT:
             raise ConfigError("max order is capped at %d" % MAX_ORDER_LIMIT)
-        if self.max_order < self.sigma_level + 2:
-            raise ConfigError("max order must be at least sigma level + 2")
+        floor = max(self.levels()) + 2
+        if self.max_order < floor:
+            raise ConfigError("max order must be at least %d, the highest "
+                              "sigma level run + 2" % floor)
         if self.points < 1:
             raise ConfigError("points must be at least 1")
         if self.lambdas is not None and len(self.lambdas) != 5:
@@ -70,10 +68,41 @@ class RunConfig:
             return "symbolic"
         return [format_rational(x) for x in self.lambdas]
 
+    def levels(self):
+        """The sigma levels the command runs: all three for ``all``."""
+        return (3, 5, 7) if self.command == "all" else (self.sigma_level,)
+
     def point_lambdas(self):
         """Numeric lambda tuple for the inversion-chart commands, which
         have no symbolic mode."""
         return (0, 0, 0, 0, 0) if self.lambdas is None else tuple(self.lambdas)
+
+    def nonzero_lambda(self):
+        """Numeric moduli, not all zero: they fold into every coefficient,
+        so the lambda-free regressions do not apply."""
+        return self.lambdas is not None and any(x != 0 for x in self.lambdas)
+
+
+class _Stages:
+    """What the runners of one ``run`` call share, each built on first
+    use: a sigma frame per level the command runs and the admissible
+    points.  It lives for that call only."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    @cached_property
+    def frames(self):
+        cfg = self.cfg
+        return {level: build_sigma(level, lambdas=cfg.lambdas,
+                                   order=cfg.max_order)
+                for level in cfg.levels()}
+
+    @cached_property
+    def points(self):
+        cfg = self.cfg
+        return random_admissible_points(cfg.seed, cfg.points,
+                                        lambdas=cfg.point_lambdas())
 
 
 def _check(name, ok, qualified=False, **data):
@@ -81,11 +110,6 @@ def _check(name, ok, qualified=False, **data):
     rec = {"name": name, "status": status}
     rec.update(data)
     return rec
-
-
-def _frame(cfg, level=None):
-    return build_sigma(level or cfg.sigma_level, lambdas=cfg.lambdas,
-                       order=cfg.max_order)
 
 
 def _zero_through(series):
@@ -97,54 +121,53 @@ def _zero_through(series):
 
 # -- sigma-chart commands ---------------------------------------------
 
-def run_quartic(cfg, level=None):
-    level = level or cfg.sigma_level
-    det = kummer_det(_frame(cfg, level))
-    expected = level + 2
-    z = _zero_through(det)
-    return [_check("quartic-level-%d" % level, z >= expected,
-                   expected_order=expected, zero_through=z,
-                   validated_order=det.known_order,
-                   first_nonzero_degree=det.valuation())]
-
-
-def _residual_checks(prefix, residuals, level):
-    """One check per residual: it must vanish through the sigma level."""
+def run_quartic(st):
     out = []
-    for i, r in enumerate(residuals, start=1):
-        z = _zero_through(r.num)
-        out.append(_check("%s-%d-level-%d" % (prefix, i, level), z >= level,
-                          expected_order=level, zero_through=z,
-                          validated_order=r.validity,
-                          exactly_zero=r.num.valuation() is None))
+    for level, s in st.frames.items():
+        det = kummer_det(s)
+        expected = level + 2
+        z = _zero_through(det)
+        out.append(_check("quartic-level-%d" % level, z >= expected,
+                          expected_order=expected, zero_through=z,
+                          validated_order=det.known_order,
+                          first_nonzero_degree=det.valuation()))
     return out
 
 
-def run_pde(cfg, level=None):
-    level = level or cfg.sigma_level
-    return _residual_checks("pde", pde_residuals(_frame(cfg, level)), level)
+def _residual_checks(prefix, residuals, st):
+    """One check per residual at every level: it must vanish through the
+    sigma level."""
+    out = []
+    for level, s in st.frames.items():
+        for i, r in enumerate(residuals(s), start=1):
+            num = r.num
+            z = _zero_through(num)
+            out.append(_check("%s-%d-level-%d" % (prefix, i, level),
+                              z >= level, expected_order=level,
+                              zero_through=z, validated_order=num.known_order,
+                              exactly_zero=num.valuation() is None))
+    return out
 
 
-def run_kernel(cfg, level=None):
-    level = level or cfg.sigma_level
-    return _residual_checks("kernel-row", kernel_residual(_frame(cfg, level)),
-                            level)
+def run_pde(st):
+    return _residual_checks("pde", pde_residuals, st)
 
 
-def run_metric(cfg):
-    s = _frame(cfg)
-    m = gauss_metric(s)
-    dhat, _ = metric_det_inverse(m)
+def run_kernel(st):
+    return _residual_checks("kernel-row", kernel_residual, st)
+
+
+def run_metric(st):
+    s = st.frames[st.cfg.sigma_level]
+    m = s.metric
     targets = [("ghat11", m.ghat11, reference.GHAT11_FREE),
                ("ghat12", m.ghat12, reference.GHAT12_FREE),
                ("ghat22", m.ghat22, reference.GHAT22_FREE),
-               ("dhat", dhat, reference.DHAT_FREE)]
-    nonzero_lambda = cfg.lambdas is not None and any(x != 0
-                                                    for x in cfg.lambdas)
+               ("dhat", s.dhat, reference.DHAT_FREE)]
     out = []
     for name, series, target in targets:
         free = series.lambda_free_part()
-        if nonzero_lambda:
+        if st.cfg.nonzero_lambda():
             # specialized nonzero moduli fold into every coefficient; the
             # display regression only applies symbolically or at zero
             out.append(_check("metric-%s" % name, False, qualified=True,
@@ -163,17 +186,12 @@ def run_metric(cfg):
     return out
 
 
-def run_ricci_leading(cfg, level=None):
-    level = level or cfg.sigma_level
-    s = _frame(cfg, level)
-    rep = ricci_hat(s)
-    nonzero_lambda = cfg.lambdas is not None and any(x != 0
-                                                    for x in cfg.lambdas)
+def _ricci_checks(cfg, level, rep):
     out = []
     for name in ("R11", "R12", "R22"):
         rec = rep[name]
         expected_deg, target = reference.RICCI_LOWEST[name]
-        if nonzero_lambda:
+        if cfg.nonzero_lambda():
             out.append(_check("ricci-%s-level-%d" % (name, level), False,
                               qualified=True,
                               note="fingerprint regression needs symbolic "
@@ -191,6 +209,11 @@ def run_ricci_leading(cfg, level=None):
     out.append(_check("ricci-symmetry-level-%d" % level,
                       rep["ricci_symmetry_ok"]))
     return out
+
+
+def run_ricci_leading(st):
+    return [c for level, s in st.frames.items()
+            for c in _ricci_checks(st.cfg, level, ricci_hat(s))]
 
 
 # -- inversion-chart commands -----------------------------------------
@@ -212,7 +235,7 @@ def _dz_failures(points):
     """Echoes of the points whose jet dZ differs from the closed form."""
     bad = []
     for p in points:
-        _, _, Z, _ = xyz_jets(p)
+        Z = p.lift[2]
         dz1, dz2 = dz_closed_form(p)
         if not (Z.get(1, 0) - dz1).is_zero() \
                 or not (Z.get(0, 1) - dz2).is_zero():
@@ -220,34 +243,27 @@ def _dz_failures(points):
     return bad
 
 
-def run_inversion(cfg):
-    out = []
+def run_inversion(st):
     # fixed witnesses, including the two Z sheet values
-    w = _WITNESSES[0]
+    w, w2 = _WITNESSES[:2]
     X, Y, Z, _ = xyz_jets(w)
-    z_val = Z.base.rational_value()
-    out.append(_check("inversion-witness-z", format_rational(z_val) == "16/9",
-                      point=_point_echo(w), X=format_rational(X.base.a),
-                      Y=format_rational(Y.base.a), Z=format_rational(z_val)))
-    w2 = _WITNESSES[1]
-    _, _, Z2, _ = xyz_jets(w2)
-    z2_val = Z2.base.rational_value()
-    out.append(_check("inversion-witness-z-sheet",
-                      format_rational(z2_val) == "16/1",
-                      point=_point_echo(w2), Z=format_rational(z2_val)))
+    z = format_rational(Z.base.rational_value())
+    z2 = format_rational(xyz_jets(w2)[2].base.rational_value())
+    out = [_check("inversion-witness-z", z == "16/9", point=_point_echo(w),
+                  X=format_rational(X.base.a), Y=format_rational(Y.base.a),
+                  Z=z),
+           _check("inversion-witness-z-sheet", z2 == "16/1",
+                  point=_point_echo(w2), Z=z2)]
     for i, w in enumerate(_WITNESSES):
         val = quartic_check(w)
         out.append(_check("inversion-witness-%d-quartic" % (i + 1),
                           val.is_zero(), point=_point_echo(w),
                           value=str(val)))
-    points = random_admissible_points(cfg.seed, cfg.points,
-                                      lambdas=cfg.point_lambdas())
-    bad = []
-    for p in points:
-        for q in (p, p.swapped(), p.both_flipped(),
-                  p.swapped().both_flipped()):
-            if not quartic_check(q).is_zero():
-                bad.append(_point_echo(q))
+    points = st.points
+    bad = [_point_echo(q) for p in points
+           for q in (p, p.swapped(), p.both_flipped(),
+                     p.swapped().both_flipped())
+           if not quartic_check(q).is_zero()]
     dz_bad = _dz_failures(points)
     out.append(_check("inversion-random-quartic", not bad,
                       points=len(points), sign_choices=4, failures=bad))
@@ -260,13 +276,10 @@ def run_inversion(cfg):
     return out
 
 
-def run_ricci_point(cfg):
-    points = random_admissible_points(cfg.seed, cfg.points,
-                                      lambdas=cfg.point_lambdas())
-    out = []
+def run_ricci_point(st):
     all_nonzero = True
     values = []
-    for p in points:
+    for p in st.points:
         rep = ricci_point(p)
         nz = all(not rep[k].is_zero() for k in ("R11", "R12", "R22"))
         sym = (rep["R12"] - rep["R21"]).is_zero()
@@ -275,16 +288,13 @@ def run_ricci_point(cfg):
                        "R11": str(rep["R11"]), "R12": str(rep["R12"]),
                        "R22": str(rep["R22"]), "nonzero": nz,
                        "symmetric": sym})
-    out.append(_check("ricci-point-nonzero", all_nonzero,
-                      points=len(points), values=values))
-    return out
+    return [_check("ricci-point-nonzero", all_nonzero,
+                   points=len(st.points), values=values)]
 
 
-def run_dz(cfg):
-    points = random_admissible_points(cfg.seed, cfg.points,
-                                      lambdas=cfg.point_lambdas())
-    bad = _dz_failures(points)
-    return [_check("dz-closed-form", not bad, points=len(points),
+def run_dz(st):
+    bad = _dz_failures(st.points)
+    return [_check("dz-closed-form", not bad, points=len(st.points),
                    failures=bad)]
 
 
@@ -299,25 +309,26 @@ def _exact_zero_checks(prefix, rep):
             for key, dev in rep.items() if key.startswith("max_")]
 
 
-def run_sphere(cfg):
+def run_sphere(st):
     return _exact_zero_checks("sphere", sphere_einstein_check())
 
 
-def run_kahler(cfg):
+def run_kahler(st):
     return _exact_zero_checks("kahler", kahler_conformal_check())
 
 
-def run_chern(cfg):
-    radius, c1, limit = chern_number(tolerance=cfg.tolerance)
+def run_chern(st):
+    tol = st.cfg.tolerance
+    radius, c1, limit = chern_number(tolerance=tol)
     remainder = 2 - c1
-    return [_check("chern-number", limit == 2 and remainder <= cfg.tolerance,
-                   tolerance=cfg.tolerance, radius=format_rational(radius),
+    return [_check("chern-number", limit == 2 and remainder <= tol,
+                   tolerance=tol, radius=format_rational(radius),
                    c1=format_rational(c1),
                    remainder=format_rational(remainder),
                    limit=None if limit is None else format_rational(limit))]
 
 
-def run_goepel(cfg):
+def run_goepel(st):
     a, b, c, d = goepel_constants(GoepelInput(1, 1, 1, -3))
     ok = (a, b, c, d) == (2, 2, 2, 0)
     return [_check("goepel-constants", ok,
@@ -325,30 +336,17 @@ def run_goepel(cfg):
                    constants=[format_rational(x) for x in (a, b, c, d)])]
 
 
-def run_fresnel(cfg):
+def run_fresnel(st):
     quartic, identity = fresnel_reduce()
     return [_check("fresnel-double-sphere", identity,
                    quartic=str(quartic))]
 
 
-def run_all(cfg):
-    checks = []
-    for level in (3, 5, 7):
-        checks += run_quartic(cfg, level)
-        checks += run_pde(cfg, level)
-        checks += run_kernel(cfg, level)
-    checks += run_metric(cfg)
-    for level in (3, 5, 7):
-        checks += run_ricci_leading(cfg, level)
-    checks += run_inversion(cfg)
-    checks += run_ricci_point(cfg)
-    checks += run_dz(cfg)
-    checks += run_sphere(cfg)
-    checks += run_kahler(cfg)
-    checks += run_chern(cfg)
-    checks += run_goepel(cfg)
-    checks += run_fresnel(cfg)
-    return checks
+def run_all(st):
+    """Every other command's checks, the sigma ones at levels 3, 5 and 7,
+    all sharing the frames and points of ``st``."""
+    return [c for name, runner in _RUNNERS.items() if name != "all"
+            for c in runner(st)]
 
 
 _RUNNERS = {
@@ -367,13 +365,14 @@ _RUNNERS = {
     "fresnel": run_fresnel,
     "all": run_all,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(cfg):
     """Execute the configured command; returns (report dict, exit code)."""
     cfg.validate()
     start = time.monotonic()
-    checks = _RUNNERS[cfg.command](cfg)
+    checks = _RUNNERS[cfg.command](_Stages(cfg))
     checks.sort(key=lambda c: c["name"])
     failed = any(c["status"] == "fail" for c in checks)
     report = {
@@ -434,8 +433,8 @@ def build_parser():
     ap.add_argument("--sigma-level", type=int, default=7,
                     help="sigma truncation level: 3, 5 or 7 (default 7)")
     ap.add_argument("--max-order", type=int, default=DEFAULT_ORDER,
-                    help="series working order, at least sigma-level+2 and "
-                         "at most %d (default %d)"
+                    help="series working order, at least sigma-level+2 "
+                         "(9 for all) and at most %d (default %d)"
                          % (MAX_ORDER_LIMIT, DEFAULT_ORDER))
     ap.add_argument("--seed", type=int, default=20260803,
                     help="seed for the random point streams")

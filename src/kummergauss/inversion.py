@@ -1,9 +1,12 @@
 """Jacobi-inversion chart: X, Y, Z as symmetric functions of (x1, x2) with
 y_i^2 = f5(x_i), evaluated exactly at rational points through order-3 jets
-over the quadratic extension algebra."""
+over the quadratic extension algebra.  A point keeps the exact order-3
+lift and metric it computes first (``lift``, ``metric``), so the
+admissible-point filter and every later check share them."""
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .jets import Jet, NumericRing, QuadExtJetRing
 from .quadext import NonInvertibleError, QuadExtContext
@@ -76,6 +79,14 @@ class ChartBPoint:
     def both_flipped(self):
         return ChartBPoint(self.x1, self.x2, self.lambdas, -self.sign1,
                            -self.sign2)
+
+    @cached_property
+    def lift(self):
+        return xyz_jets(self)
+
+    @cached_property
+    def metric(self):
+        return metric_point(self)
 
 
 class _Backend:
@@ -198,9 +209,12 @@ def quartic_check(p, variant="wp11"):
 
 
 def metric_point(p, backend=None):
-    """Jets of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2 etc., through
-    order 2 about the base point."""
-    X, Y, Z, lifted = xyz_jets(p, backend=backend)
+    """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2 etc.
+    and of its inverse, through order 2 about the base point, from the
+    point's own exact lift unless a backend is given.  Raises
+    NonInvertibleError where det g is not invertible."""
+    X, Y, Z, lifted = p.lift if backend is None \
+        else xyz_jets(p, backend=backend)
     jx1, jx2 = lifted["x1"], lifted["x2"]
     dz1 = Z.diff(0)
     dz2 = Z.diff(1)
@@ -208,15 +222,16 @@ def metric_point(p, backend=None):
     g11 = (jx2 * jx2 + dz1 * dz1).add_scalar(1)
     g12 = (jx1 * jx2 + dz1 * dz2).add_scalar(1)
     g22 = (jx1 * jx1 + dz2 * dz2).add_scalar(1)
-    return MetricTensor(g11, g12, g22), lifted
+    g = MetricTensor(g11, g12, g22)
+    return g, inverse_metric(g)
 
 
 def ricci_point(p, backend=None):
     """Exact Ricci components at the base point via the generic tensor
     pipeline over the jet ring."""
-    g, _ = metric_point(p, backend=backend)
     try:
-        ginv = inverse_metric(g)
+        g, ginv = p.metric if backend is None \
+            else metric_point(p, backend=backend)
     except NonInvertibleError as e:
         raise SingularPointError(str(e))
     ric = ricci(riemann(christoffel(g, ginv)))
@@ -225,9 +240,6 @@ def ricci_point(p, backend=None):
         "R12": ric.r12.base,
         "R22": ric.r22.base,
         "R21": ric.r21.base,
-        "g11": g.g11.base,
-        "g12": g.g12.base,
-        "g22": g.g22.base,
     }
 
 
@@ -236,21 +248,18 @@ def random_admissible_points(seed, count, lambdas=(0, 0, 0, 0, 0),
     """Deterministic stream of admissible rational points with numerators
     and denominators bounded by ``max_abs``."""
     rng = random.Random(seed)
+
+    def draw():
+        return rat(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
     out = []
     while len(out) < count:
-        def draw():
-            n = rng.randint(-max_abs, max_abs)
-            d = rng.randint(1, max_abs)
-            return rat(n, d)
         p = ChartBPoint(draw(), draw(), tuple(lambdas))
+        # admissible, with an invertible metric on the principal sheet; the
+        # point keeps its lift and metric for the checks that follow
         try:
             p.check_admissible()
-        except AdmissibilityError:
-            continue
-        # require an invertible metric determinant on the principal sheet
-        try:
-            inverse_metric(metric_point(p)[0])
-        except NonInvertibleError:
+            p.metric
+        except (AdmissibilityError, NonInvertibleError):
             continue
         out.append(p)
     return out

@@ -6,9 +6,15 @@ Coordinates are (u, v); indices follow the curve convention 1 -> u, 2 -> v.
 Quantities are carried as num / (sigma^a * Dhat^b); the power ledger is
 signed so products cancel denominator powers symbolically and no series
 division is ever forced.
+
+A ``SigmaSeries`` frame owns every stage over its sigma: the moduli, X/Y/Z
+(wp2), the four wp3, the Gauss metric, and Dhat with its powers and
+derivatives.  Each is a read-only attribute, computed on first use by the
+module function defining the stage; nothing outside the frame writes it.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .rings import (Context, Poly, TruncatedSeries, exact_divide, rat)
 from .tensor import MetricTensor, christoffel, det4, riemann, ricci
@@ -18,9 +24,6 @@ DEFAULT_ORDER = 16
 
 _SYMBOLIC_CTX = Context(("u", "v") + LAMBDA_NAMES, grading=2)
 _NUMERIC_CTX = Context(("u", "v"), grading=2)
-
-# coordinate index for curve indices: 1 -> u (position 0), 2 -> v (position 1)
-_COORD = {1: 0, 2: 1}
 
 
 def _sigma_poly(ctx, lam, level):
@@ -61,8 +64,8 @@ def _sigma_poly(ctx, lam, level):
 
 
 class SigmaSeries:
-    """Truncated sigma expansion plus the frame of derivative data shared
-    by every quantity built over it."""
+    """Truncated sigma expansion plus the memoised stages shared by every
+    quantity built over it (see the module docstring)."""
 
     def __init__(self, level, lambdas=None, order=DEFAULT_ORDER,
                  sigma_poly=None):
@@ -85,11 +88,51 @@ class SigmaSeries:
         self.sigma = TruncatedSeries(poly, order)
         # exact derivative polynomials of the (polynomial) sigma
         self._d = {(): poly}
-        self.dhat = None
         self._sigma_pows = {0: TruncatedSeries(Poly.const(self.ctx, 1), order),
                             1: self.sigma}
-        self._dhat_pows = {}
-        self._sigD = None
+
+    # -- derived stages, each computed on first use --------------------
+
+    @cached_property
+    def moduli(self):
+        """The five lambda as rationals over the frame."""
+        return [self.rational(TruncatedSeries(x, self.order))
+                for x in self.lam]
+
+    @cached_property
+    def xyz(self):
+        """(X, Y, Z) = (wp22, wp21, wp11)."""
+        return wp2(self, 22), wp2(self, 21), wp2(self, 11)
+
+    @cached_property
+    def wp3s(self):
+        """(wp222, wp221, wp211, wp111)."""
+        return tuple(wp3(self, k) for k in ("222", "221", "211", "111"))
+
+    @cached_property
+    def metric(self):
+        return gauss_metric(self)
+
+    @cached_property
+    def metric_inverse(self):
+        """(Dhat, inverse metric) of the frame's Gauss metric."""
+        return metric_det_inverse(self.metric)
+
+    @property
+    def dhat(self):
+        return self.metric_inverse[0]
+
+    @cached_property
+    def _dhat_d(self):
+        return [self.dhat.diff("u"), self.dhat.diff("v")]
+
+    @cached_property
+    def _sigD(self):
+        return self.sigma * self.dhat
+
+    @cached_property
+    def _dhat_pows(self):
+        return {0: self._sigma_pows[0], 1: self.dhat}
 
     # -- sigma derivatives --------------------------------------------
 
@@ -113,17 +156,7 @@ class SigmaSeries:
             self._sigma_pows[k] = self.sigma_pow(k - 1) * self.sigma
         return self._sigma_pows[k]
 
-    def set_dhat(self, dhat):
-        self.dhat = dhat
-        self._dhat_pows = {0: TruncatedSeries(Poly.const(self.ctx, 1),
-                                              self.order),
-                           1: dhat}
-        self._dhat_d = [dhat.diff("u"), dhat.diff("v")]
-        self._sigD = self.sigma * dhat
-
     def dhat_pow(self, k):
-        if self.dhat is None:
-            raise ValueError("Dhat not registered on this frame")
         if k not in self._dhat_pows:
             self._dhat_pows[k] = self.dhat_pow(k - 1) * self.dhat
         return self._dhat_pows[k]
@@ -133,14 +166,9 @@ class SigmaSeries:
     def rational(self, num, sig_pow=0, det_pow=0):
         return SigmaRational(self, num, sig_pow, det_pow)
 
-    def series(self, poly):
-        return TruncatedSeries(poly, self.order)
-
     def scalar(self, value):
-        return self.rational(self.series(Poly.const(self.ctx, value)))
-
-    def lam_scalar(self, i, factor=1):
-        return self.rational(self.series(self.lam[i] * Fraction(factor)))
+        return self.rational(TruncatedSeries(Poly.const(self.ctx, value),
+                                             self.order))
 
 
 class SigmaRational:
@@ -159,15 +187,6 @@ class SigmaRational:
         self.sig_pow = sig_pow
         self.det_pow = det_pow
 
-    @property
-    def validity(self):
-        return self.num.known_order
-
-    def _aligned(self, other):
-        a = max(self.sig_pow, other.sig_pow)
-        b = max(self.det_pow, other.det_pow)
-        return self._raise_to(a, b), other._raise_to(a, b)
-
     def _raise_to(self, a, b):
         if a == self.sig_pow and b == self.det_pow:
             return self
@@ -181,8 +200,10 @@ class SigmaRational:
     def __add__(self, other):
         if not isinstance(other, SigmaRational):
             other = self.frame.scalar(other)
-        x, y = self._aligned(other)
-        return SigmaRational(self.frame, x.num + y.num, x.sig_pow, x.det_pow)
+        a = max(self.sig_pow, other.sig_pow)
+        b = max(self.det_pow, other.det_pow)
+        x, y = self._raise_to(a, b), other._raise_to(a, b)
+        return SigmaRational(self.frame, x.num + y.num, a, b)
 
     __radd__ = __add__
 
@@ -191,8 +212,6 @@ class SigmaRational:
                              self.det_pow)
 
     def __sub__(self, other):
-        if not isinstance(other, SigmaRational):
-            other = self.frame.scalar(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -289,16 +308,14 @@ def pde_residuals(s):
     """Residuals of the five wp differential equations, as rationals over
     sigma^4; each vanishes through its validated order for a correct
     sigma expansion."""
-    X = wp2(s, 22)
-    Y = wp2(s, 21)
-    Z = wp2(s, 11)
+    X, Y, Z = s.xyz
     # wp_{ij kl} = d_k d_l wp_{ij}; coordinate 0 is u (index 1), 1 is v
     p2222 = X.diff(1).diff(1)
     p2221 = X.diff(1).diff(0)
     p2211 = Y.diff(1).diff(0)
     p2111 = Y.diff(0).diff(0)
     p1111 = Z.diff(0).diff(0)
-    l0, l1, l2, l3, l4 = [s.lam_scalar(i) for i in range(5)]
+    l0, l1, l2, l3, l4 = s.moduli
     half = Fraction(1, 2)
     r1 = p2222 - (X * X).scale(6) - Y.scale(4) - l4 * X - l3.scale(half)
     r2 = p2221 - (X * Y).scale(6) + Z.scale(2) - l4 * Y
@@ -332,31 +349,20 @@ def kummer_matrix(lam, X, Y, Z, two, zero, variant="wp11"):
 
 def _frame_kummer_matrix(s, variant="wp11"):
     """The kernel matrix at the frame's (wp22, wp21, wp11)."""
-    lam = [s.lam_scalar(i) for i in range(5)]
-    return kummer_matrix(lam, wp2(s, 22), wp2(s, 21), wp2(s, 11),
-                         s.scalar(2), s.scalar(0), variant)
+    return kummer_matrix(s.moduli, *s.xyz, s.scalar(2), s.scalar(0), variant)
 
 
 def kummer_det(s, variant="wp11"):
     """sigma^8 * det K as a series with its validated order."""
-    det = det4(_frame_kummer_matrix(s, variant))
-    cleared = det._raise_to(8, 0)
-    return cleared.num
+    return det4(_frame_kummer_matrix(s, variant))._raise_to(8, 0).num
 
 
 def kernel_residual(s):
     """K . (wp222, wp221, wp211, wp111)^T; all four entries vanish through
     their validated order."""
-    K = _frame_kummer_matrix(s)
-    vec = [wp3(s, k) for k in ("222", "221", "211", "111")]
-    out = []
-    for row in K:
-        acc = None
-        for entry, comp in zip(row, vec):
-            term = entry * comp
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    w = s.wp3s
+    return [r[0] * w[0] + r[1] * w[1] + r[2] * w[2] + r[3] * w[3]
+            for r in _frame_kummer_matrix(s)]
 
 
 class GaussMetric:
@@ -375,10 +381,7 @@ class GaussMetric:
 def gauss_metric(s):
     """First fundamental form of S = (X, Y, Z): g11 = wp221^2 + wp211^2 +
     wp111^2 and companions, assembled from the sigma^3 numerators."""
-    n222 = wp3(s, "222").num
-    n221 = wp3(s, "221").num
-    n211 = wp3(s, "211").num
-    n111 = wp3(s, "111").num
+    n222, n221, n211, n111 = (w.num for w in s.wp3s)
     ghat11 = n221 * n221 + n211 * n211 + n111 * n111
     ghat12 = n222 * n221 + n221 * n211 + n211 * n111
     ghat22 = n222 * n222 + n221 * n221 + n211 * n211
@@ -390,31 +393,26 @@ class SingularMetricError(ArithmeticError):
 
 
 def metric_det_inverse(metric):
-    """Dhat = sigma^12 det g, and the inverse metric over Dhat.
-
-    Registers Dhat with the frame so later derivatives can use it.
-    """
+    """Dhat = sigma^12 det g, and the inverse metric over Dhat.  The frame
+    keeps the pair for its own metric as ``metric_inverse``."""
     frame = metric.frame
     dhat = metric.ghat11 * metric.ghat22 - metric.ghat12 * metric.ghat12
     if dhat.valuation() is None:
         raise SingularMetricError("det g vanishes through validated order")
-    frame.set_dhat(dhat)
     ginv = MetricTensor(frame.rational(metric.ghat22, sig_pow=-6, det_pow=1),
                         frame.rational(-metric.ghat12, sig_pow=-6, det_pow=1),
                         frame.rational(metric.ghat11, sig_pow=-6, det_pow=1))
     return dhat, ginv
 
 
-def ricci_hat(s, metric=None):
+def ricci_hat(s):
     """Cleared Ricci components Rhat_ij with R_ij = Rhat_ij/(sigma^2 Dhat^2),
     plus the lambda-free lowest-term fingerprints.
 
     Returns a dict with the three numerator series and their reports.
     """
-    if metric is None:
-        metric = gauss_metric(s)
-    dhat, ginv = metric_det_inverse(metric)
-    gam = christoffel(metric.tensor, ginv)
+    dhat, ginv = s.metric_inverse
+    gam = christoffel(s.metric.tensor, ginv)
     ric = ricci(riemann(gam))
     out = {}
     for name, comp in (("R11", ric.r11), ("R12", ric.r12), ("R22", ric.r22)):

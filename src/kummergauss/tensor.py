@@ -20,11 +20,7 @@ class MetricTensor:
         self.g22 = g22
 
     def comp(self, i, j):
-        if i == 0 and j == 0:
-            return self.g11
-        if i == 1 and j == 1:
-            return self.g22
-        return self.g12
+        return (self.g11, self.g12, self.g22)[i + j]
 
 
 class Christoffel:
@@ -64,11 +60,7 @@ class RicciTensor:
         self.r21 = r12 if r21 is None else r21
 
     def comp(self, i, j):
-        if i == 0 and j == 0:
-            return self.r11
-        if i == 1 and j == 1:
-            return self.r22
-        return self.r12
+        return (self.r11, self.r12, self.r22)[i + j]
 
 
 def det4(m):

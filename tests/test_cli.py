@@ -10,9 +10,11 @@ import textwrap
 import pytest
 
 import kummergauss
-from kummergauss import cli
+from kummergauss import cli, inversion
 from kummergauss.cli import ConfigError, RunConfig, config_from_args, run
 from kummergauss.sigma import DEFAULT_ORDER
+
+LAM = cli._parse_lambda("1/2,-3,2/7,5,-1")
 
 
 def quick_cfg(command, **kw):
@@ -27,6 +29,13 @@ def quick_cfg(command, **kw):
 def test_order_floor_enforced():
     with pytest.raises(ConfigError):
         quick_cfg("quartic-verify", sigma_level=7, max_order=8).validate()
+
+
+def test_all_order_floor_is_its_top_level():
+    """``all`` runs level 7 whatever --sigma-level says, so its floor is 9."""
+    with pytest.raises(ConfigError):
+        quick_cfg("all", sigma_level=3, max_order=8).validate()
+    assert cli.main(["all", "--sigma-level", "3", "--max-order", "5"]) == 2
 
 
 def test_order_cap_enforced():
@@ -164,7 +173,7 @@ def test_quartic_report_orders():
 
 
 def test_all_covers_every_family():
-    cfg = quick_cfg("all", points=2)
+    cfg = quick_cfg("all", points=2, max_order=9)
     report, code = run(cfg)
     assert code == 0
     names = " ".join(c["name"] for c in report["checks"])
@@ -192,3 +201,59 @@ def test_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- shared stages: one frame per level, one draw, one lift per point ---
+
+def _counted(monkeypatch, module, name, calls, keep=lambda *a, **kw: True):
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(args)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_all_shares_frames_and_points(monkeypatch):
+    frames, draws = [], []
+    _counted(monkeypatch, cli, "build_sigma", frames)
+    _counted(monkeypatch, cli, "random_admissible_points", draws)
+    _, code = run(quick_cfg("all", max_order=9))
+    assert code == 0
+    assert sorted(args[0] for args in frames) == [3, 5, 7]
+    assert len(draws) == 1
+
+
+@pytest.mark.parametrize("command,lifts", [
+    ("ricci-point", 3), ("dz-check", 3),
+    ("inversion-verify", 5),  # 3 points plus 2 witnesses
+])
+def test_one_order_three_lift_per_point(monkeypatch, command, lifts):
+    calls = []
+
+    def order_three(p, backend=None, order=inversion.JET_ORDER):
+        return order == inversion.JET_ORDER
+    for module in (cli, inversion):
+        _counted(monkeypatch, module, "xyz_jets", calls, keep=order_three)
+    _, code = run(quick_cfg(command, points=3))
+    assert code == 0
+    assert len(calls) == lifts
+
+
+def test_all_equals_union_of_single_commands():
+    kw = dict(lambdas=LAM, max_order=9, points=3, seed=11)
+    report, code = run(RunConfig(command="all", **kw))
+    assert code == 0
+    per_level = ("quartic-verify", "pde-verify", "kernel-verify",
+                 "ricci-leading")
+    singles = []
+    for command in cli.COMMANDS:
+        if command == "all":
+            continue
+        for level in (3, 5, 7) if command in per_level else (7,):
+            cfg = RunConfig(command=command, sigma_level=level, **kw)
+            singles += run(cfg)[0]["checks"]
+    singles.sort(key=lambda c: c["name"])
+    assert json.dumps(report["checks"], sort_keys=True) \
+        == json.dumps(singles, sort_keys=True)

@@ -6,8 +6,8 @@ import pytest
 
 from kummergauss import reference
 from kummergauss.rings import Poly, TruncatedSeries, rat
-from kummergauss.sigma import (SigmaSeries, build_sigma, gauss_metric,
-                               kernel_residual, kummer_det,
+from kummergauss.sigma import (SigmaRational, SigmaSeries, build_sigma,
+                               gauss_metric, kernel_residual, kummer_det,
                                metric_det_inverse, pde_residuals, ricci_hat,
                                wp2, wp3)
 
@@ -214,11 +214,35 @@ def test_metric_inverse_is_inverse():
     assert off.is_zero_through()
 
 
-def test_dhat_registered_on_frame():
+def test_metric_det_inverse_writes_nothing():
     s = build_sigma(3)
     m = gauss_metric(s)
-    dhat, _ = metric_det_inverse(m)
-    assert s.dhat is dhat
+    before = dict(vars(s))
+    d1, _ = metric_det_inverse(m)
+    d2, _ = metric_det_inverse(m)
+    assert d1 == d2
+    assert vars(s).keys() == before.keys()
+    assert all(vars(s)[k] is v for k, v in before.items())
+    assert s.dhat == d1
+
+
+def test_dhat_stages_need_no_prior_call():
+    """A fresh frame differentiates and renormalizes a rational over Dhat
+    by itself, with the result of computing Dhat first."""
+    def exercise(s):
+        r = SigmaRational(s, wp2(s, 22).num, 2, 1)
+        d = r.diff(0)
+        return d, d.to_powers(5, 3).to_powers(3, 2)
+
+    fresh = build_sigma(3)
+    d, back = exercise(fresh)
+    old = build_sigma(3)
+    metric_det_inverse(gauss_metric(old))
+    d_old, back_old = exercise(old)
+    assert (d.sig_pow, d.det_pow) == (d_old.sig_pow, d_old.det_pow) == (3, 2)
+    assert d.num == d_old.num
+    assert back.num == back_old.num
+    assert (back - d).is_zero_through()
 
 
 @pytest.mark.parametrize("level", [3, 5, 7])
