@@ -25,6 +25,9 @@ from .sphere import (GoepelInput, chern_number, fresnel_reduce,
                      sphere_einstein_check)
 
 MAX_ORDER_LIMIT = 20
+# the commands that build a sigma frame, at --sigma-level
+_SIGMA_COMMANDS = ("quartic-verify", "pde-verify", "kernel-verify",
+                   "metric-report", "ricci-leading")
 
 
 class ConfigError(ValueError):
@@ -50,10 +53,10 @@ class RunConfig:
             raise ConfigError("sigma level must be 3, 5 or 7")
         if self.max_order > MAX_ORDER_LIMIT:
             raise ConfigError("max order is capped at %d" % MAX_ORDER_LIMIT)
-        floor = max(self.levels()) + 2
-        if self.max_order < floor:
+        levels = self.levels()
+        if levels and self.max_order < max(levels) + 2:
             raise ConfigError("max order must be at least %d, the highest "
-                              "sigma level run + 2" % floor)
+                              "sigma level run + 2" % (max(levels) + 2))
         if self.points < 1:
             raise ConfigError("points must be at least 1")
         if self.lambdas is not None and len(self.lambdas) != 5:
@@ -69,8 +72,11 @@ class RunConfig:
         return [format_rational(x) for x in self.lambdas]
 
     def levels(self):
-        """The sigma levels the command runs: all three for ``all``."""
-        return (3, 5, 7) if self.command == "all" else (self.sigma_level,)
+        """The sigma levels the command runs: all three for ``all``, none
+        for the inversion-chart and double-sphere commands."""
+        if self.command == "all":
+            return (3, 5, 7)
+        return (self.sigma_level,) if self.command in _SIGMA_COMMANDS else ()
 
     def point_lambdas(self):
         """Numeric lambda tuple for the inversion-chart commands, which
@@ -85,8 +91,8 @@ class RunConfig:
 
 class _Stages:
     """What the runners of one ``run`` call share, each built on first
-    use: a sigma frame per level the command runs and the admissible
-    points.  It lives for that call only."""
+    use: a sigma frame per level the command runs, the admissible points
+    and their dZ check.  It lives for that call only."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -103,6 +109,18 @@ class _Stages:
         cfg = self.cfg
         return random_admissible_points(cfg.seed, cfg.points,
                                         lambdas=cfg.point_lambdas())
+
+    @cached_property
+    def dz_failures(self):
+        """Echoes of the points whose jet dZ differs from the closed form."""
+        bad = []
+        for p in self.points:
+            Z = p.lift[2]
+            dz1, dz2 = dz_closed_form(p)
+            if not (Z.get(1, 0) - dz1).is_zero() \
+                    or not (Z.get(0, 1) - dz2).is_zero():
+                bad.append(_point_echo(p))
+        return bad
 
 
 def _check(name, ok, qualified=False, **data):
@@ -231,18 +249,6 @@ def _point_echo(p):
             "lambdas": [format_rational(x) for x in p.lambdas]}
 
 
-def _dz_failures(points):
-    """Echoes of the points whose jet dZ differs from the closed form."""
-    bad = []
-    for p in points:
-        Z = p.lift[2]
-        dz1, dz2 = dz_closed_form(p)
-        if not (Z.get(1, 0) - dz1).is_zero() \
-                or not (Z.get(0, 1) - dz2).is_zero():
-            bad.append(_point_echo(p))
-    return bad
-
-
 def run_inversion(st):
     # fixed witnesses, including the two Z sheet values
     w, w2 = _WITNESSES[:2]
@@ -264,7 +270,7 @@ def run_inversion(st):
            for q in (p, p.swapped(), p.both_flipped(),
                      p.swapped().both_flipped())
            if not quartic_check(q).is_zero()]
-    dz_bad = _dz_failures(points)
+    dz_bad = st.dz_failures
     out.append(_check("inversion-random-quartic", not bad,
                       points=len(points), sign_choices=4, failures=bad))
     out.append(_check("inversion-random-dz", not dz_bad,
@@ -293,7 +299,7 @@ def run_ricci_point(st):
 
 
 def run_dz(st):
-    bad = _dz_failures(st.points)
+    bad = st.dz_failures
     return [_check("dz-closed-form", not bad, points=len(st.points),
                    failures=bad)]
 
@@ -433,8 +439,9 @@ def build_parser():
     ap.add_argument("--sigma-level", type=int, default=7,
                     help="sigma truncation level: 3, 5 or 7 (default 7)")
     ap.add_argument("--max-order", type=int, default=DEFAULT_ORDER,
-                    help="series working order, at least sigma-level+2 "
-                         "(9 for all) and at most %d (default %d)"
+                    help="series working order, at most %d (default "
+                         "%d); the sigma-chart commands need at least "
+                         "sigma-level+2, and all needs 9"
                          % (MAX_ORDER_LIMIT, DEFAULT_ORDER))
     ap.add_argument("--seed", type=int, default=20260803,
                     help="seed for the random point streams")

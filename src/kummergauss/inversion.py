@@ -1,14 +1,16 @@
 """Jacobi-inversion chart: X, Y, Z as symmetric functions of (x1, x2) with
 y_i^2 = f5(x_i), evaluated exactly at rational points through order-3 jets
-over the quadratic extension algebra.  A point keeps the exact order-3
-lift and metric it computes first (``lift``, ``metric``), so the
-admissible-point filter and every later check share them."""
+over the quadratic extension algebra.  A backend is the triple (jet ring,
+y1, y2): the exact one is the point's ``QuadExtContext`` with its signed
+square roots.  A point keeps the exact order-3 lift and metric it computes
+first (``lift``, ``metric``), so the admissible-point filter and every
+later check share them."""
 
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .jets import Jet, NumericRing, QuadExtJetRing
+from .jets import Jet, NumericRing
 from .quadext import NonInvertibleError, QuadExtContext
 from .rings import rat
 from .sigma import kummer_matrix
@@ -89,20 +91,9 @@ class ChartBPoint:
         return metric_point(self)
 
 
-class _Backend:
-    """Carries the jet coefficient ring and the two square-root elements."""
-
-    def __init__(self, ring, y1, y2):
-        self.ring = ring
-        self.y1 = y1
-        self.y2 = y2
-
-
 def exact_backend(p):
     ctx = QuadExtContext(p.c1, p.c2)
-    ring = QuadExtJetRing(ctx)
-    return _Backend(ring, ctx.y1.scale(rat(p.sign1)),
-                    ctx.y2.scale(rat(p.sign2)))
+    return ctx, ctx.y1.scale(p.sign1), ctx.y2.scale(p.sign2)
 
 
 def complex_backend(p):
@@ -110,7 +101,7 @@ def complex_backend(p):
     ring = NumericRing(complex)
     y1 = p.sign1 * cmath.sqrt(complex(p.c1))
     y2 = p.sign2 * cmath.sqrt(complex(p.c2))
-    return _Backend(ring, y1, y2)
+    return ring, y1, y2
 
 
 def _sqrt_jet(s, y0, ring, slot):
@@ -131,13 +122,12 @@ def lift_point(p, backend=None, order=JET_ORDER):
     """Jets of x1, x2, y1, y2 about the base point; the y-jets satisfy
     (y-jet)^2 = jet of f5(x_i) through the jet order."""
     p.check_admissible()
-    bk = backend or exact_backend(p)
-    ring = bk.ring
-    jx1 = Jet.coordinate(ring, order, ring.from_rat(p.x1), 0)
-    jx2 = Jet.coordinate(ring, order, ring.from_rat(p.x2), 1)
-    jy1 = _sqrt_jet(f5_scalar(jx1, p.lambdas), bk.y1, ring, 0)
-    jy2 = _sqrt_jet(f5_scalar(jx2, p.lambdas), bk.y2, ring, 1)
-    return {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2, "backend": bk}
+    ring, y1, y2 = backend or exact_backend(p)
+    jx1 = Jet.coordinate(ring, order, ring.zero + p.x1, 0)
+    jx2 = Jet.coordinate(ring, order, ring.zero + p.x2, 1)
+    jy1 = _sqrt_jet(f5_scalar(jx1, p.lambdas), y1, ring, 0)
+    jy2 = _sqrt_jet(f5_scalar(jx2, p.lambdas), y2, ring, 1)
+    return {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2}
 
 
 def _F_jet(jx1, jx2, lam):
@@ -169,9 +159,7 @@ def dz_closed_form(p):
     """The closed-form partial derivatives of Z at the base point, straight
     from the displayed formulas (independent of the jet path)."""
     p.check_admissible()
-    ctx = QuadExtContext(p.c1, p.c2)
-    y1 = ctx.y1.scale(rat(p.sign1))
-    y2 = ctx.y2.scale(rat(p.sign2))
+    ctx, y1, y2 = exact_backend(p)
     lam = p.lambdas
     x1, x2 = p.x1, p.x2
     F = (4 * x1 ** 2 * x2 ** 2 * (x1 + x2) + 2 * lam[4] * x1 ** 2 * x2 ** 2
@@ -201,8 +189,8 @@ def quartic_check(p, variant="wp11"):
     """Value of det K at the point's (X, Y, Z); exactly zero on the surface
     with the adopted kernel-matrix entry.  Only the base values enter, so
     the point is lifted at jet order 0."""
-    X, Y, Z, lifted = xyz_jets(p, order=0)
-    ctx = lifted["backend"].ring.ctx
+    X, Y, Z, _ = xyz_jets(p, order=0)
+    ctx = X.ring
     lam = [ctx.rational(v) for v in p.lambdas]
     return det4(kummer_matrix(lam, X.base, Y.base, Z.base,
                               ctx.rational(2), ctx.zero, variant))

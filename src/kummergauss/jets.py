@@ -2,45 +2,24 @@
 
 A jet of order n stores the Taylor coefficients (not scaled derivatives)
 in two displacements through total degree n.  The charts use exact
-coefficients (quadratic-extension scalars, or ``NumericRing(Fraction)``);
+coefficients: the jet ring of the inversion chart is the
+``QuadExtContext`` itself, the sphere charts use ``NumericRing(Fraction)``;
 floats and complex numbers remain only in the tests and the
-``complex_backend`` reference.  The ring adapter supplies zero, embedding
-of rationals, and inversion.
+``complex_backend`` reference.  The ring supplies ``zero``, ``one`` and
+``inv``; it embeds nothing, since rationals are added to and multiplied
+into its elements directly.
 """
-
-from fractions import Fraction
 
 
 class NumericRing:
-    """Adapter for Fraction, float or complex jet coefficients."""
+    """Jet ring of Fraction, float or complex coefficients."""
 
     def __init__(self, dtype=float):
-        self.dtype = dtype
         self.zero = dtype(0)
         self.one = dtype(1)
 
-    def from_rat(self, q):
-        if isinstance(q, (float, complex, int)):
-            return self.dtype(q)
-        return self.dtype(int(q.numerator)) / self.dtype(int(q.denominator))
-
     def inv(self, x):
         return self.one / x
-
-
-class QuadExtJetRing:
-    """Adapter for jets with quadratic-extension coefficients."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.zero = ctx.zero
-        self.one = ctx.one
-
-    def from_rat(self, q):
-        return self.ctx.rational(q)
-
-    def inv(self, x):
-        return x.inv()
 
 
 class Jet:
@@ -70,16 +49,17 @@ class Jet:
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            other = Jet.constant(self.ring, self.order,
-                                 self.ring.from_rat(other)
-                                 if not isinstance(other, type(self.ring.zero))
-                                 else other)
+            return self.add_scalar(other)
         n = min(self.order, other.order)
-        out = {}
-        for k in set(self.coeffs) | set(other.coeffs):
+        if self.order == n:
+            out = dict(self.coeffs)
+        else:
+            out = {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= n}
+        for k, c in other.coeffs.items():
             if k[0] + k[1] > n:
                 continue
-            out[k] = self.get(*k) + other.get(*k)
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
         return Jet(self.ring, n, out)
 
     def __neg__(self):
@@ -111,12 +91,10 @@ class Jet:
         return Jet(self.ring, self.order,
                    {k: v * e for k, v in self.coeffs.items()})
 
-    def half(self):
-        return self.scale(Fraction(1, 2))
-
     def add_scalar(self, q):
+        """Add a ring element or a rational to the constant term."""
         out = dict(self.coeffs)
-        out[(0, 0)] = self.get(0, 0) + self.ring.from_rat(q)
+        out[(0, 0)] = self.base + q
         return Jet(self.ring, self.order, out)
 
     def diff(self, which):
@@ -136,7 +114,7 @@ class Jet:
         """Multiplicative inverse; requires an invertible constant term."""
         ic0 = self.ring.inv(self.base)
         rest = self.scale(ic0)
-        e = rest.add_scalar(Fraction(-1))  # valuation >= 1
+        e = rest.add_scalar(-1)  # valuation >= 1
         acc = Jet.constant(self.ring, self.order, self.ring.one)
         power = Jet.constant(self.ring, self.order, self.ring.one)
         for _ in range(self.order):

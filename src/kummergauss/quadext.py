@@ -5,7 +5,11 @@ An element stores four integer numerators over one positive integer
 denominator in canonical form (the gcd of the five integers is 1, zero is
 0/1), so every operation runs on Python ints and equal values have equal
 fields.  ``.a``, ``.b``, ``.c`` and ``.d`` read the parts as lowest-terms
-``Fraction``s."""
+``Fraction``s.
+
+A ``QuadExtContext`` fixes (c1, c2) and is also the coefficient ring of
+the inversion-chart jets: it carries ``zero`` and ``one`` and inverts
+with ``inv``."""
 
 import cmath
 import math
@@ -38,13 +42,12 @@ class QuadExtContext:
         # the product rule times d1 d2: 1 -> d1 d2, y1^2 -> n1 d2,
         # y2^2 -> n2 d1, (y1 y2)^2 -> n1 n2
         self.rule = (d1 * d2, n1 * d2, n2 * d1, n1 * n2)
+        self.zero = self.element()
+        self.one = self.element(a=1)
 
     def __eq__(self, other):
         return (isinstance(other, QuadExtContext)
                 and self.c1 == other.c1 and self.c2 == other.c2)
-
-    def __hash__(self):
-        return hash((self.c1, self.c2))
 
     def element(self, a=0, b=0, c=0, d=0):
         qs = [rat(q) if isinstance(q, int) else q for q in (a, b, c, d)]
@@ -55,13 +58,8 @@ class QuadExtContext:
     def rational(self, q):
         return self.element(a=q)
 
-    @property
-    def zero(self):
-        return self.element()
-
-    @property
-    def one(self):
-        return self.element(a=1)
+    def inv(self, x):
+        return x.inv()
 
     @property
     def y1(self):
@@ -114,9 +112,6 @@ class QuadExtScalar:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, QuadExtScalar):

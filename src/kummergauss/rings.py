@@ -98,9 +98,6 @@ class Context:
         return isinstance(other, Context) and self.names == other.names \
             and self.grading == other.grading
 
-    def __hash__(self):
-        return hash((self.names, self.grading))
-
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.names)
 
@@ -193,9 +190,6 @@ class Poly:
                     out[k] = s
         return Poly(self.ctx, out)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def mul(self, other, cap=None):
         """Product, optionally dropping terms of grading degree > cap.
 
@@ -210,24 +204,17 @@ class Poly:
         den2, ints2 = _integer_terms(other.terms)
         out = {}
         get = out.get
-        if cap is None:
-            items2 = list(ints2.items())
-            for k1, c1 in ints1.items():
-                for k2, c2 in items2:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        else:
-            # bucket by grading degree so the cap prunes whole blocks
-            b1 = _buckets(ctx, ints1)
-            b2 = _buckets(ctx, ints2)
-            for d1, t1 in b1.items():
-                for d2, t2 in b2.items():
-                    if d1 + d2 > cap:
-                        continue
-                    for k1, c1 in t1:
-                        for k2, c2 in t2:
-                            k = k1 + k2
-                            out[k] = get(k, 0) + c1 * c2
+        # bucket by grading degree so the cap prunes whole blocks
+        b1 = _buckets(ctx, ints1)
+        b2 = _buckets(ctx, ints2)
+        for d1, t1 in b1.items():
+            for d2, t2 in b2.items():
+                if cap is not None and d1 + d2 > cap:
+                    continue
+                for k1, c1 in t1:
+                    for k2, c2 in t2:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
         den = den1 * den2
         return Poly(ctx, {k: Fraction(n, den) for k, n in out.items() if n})
 
@@ -263,9 +250,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(self.ctx, other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
 
     # -- calculus and queries -----------------------------------------
 
@@ -515,9 +499,6 @@ class TruncatedSeries:
         if self.known_order == 0:
             return TruncatedSeries(Poly.zero(self.ctx), 0)
         return TruncatedSeries(self.body.diff(var), self.known_order - 1)
-
-    def truncated(self, order):
-        return TruncatedSeries(self.body, min(order, self.known_order))
 
     def valuation(self):
         return self.body.valuation()

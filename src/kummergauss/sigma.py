@@ -214,9 +214,6 @@ class SigmaRational:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, SigmaRational):
             return SigmaRational(self.frame, self.num.scale(other),
@@ -230,9 +227,6 @@ class SigmaRational:
     def scale(self, c):
         return SigmaRational(self.frame, self.num.scale(c), self.sig_pow,
                              self.det_pow)
-
-    def half(self):
-        return self.scale(Fraction(1, 2))
 
     def diff(self, i):
         """Coordinate derivative (i = 0 for u, 1 for v) in closed pair form:
@@ -411,7 +405,7 @@ def ricci_hat(s):
 
     Returns a dict with the three numerator series and their reports.
     """
-    dhat, ginv = s.metric_inverse
+    ginv = s.metric_inverse[1]
     gam = christoffel(s.metric.tensor, ginv)
     ric = ricci(riemann(gam))
     out = {}
@@ -428,5 +422,4 @@ def ricci_hat(s):
                                    else free),
         }
     out["ricci_symmetry_ok"] = (ric.r12 - ric.r21).is_zero_through()
-    out["dhat"] = dhat
     return out

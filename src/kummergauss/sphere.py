@@ -75,18 +75,16 @@ def fresnel_quartic(a2, b2, c2):
     return r2 * weighted - middle + Poly.const(ctx, a2 * b2 * c2)
 
 
-def fresnel_reduce(a2=1, b2=1, c2=1):
-    """Expanded quartic plus the double-sphere identity check: at unit
-    axes the quartic equals (x^2 + y^2 + z^2 - 1)^2 exactly."""
-    quartic = fresnel_quartic(a2, b2, c2)
+def fresnel_reduce():
+    """Expanded quartic at unit axes plus the double-sphere identity check:
+    there the quartic equals (x^2 + y^2 + z^2 - 1)^2 exactly."""
+    quartic = fresnel_quartic(1, 1, 1)
     ctx = _FRESNEL_CTX
     x = Poly.var(ctx, "x")
     y = Poly.var(ctx, "y")
     z = Poly.var(ctx, "z")
     sphere = x * x + y * y + z * z - Poly.const(ctx, 1)
-    double_sphere = sphere * sphere
-    identity = fresnel_quartic(1, 1, 1) == double_sphere
-    return quartic, identity
+    return quartic, quartic == sphere * sphere
 
 
 # -- exact jet charts -------------------------------------------------
@@ -153,14 +151,13 @@ def sphere_einstein_check(ts=None):
     return _chart_report([sphere_metric_jets(t) for t in ts])
 
 
-def kahler_conformal_check(points=None):
+def kahler_conformal_check():
     """Check exactly that the conformal chart is Einstein with R = 2 at
     rational sample points and that the metric really is the conformal
     factor times identity."""
-    points = _KAHLER_POINTS if points is None else points
-    metrics = [kahler_metric_jets(u, v) for u, v in points]
+    metrics = [kahler_metric_jets(u, v) for u, v in _KAHLER_POINTS]
     max_conf_dev = Fraction(0)
-    for (u, v), g in zip(points, metrics):
+    for (u, v), g in zip(_KAHLER_POINTS, metrics):
         conf = 4 / (1 + Fraction(u) ** 2 + Fraction(v) ** 2) ** 2
         max_conf_dev = max(max_conf_dev, abs(g.g11.base - conf),
                            abs(g.g22.base - conf), abs(g.g12.base))

@@ -2,11 +2,13 @@
 the 4x4 determinant shared by the kernel-matrix checks of both charts.
 
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
-index i in {0, 1}, and ``.half()``; ``inverse_metric`` also needs
-``.inverse()``.  The same code drives exact series and exact point-jets;
-floats and complex numbers reach it only from the tests and the
-``complex_backend`` reference.
+index i in {0, 1}, and ``.scale(q)`` by a rational q; ``inverse_metric``
+also needs ``.inverse()``.  The same code drives exact series and exact
+point-jets; floats and complex numbers reach it only from the tests and
+the ``complex_backend`` reference.
 """
+
+from fractions import Fraction
 
 
 class MetricTensor:
@@ -107,7 +109,7 @@ def christoffel(g, ginv):
                     c = dg[mu][sig][nu] + dg[nu][mu][sig] - dg[sig][mu][nu]
                     term = ginv.comp(lam, sig) * c
                     acc = term if acc is None else acc + term
-                comps[(lam, mu, nu)] = acc.half()
+                comps[(lam, mu, nu)] = acc.scale(Fraction(1, 2))
     return Christoffel(comps)
 
 

@@ -38,6 +38,24 @@ def test_all_order_floor_is_its_top_level():
     assert cli.main(["all", "--sigma-level", "3", "--max-order", "5"]) == 2
 
 
+def test_order_floor_only_for_sigma_commands():
+    """Commands that build no sigma frame run no sigma level, so the
+    level + 2 floor does not apply to them."""
+    sigma = ("quartic-verify", "pde-verify", "kernel-verify",
+             "metric-report", "ricci-leading", "all")
+    for command in cli.COMMANDS:
+        cfg = quick_cfg(command, max_order=1)
+        if command in sigma:
+            assert cfg.levels()
+            with pytest.raises(ConfigError):
+                cfg.validate()
+        else:
+            assert cfg.levels() == ()
+            cfg.validate()
+    assert cli.main(["chern", "--max-order", "5", "--output",
+                     os.devnull]) == 0
+
+
 def test_order_cap_enforced():
     with pytest.raises(ConfigError):
         quick_cfg("quartic-verify", max_order=24).validate()
@@ -239,6 +257,15 @@ def test_one_order_three_lift_per_point(monkeypatch, command, lifts):
     _, code = run(quick_cfg(command, points=3))
     assert code == 0
     assert len(calls) == lifts
+
+
+def test_all_checks_dz_once_per_point(monkeypatch):
+    """inversion-random-dz and dz-closed-form share one dZ check."""
+    calls = []
+    _counted(monkeypatch, cli, "dz_closed_form", calls)
+    _, code = run(quick_cfg("all", max_order=9, points=3))
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_all_equals_union_of_single_commands():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kummergauss.jets import Jet, NumericRing, QuadExtJetRing
+from kummergauss.jets import Jet, NumericRing
 from kummergauss.quadext import (NonInvertibleError, QuadExtContext,
                                  QuadExtScalar, rational_sqrt)
 from kummergauss.rings import rat
@@ -258,7 +258,7 @@ def test_complex_embedding_is_a_homomorphism():
 def rational_jet_ring():
     """Jets whose coefficients stay in Q inside the extension algebra."""
     ctx = QuadExtContext(2, 3)
-    return ctx, QuadExtJetRing(ctx)
+    return ctx, ctx
 
 
 def test_jet_product_truncates_at_order():
@@ -296,15 +296,45 @@ def test_jet_diff_matches_polynomial_rule():
 
 def test_jet_inverse_over_quadext():
     ctx = QuadExtContext(4, 3)
-    ring = QuadExtJetRing(ctx)
-    f = Jet.coordinate(ring, 3, ctx.one + ctx.y1, 0)
+    f = Jet.coordinate(ctx, 3, ctx.one + ctx.y1, 0)
     prod = f * f.inverse()
     assert prod.base == ctx.one
     assert prod.get(1, 0).is_zero()
 
 
-def test_numeric_ring_converts_exact_rationals():
-    ring = NumericRing(float)
-    assert ring.from_rat(rat(1, 4)) == 0.25
-    assert ring.from_rat(Fraction(3, 8)) == 0.375
-    assert ring.from_rat(2) == 2.0
+# the three coefficient rings the charts and the complex reference use,
+# each with an element of its own type
+_JET_CTX = QuadExtContext(rat(-3, 7), rat(5, 2))
+JET_RINGS = pytest.mark.parametrize("ring,e", [
+    (_JET_CTX, _JET_CTX.y1.scale(3)),
+    (NumericRing(Fraction), Fraction(5, 3)),
+    (NumericRing(complex), complex(2, -1)),
+], ids=["quadext", "fraction", "complex"])
+
+
+@JET_RINGS
+def test_jet_plus_scalar_is_add_scalar(ring, e):
+    x = Jet.coordinate(ring, 3, ring.one, 0)
+    jet = x * x + Jet.coordinate(ring, 3, ring.zero, 1)
+    # the second jet has no constant term until the scalar gives it one
+    for j in (jet, Jet(ring, 2, {(1, 0): ring.one})):
+        for q in (rat(-2, 9), e):
+            total = j + q
+            assert total.order == j.order
+            assert total.coeffs == j.add_scalar(q).coeffs
+            assert total.base == j.base + q
+            assert {k: v for k, v in total.coeffs.items() if k != (0, 0)} \
+                == {k: v for k, v in j.coeffs.items() if k != (0, 0)}
+
+
+@JET_RINGS
+def test_sum_of_disjoint_jets_is_their_union(ring, e):
+    a = Jet(ring, 3, {(0, 0): e, (2, 1): ring.one})
+    b = Jet(ring, 3, {(1, 0): e * e, (0, 3): ring.one + ring.one})
+    for total in (a + b, b + a):
+        assert total.order == 3
+        assert total.coeffs == {**a.coeffs, **b.coeffs}
+    # the lower order truncates the other operand's terms
+    c = Jet(ring, 1, {(0, 1): e})
+    assert (a + c).coeffs == {(0, 0): e, (0, 1): e}
+    assert (c + a).coeffs == {(0, 0): e, (0, 1): e}

@@ -154,7 +154,7 @@ def test_two_dimensional_einstein_identity():
         g = conformal_metric(u, v)
         ginv = inverse_metric(g)
         ric = ricci(riemann(christoffel(g, ginv)))
-        half_r = scalar_curvature(g, ginv, ric).half()
+        half_r = scalar_curvature(g, ginv, ric).scale(Fraction(1, 2))
         for i in range(2):
             for j in range(2):
                 comp = ric.comp(i, j) - half_r * g.comp(i, j)
