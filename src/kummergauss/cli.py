@@ -20,9 +20,8 @@ from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
                     pde_residuals, ricci_hat)
-from .sphere import (GoepelInput, chern_number, fresnel_reduce,
-                     goepel_constants, kahler_conformal_check,
-                     sphere_einstein_check)
+from .sphere import (chern_number, fresnel_reduce, goepel_constants,
+                     kahler_conformal_check, sphere_einstein_check)
 
 MAX_ORDER_LIMIT = 20
 # the commands that build a sigma frame, at --sigma-level
@@ -335,7 +334,7 @@ def run_chern(st):
 
 
 def run_goepel(st):
-    a, b, c, d = goepel_constants(GoepelInput(1, 1, 1, -3))
+    a, b, c, d = goepel_constants(1, 1, 1, -3)
     ok = (a, b, c, d) == (2, 2, 2, 0)
     return [_check("goepel-constants", ok,
                    input=["1/1", "1/1", "1/1", "-3/1"],

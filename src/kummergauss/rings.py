@@ -137,14 +137,9 @@ class Poly:
 
     @classmethod
     def from_terms(cls, ctx, items):
-        """items: iterable of (exponent-tuple-or-dict, coefficient)."""
+        """items: iterable of (exponent tuple, coefficient)."""
         terms = {}
         for exps, c in items:
-            if isinstance(exps, dict):
-                full = [0] * ctx.n
-                for name, e in exps.items():
-                    full[ctx.index[name]] = e
-                exps = full
             key = ctx.pack(exps)
             c = rat(c) if not hasattr(c, "denominator") else c
             c = terms.get(key, 0) + c
@@ -318,11 +313,6 @@ class Poly:
         return Poly(ctx, {k: c for k, c in self.terms.items() if k < limit})
 
     def coefficient(self, exps):
-        if isinstance(exps, dict):
-            full = [0] * self.ctx.n
-            for name, e in exps.items():
-                full[self.ctx.index[name]] = e
-            exps = full
         return self.terms.get(self.ctx.pack(exps), rat(0))
 
     def map_context(self, new_ctx, assignment=None):

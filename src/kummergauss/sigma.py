@@ -27,7 +27,8 @@ _NUMERIC_CTX = Context(("u", "v"), grading=2)
 
 
 def _sigma_poly(ctx, lam, level):
-    """The truncated sigma expansion as an exact polynomial."""
+    """The truncated sigma expansion as an exact polynomial; ``lam`` holds
+    the moduli as variables (symbolic) or as rationals (numeric)."""
     u = Poly.var(ctx, "u")
     v = Poly.var(ctx, "v")
     l0, l1, l2, l3, l4 = lam
@@ -80,8 +81,8 @@ class SigmaSeries:
             if len(lambdas) != 5:
                 raise ValueError("need five lambda values")
             self.ctx = _NUMERIC_CTX
-            self.lam = [Poly.const(self.ctx, rat(x) if isinstance(x, int)
-                                   else x) for x in lambdas]
+            self.lam = [rat(x) if isinstance(x, int) else x
+                        for x in lambdas]
         poly = sigma_poly if sigma_poly is not None \
             else _sigma_poly(self.ctx, self.lam, level)
         self.sigma_poly = poly
@@ -97,7 +98,7 @@ class SigmaSeries:
     def moduli(self):
         """The five lambda as rationals over the frame."""
         return [self.rational(TruncatedSeries(x, self.order))
-                for x in self.lam]
+                if isinstance(x, Poly) else self.scalar(x) for x in self.lam]
 
     @cached_property
     def xyz(self):

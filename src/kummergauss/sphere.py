@@ -4,7 +4,6 @@ and the conformal plane chart, and the first Chern number read exactly
 from that chart's metric."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .jets import Jet, NumericRing
@@ -18,24 +17,13 @@ class DegenerateTetradError(ArithmeticError):
     """A Goepel constant denominator vanishes."""
 
 
-@dataclass(frozen=True)
-class GoepelInput:
-    alpha2: object
-    beta2: object
-    gamma2: object
-    delta2: object
-
-    def squares(self):
-        return tuple(rat(x) if isinstance(x, int) else x
-                     for x in (self.alpha2, self.beta2, self.gamma2,
-                               self.delta2))
-
-
-def goepel_constants(inp):
-    """(A, B, C, D) of the quartic tetrad identity.  D is exact when the
-    (2-A)(2-B)(2-C) product vanishes or the tetrad product is a perfect
-    square; otherwise it is reported unavailable (None)."""
-    a2, b2, c2, d2 = inp.squares()
+def goepel_constants(a2, b2, c2, d2):
+    """(A, B, C, D) of the quartic tetrad identity for the squares alpha^2,
+    beta^2, gamma^2, delta^2.  D is exact when the (2-A)(2-B)(2-C) product
+    vanishes or the tetrad product is a perfect square; otherwise it is
+    reported unavailable (None)."""
+    a2, b2, c2, d2 = (rat(x) if isinstance(x, int) else x
+                      for x in (a2, b2, c2, d2))
     a4, b4, c4, d4 = a2 * a2, b2 * b2, c2 * c2, d2 * d2
     dens = (a2 * d2 - b2 * c2, b2 * d2 - c2 * a2, c2 * d2 - a2 * b2)
     if any(x == 0 for x in dens):

@@ -6,6 +6,10 @@ index i in {0, 1}, and ``.scale(q)`` by a rational q; ``inverse_metric``
 also needs ``.inverse()``.  The same code drives exact series and exact
 point-jets; floats and complex numbers reach it only from the tests and
 the ``complex_backend`` reference.
+
+The curvature steps pass plain components: ``christoffel`` returns the
+dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and
+``ricci`` contracts that block into a ``RicciTensor``.
 """
 
 from fractions import Fraction
@@ -25,41 +29,13 @@ class MetricTensor:
         return (self.g11, self.g12, self.g22)[i + j]
 
 
-class Christoffel:
-    """Gamma^lam_{mu nu}, symmetric in the lower index pair."""
-
-    def __init__(self, comps):
-        # comps keyed by (lam, mu, nu) with mu <= nu
-        self._c = comps
-
-    def comp(self, lam, mu, nu):
-        if mu > nu:
-            mu, nu = nu, mu
-        return self._c[(lam, mu, nu)]
-
-
-class RiemannTensor:
-    """R^a_{b mu nu}; only the (mu, nu) = (0, 1) block is independent."""
-
-    def __init__(self, block01, zero):
-        self._b = block01  # keyed by (a, b)
-        self._zero = zero
-
-    def comp(self, a, b, mu, nu):
-        if mu == nu:
-            return self._zero
-        if (mu, nu) == (0, 1):
-            return self._b[(a, b)]
-        return -self._b[(a, b)]
-
-
 class RicciTensor:
-    def __init__(self, r11, r12, r22, r21=None):
+    def __init__(self, r11, r12, r22, r21):
         self.r11 = r11
         self.r12 = r12
         self.r22 = r22
         # independently contracted value, for symmetry cross-checks
-        self.r21 = r12 if r21 is None else r21
+        self.r21 = r21
 
     def comp(self, i, j):
         return (self.r11, self.r12, self.r22)[i + j]
@@ -96,45 +72,46 @@ def inverse_metric(g):
 
 
 def christoffel(g, ginv):
-    """Levi-Civita connection components from metric and verified inverse."""
-    dg = [[[g.comp(s, n).diff(m) for n in range(2)] for s in range(2)]
-          for m in range(2)]
-    comps = {}
+    """Levi-Civita connection from metric and verified inverse, as a dict
+    keyed (lam, mu, nu); both orders of the lower pair map to one object.
+    Each metric entry is differentiated once per coordinate."""
+    # dg[m][i + j] = d_m g_ij
+    dg = [[x.diff(m) for x in (g.g11, g.g12, g.g22)] for m in range(2)]
+    gam = {}
     for lam in range(2):
         for mu in range(2):
             for nu in range(mu, 2):
                 acc = None
                 for sig in range(2):
                     # d_mu g_{sig nu} + d_nu g_{mu sig} - d_sig g_{mu nu}
-                    c = dg[mu][sig][nu] + dg[nu][mu][sig] - dg[sig][mu][nu]
+                    c = dg[mu][sig + nu] + dg[nu][mu + sig] \
+                        - dg[sig][mu + nu]
                     term = ginv.comp(lam, sig) * c
                     acc = term if acc is None else acc + term
-                comps[(lam, mu, nu)] = acc.scale(Fraction(1, 2))
-    return Christoffel(comps)
+                gam[lam, mu, nu] = gam[lam, nu, mu] = \
+                    acc.scale(Fraction(1, 2))
+    return gam
 
 
-def riemann(gamma):
-    """Curvature of the connection; antisymmetric in the last index pair."""
+def riemann(gam):
+    """The block {(a, b): R^a_{b01}}; in two dimensions it is the whole
+    curvature tensor, since R^a_{b10} = -R^a_{b01} and R^a_{b00} =
+    R^a_{b11} = 0."""
     block = {}
-    zero = None
     for a in range(2):
         for b in range(2):
-            val = gamma.comp(a, b, 1).diff(0) - gamma.comp(a, b, 0).diff(1)
+            val = gam[a, b, 1].diff(0) - gam[a, b, 0].diff(1)
             for tau in range(2):
-                val = val + gamma.comp(a, tau, 0) * gamma.comp(tau, b, 1)
-                val = val - gamma.comp(a, tau, 1) * gamma.comp(tau, b, 0)
-            block[(a, b)] = val
-    zero = block[(0, 0)] - block[(0, 0)]
-    return RiemannTensor(block, zero)
+                val = val + gam[a, tau, 0] * gam[tau, b, 1]
+                val = val - gam[a, tau, 1] * gam[tau, b, 0]
+            block[a, b] = val
+    return block
 
 
-def ricci(riem):
-    """R_{mu nu} = R^a_{mu a nu}; both off-diagonal contractions kept."""
-    r11 = riem.comp(1, 0, 1, 0)
-    r22 = riem.comp(0, 1, 0, 1)
-    r12 = riem.comp(0, 0, 0, 1)
-    r21 = riem.comp(1, 1, 1, 0)
-    return RicciTensor(r11, r12, r22, r21)
+def ricci(block):
+    """R_{mu nu} = R^a_{mu a nu} from the R^a_{b01} block; both
+    off-diagonal contractions kept."""
+    return RicciTensor(-block[1, 0], block[0, 0], block[0, 1], -block[1, 1])
 
 
 def scalar_curvature(g, ginv, ric):

@@ -13,9 +13,8 @@ from kummergauss.sigma import (SigmaRational, SigmaSeries, build_sigma,
 
 
 def coeff(poly, u, v, **lams):
-    exps = {"u": u, "v": v}
-    exps.update(lams)
-    return poly.coefficient(exps)
+    exps = dict(lams, u=u, v=v)
+    return poly.coefficient(tuple(exps.get(n, 0) for n in poly.ctx.names))
 
 
 # -- the expansion itself ---------------------------------------------

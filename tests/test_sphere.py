@@ -10,11 +10,10 @@ from kummergauss import sphere
 from kummergauss.cli import RunConfig, run
 from kummergauss.jets import Jet
 from kummergauss.rings import Poly, rat
-from kummergauss.sphere import (DegenerateTetradError, GoepelInput,
-                                chern_number, fresnel_quartic,
-                                fresnel_reduce, goepel_constants,
-                                kahler_conformal_check, kahler_metric_jets,
-                                sphere_einstein_check)
+from kummergauss.sphere import (DegenerateTetradError, chern_number,
+                                fresnel_quartic, fresnel_reduce,
+                                goepel_constants, kahler_conformal_check,
+                                kahler_metric_jets, sphere_einstein_check)
 from kummergauss.sphere import _SPHERE_TS
 from kummergauss.tensor import MetricTensor
 
@@ -22,19 +21,18 @@ from kummergauss.tensor import MetricTensor
 # -- tetrad constants -------------------------------------------------
 
 def test_goepel_witness_constants():
-    a, b, c, d = goepel_constants(GoepelInput(1, 1, 1, -3))
+    a, b, c, d = goepel_constants(1, 1, 1, -3)
     assert (a, b, c, d) == (2, 2, 2, 0)
 
 
 def test_goepel_degenerate_tetrad_raises():
     # alpha^2 delta^2 - beta^2 gamma^2 = 0
     with pytest.raises(DegenerateTetradError):
-        goepel_constants(GoepelInput(1, 2, 2, 4))
+        goepel_constants(1, 2, 2, 4)
 
 
 def test_goepel_rational_root_branch():
-    inp = GoepelInput(rat(1), rat(4), rat(9), rat(16))
-    a, b, c, d = goepel_constants(inp)
+    a, b, c, d = goepel_constants(rat(1), rat(4), rat(9), rat(16))
     # denominators 16 - 36, 64 - 9, 144 - 4
     assert a == rat(16 + 81 - 1 - 256, -20)
     assert b == rat(81 + 1 - 16 - 256, 55)
@@ -44,7 +42,7 @@ def test_goepel_rational_root_branch():
 
 
 def test_goepel_irrational_root_reported_unavailable():
-    a, b, c, d = goepel_constants(GoepelInput(1, 1, 2, -3))
+    a, b, c, d = goepel_constants(1, 1, 2, -3)
     assert d is None
 
 
@@ -63,12 +61,12 @@ def test_fresnel_unit_axes_is_double_sphere():
 
 def test_fresnel_general_axes_expansion():
     q = fresnel_quartic(1, 2, 3)
-    assert q.coefficient({"x": 4}) == 1
-    assert q.coefficient({"y": 4}) == 2
-    assert q.coefficient({"z": 4}) == 3
-    assert q.coefficient({"x": 2}) == -(2 + 3)  # -a2(b2 + c2) with a2 = 1
-    assert q.coefficient({}) == 6
-    assert q.coefficient({"x": 2, "y": 2}) == 1 + 2
+    assert q.coefficient((4, 0, 0)) == 1
+    assert q.coefficient((0, 4, 0)) == 2
+    assert q.coefficient((0, 0, 4)) == 3
+    assert q.coefficient((2, 0, 0)) == -(2 + 3)  # -a2(b2 + c2) with a2 = 1
+    assert q.coefficient((0, 0, 0)) == 6
+    assert q.coefficient((2, 2, 0)) == 1 + 2
 
 
 # -- Einstein checks --------------------------------------------------
@@ -143,7 +141,7 @@ def test_chern_fails_on_a_metric_off_the_chart(monkeypatch):
 
     def squared(u, v, order):
         f = chart(u, v, order).g11
-        return MetricTensor(f * f, Jet(f.ring, f.order, {}), f * f)
+        return MetricTensor(f * f, Jet(f.ring, f.order, (0, 0, 0)), f * f)
 
     monkeypatch.setattr(sphere, "kahler_metric_jets", squared)
     assert chern_number() == (1, 2, None)

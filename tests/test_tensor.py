@@ -13,6 +13,7 @@ from kummergauss.tensor import (MetricTensor, christoffel, det4,
                                 scalar_curvature)
 
 RING = NumericRing(float)
+EXACT = NumericRing(Fraction)
 ORDER = 3
 
 
@@ -42,6 +43,16 @@ def conformal_metric(u, v):
     return MetricTensor(conf, Jet(RING, ORDER, {}), conf)
 
 
+def skew_metric(u, v):
+    """A metric with three distinct entries over exact Fraction jets."""
+    ju = Jet.coordinate(EXACT, ORDER, Fraction(u), 0)
+    jv = Jet.coordinate(EXACT, ORDER, Fraction(v), 1)
+    return MetricTensor((ju * ju).add_scalar(2),
+                        (ju * jv).scale(Fraction(1, 2)).add_scalar(
+                            Fraction(1, 3)),
+                        (jv * jv + ju).add_scalar(3))
+
+
 # -- flat space -------------------------------------------------------
 
 def test_flat_metric_has_zero_curvature():
@@ -50,7 +61,7 @@ def test_flat_metric_has_zero_curvature():
     for lam in range(2):
         for mu in range(2):
             for nu in range(2):
-                assert gam.comp(lam, mu, nu).base == 0.0
+                assert gam[lam, mu, nu].base == 0.0
     ric = ricci(riemann(gam))
     assert ric.r11.base == 0.0 and ric.r12.base == 0.0
     assert ric.r22.base == 0.0
@@ -63,11 +74,11 @@ def test_sphere_christoffels_closed_form():
     g = sphere_metric(theta)
     gam = christoffel(g, inverse_metric(g))
     # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} = cot
-    assert abs(gam.comp(0, 1, 1).base
+    assert abs(gam[0, 1, 1].base
                + math.sin(theta) * math.cos(theta)) < 1e-12
-    assert abs(gam.comp(1, 0, 1).base - 1.0 / math.tan(theta)) < 1e-12
-    assert gam.comp(0, 0, 0).base == 0.0
-    assert gam.comp(1, 0, 0).base == 0.0
+    assert abs(gam[1, 0, 1].base - 1.0 / math.tan(theta)) < 1e-12
+    assert gam[0, 0, 0].base == 0.0
+    assert gam[1, 0, 0].base == 0.0
 
 
 def test_sphere_christoffels_against_finite_differences():
@@ -102,7 +113,7 @@ def test_sphere_christoffels_against_finite_differences():
     gam = christoffel(sphere_metric(theta),
                       inverse_metric(sphere_metric(theta)))
     for key, want in expected.items():
-        assert abs(gam.comp(*key).base - want) < 1e-6, key
+        assert abs(gam[key].base - want) < 1e-6, key
 
 
 def test_sphere_is_einstein_with_scalar_two():
@@ -122,24 +133,49 @@ def test_conformal_chart_christoffel_closed_form():
     g = conformal_metric(u, v)
     gam = christoffel(g, inverse_metric(g))
     f = 1.0 + u * u + v * v
-    assert abs(gam.comp(0, 0, 0).base + 2 * u / f) < 1e-12
-    assert abs(gam.comp(0, 0, 1).base + 2 * v / f) < 1e-12
-    assert abs(gam.comp(0, 1, 1).base - 2 * u / f) < 1e-12
-    assert abs(gam.comp(1, 0, 0).base - 2 * v / f) < 1e-12
+    assert abs(gam[0, 0, 0].base + 2 * u / f) < 1e-12
+    assert abs(gam[0, 0, 1].base + 2 * v / f) < 1e-12
+    assert abs(gam[0, 1, 1].base - 2 * u / f) < 1e-12
+    assert abs(gam[1, 0, 0].base - 2 * v / f) < 1e-12
 
 
 # -- structural identities --------------------------------------------
 
-def test_riemann_antisymmetry_in_last_pair():
-    g = conformal_metric(0.2, 0.5)
-    riem = riemann(christoffel(g, inverse_metric(g)))
-    for a in range(2):
-        for b in range(2):
-            plus = riem.comp(a, b, 0, 1).base
-            minus = riem.comp(a, b, 1, 0).base
-            assert plus == -minus
-            assert riem.comp(a, b, 0, 0).base == 0.0
-            assert riem.comp(a, b, 1, 1).base == 0.0
+def test_christoffel_differentiates_each_entry_once(monkeypatch):
+    calls = []
+    plain_diff = Jet.diff
+
+    def counted_diff(self, which):
+        calls.append(which)
+        return plain_diff(self, which)
+
+    g = skew_metric(Fraction(1, 3), Fraction(-2, 5))
+    ginv = inverse_metric(g)
+    monkeypatch.setattr(Jet, "diff", counted_diff)
+    christoffel(g, ginv)
+    assert sorted(calls) == [0, 0, 0, 1, 1, 1]
+
+
+def test_christoffel_lower_pair_is_one_object():
+    g = skew_metric(Fraction(1, 3), Fraction(-2, 5))
+    gam = christoffel(g, inverse_metric(g))
+    assert len(gam) == 8
+    for lam in range(2):
+        assert gam[lam, 0, 1] is gam[lam, 1, 0]
+
+
+def test_lowered_riemann_block_is_antisymmetric():
+    """g_{ac} R^c_{b01} is antisymmetric in (a, b), exactly, on a metric
+    with three distinct entries."""
+    for u, v in ((Fraction(1, 3), Fraction(-2, 5)), (Fraction(-3, 2), 2)):
+        g = skew_metric(u, v)
+        block = riemann(christoffel(g, inverse_metric(g)))
+        assert sorted(block) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        low = {(a, b): g.comp(a, 0) * block[0, b] + g.comp(a, 1) * block[1, b]
+               for a in range(2) for b in range(2)}
+        for jet in (low[0, 0], low[1, 1], low[0, 1] + low[1, 0]):
+            assert all(c == 0 for c in jet.coeffs.values())
+        assert low[0, 1].base != 0
 
 
 def test_ricci_contractions_are_symmetric():
