@@ -19,7 +19,7 @@ from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
                         random_admissible_points, ricci_point, xyz_jets)
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
-                    pde_residuals, ricci_hat)
+                    pde_residuals)
 from .sphere import (chern_number, fresnel_reduce, goepel_constants,
                      kahler_conformal_check, sphere_einstein_check)
 
@@ -90,17 +90,32 @@ class RunConfig:
 
 class _Stages:
     """What the runners of one ``run`` call share, each built on first
-    use: a sigma frame per level the command runs, the admissible points
-    and their dZ check.  It lives for that call only."""
+    use: the exact lambda = 0 chart, a sigma frame per level the command
+    runs, the admissible points and their dZ check.  It lives for that
+    call only."""
 
     def __init__(self, cfg):
         self.cfg = cfg
 
     @cached_property
+    def zero_chart(self):
+        """The lambda = 0 frame at --max-order.  There sigma is exactly
+        u - v^3/3 at every level (by weight), so the chart is exact at any
+        order; every lambda-free regression reads it."""
+        return build_sigma(3, lambdas=(0, 0, 0, 0, 0),
+                           order=self.cfg.max_order)
+
+    @cached_property
     def frames(self):
+        """A frame per level.  A lambda-dependent sigma truncated at level
+        L matches the true one only through degree L + 1, so its frame
+        stops there and the ledger carries that horizon into every
+        validated order; at lambda = 0 every level is the zero chart."""
         cfg = self.cfg
+        if cfg.lambdas is not None and not cfg.nonzero_lambda():
+            return {level: self.zero_chart for level in cfg.levels()}
         return {level: build_sigma(level, lambdas=cfg.lambdas,
-                                   order=cfg.max_order)
+                                   order=level + 1)
                 for level in cfg.levels()}
 
     @cached_property
@@ -161,8 +176,7 @@ def _residual_checks(prefix, residuals, st):
             z = _zero_through(num)
             out.append(_check("%s-%d-level-%d" % (prefix, i, level),
                               z >= level, expected_order=level,
-                              zero_through=z, validated_order=num.known_order,
-                              exactly_zero=num.valuation() is None))
+                              zero_through=z, validated_order=num.known_order))
     return out
 
 
@@ -175,7 +189,8 @@ def run_kernel(st):
 
 
 def run_metric(st):
-    s = st.frames[st.cfg.sigma_level]
+    nonzero = st.cfg.nonzero_lambda()
+    s = st.frames[st.cfg.sigma_level] if nonzero else st.zero_chart
     m = s.metric
     targets = [("ghat11", m.ghat11, reference.GHAT11_FREE),
                ("ghat12", m.ghat12, reference.GHAT12_FREE),
@@ -183,8 +198,7 @@ def run_metric(st):
                ("dhat", s.dhat, reference.DHAT_FREE)]
     out = []
     for name, series, target in targets:
-        free = series.lambda_free_part()
-        if st.cfg.nonzero_lambda():
+        if nonzero:
             # specialized nonzero moduli fold into every coefficient; the
             # display regression only applies symbolically or at zero
             out.append(_check("metric-%s" % name, False, qualified=True,
@@ -195,42 +209,47 @@ def run_metric(st):
             continue
         # only coefficients inside the validated order are comparable
         want = target.truncated(series.known_order)
-        ok = reference.matches(free, want)
+        ok = reference.matches(series.body, want)
         out.append(_check("metric-%s" % name, ok,
-                          lambda_free=str(free), expected=str(want),
+                          lambda_free=str(series.body), expected=str(want),
                           compared_through=series.known_order,
                           complete=want == target))
     return out
 
 
-def _ricci_checks(cfg, level, rep):
+def _ricci_checks(level, rep, zero):
+    """Fingerprint checks at one level: ``rep`` is the cleared Ricci of the
+    level's frame, ``zero`` that of the zero chart (None for nonzero
+    lambda, where no lambda-free regression applies)."""
     out = []
     for name in ("R11", "R12", "R22"):
-        rec = rep[name]
-        expected_deg, target = reference.RICCI_LOWEST[name]
-        if cfg.nonzero_lambda():
+        if zero is None:
+            series = rep[name]
+            degree, lowest = series.lowest_terms()
             out.append(_check("ricci-%s-level-%d" % (name, level), False,
                               qualified=True,
                               note="fingerprint regression needs symbolic "
                                    "or zero lambda",
-                              lowest_degree=rec["lowest_degree"],
-                              lowest_terms=str(rec["series"].lowest_terms()[1])))
+                              lowest_degree=degree, lowest_terms=str(lowest),
+                              validated_order=series.known_order))
             continue
-        ok = (rec["lambda_free_lowest_degree"] == expected_deg
-              and reference.matches(rec["lambda_free_lowest"], target))
+        expected_deg, target = reference.RICCI_LOWEST[name]
+        degree, lowest = zero[name].lowest_terms()
+        ok = degree == expected_deg and reference.matches(lowest, target)
         out.append(_check("ricci-%s-level-%d" % (name, level), ok,
                           expected_degree=expected_deg,
-                          lowest_degree=rec["lambda_free_lowest_degree"],
-                          lowest_terms=str(rec["lambda_free_lowest"]),
+                          lowest_degree=degree, lowest_terms=str(lowest),
                           expected=str(target)))
     out.append(_check("ricci-symmetry-level-%d" % level,
-                      rep["ricci_symmetry_ok"]))
+                      rep["ricci_symmetry_ok"]
+                      and (zero is None or zero["ricci_symmetry_ok"])))
     return out
 
 
 def run_ricci_leading(st):
+    zero = None if st.cfg.nonzero_lambda() else st.zero_chart.cleared_ricci
     return [c for level, s in st.frames.items()
-            for c in _ricci_checks(st.cfg, level, ricci_hat(s))]
+            for c in _ricci_checks(level, s.cleared_ricci, zero)]
 
 
 # -- inversion-chart commands -----------------------------------------
@@ -438,9 +457,13 @@ def build_parser():
     ap.add_argument("--sigma-level", type=int, default=7,
                     help="sigma truncation level: 3, 5 or 7 (default 7)")
     ap.add_argument("--max-order", type=int, default=DEFAULT_ORDER,
-                    help="series working order, at most %d (default "
-                         "%d); the sigma-chart commands need at least "
-                         "sigma-level+2, and all needs 9"
+                    help="order of the exact lambda = 0 chart, which every "
+                         "lambda-free regression reads, at most %d "
+                         "(default %d); the sigma-chart commands need at "
+                         "least sigma-level+2, and all needs 9.  Frames "
+                         "that depend on lambda (symbolic or nonzero) stop "
+                         "at sigma-level+1, the last degree the truncated "
+                         "sigma shares with the true one"
                          % (MAX_ORDER_LIMIT, DEFAULT_ORDER))
     ap.add_argument("--seed", type=int, default=20260803,
                     help="seed for the random point streams")

@@ -8,9 +8,14 @@ signed so products cancel denominator powers symbolically and no series
 division is ever forced.
 
 A ``SigmaSeries`` frame owns every stage over its sigma: the moduli, X/Y/Z
-(wp2), the four wp3, the Gauss metric, and Dhat with its powers and
-derivatives.  Each is a read-only attribute, computed on first use by the
-module function defining the stage; nothing outside the frame writes it.
+(wp2), the four wp3, the Gauss metric, Dhat with its powers and
+derivatives, and the cleared Ricci components.  Each is a read-only
+attribute, computed on first use by the module function defining the
+stage; nothing outside the frame writes it.
+
+A frame is exact through its ``order`` only as far as its sigma is: a
+sigma truncated at level L matches the true one through degree L + 1,
+while at lambda = 0 it is exactly u - v^3/3.  The caller picks the order.
 """
 
 from fractions import Fraction
@@ -29,19 +34,23 @@ _NUMERIC_CTX = Context(("u", "v"), grading=2)
 def _sigma_poly(ctx, lam, level):
     """The truncated sigma expansion as an exact polynomial; ``lam`` holds
     the moduli as variables (symbolic) or as rationals (numeric)."""
-    u = Poly.var(ctx, "u")
-    v = Poly.var(ctx, "v")
+    pad = (0,) * (ctx.n - 2)
+
+    def m(i, j):
+        """The monomial u^i v^j."""
+        return Poly.from_terms(ctx, [((i, j) + pad, 1)])
+
     l0, l1, l2, l3, l4 = lam
-    s = u + l2 * u ** 3 * Fraction(1, 24) - v ** 3 * Fraction(1, 3)
+    s = m(1, 0) + l2 * Fraction(1, 24) * m(3, 0) - Fraction(1, 3) * m(0, 3)
     if level >= 5:
         inner = (
             (l0 * l4 * Fraction(1, 2) - l1 * l3 * Fraction(1, 8)
-             - l2 * l2 * Fraction(1, 16)) * u ** 5
-            + 10 * l0 * u ** 4 * v
-            + 5 * l1 * u ** 3 * v ** 2
-            + 5 * l2 * u ** 2 * v ** 3
-            + l3 * u * v ** 4 * Fraction(5, 2)
-            + 2 * l4 * v ** 5)
+             - l2 * l2 * Fraction(1, 16)) * m(5, 0)
+            + 10 * l0 * m(4, 1)
+            + 5 * l1 * m(3, 2)
+            + 5 * l2 * m(2, 3)
+            + l3 * Fraction(5, 2) * m(1, 4)
+            + 2 * l4 * m(0, 5))
         s = s - inner * Fraction(1, 120)
     if level >= 7:
         h = [
@@ -59,7 +68,7 @@ def _sigma_poly(ctx, lam, level):
         binom = (1, 7, 21, 35, 35, 21, 7, 1)
         s7 = Poly.zero(ctx)
         for k in range(8):
-            s7 = s7 + binom[k] * h[k] * u ** k * v ** (7 - k)
+            s7 = s7 + binom[k] * h[k] * m(k, 7 - k)
         s = s + s7 * Fraction(1, 5040)
     return s
 
@@ -118,6 +127,11 @@ class SigmaSeries:
     def metric_inverse(self):
         """(Dhat, inverse metric) of the frame's Gauss metric."""
         return metric_det_inverse(self.metric)
+
+    @cached_property
+    def cleared_ricci(self):
+        """``ricci_hat`` of the frame."""
+        return ricci_hat(self)
 
     @property
     def dhat(self):
@@ -401,26 +415,15 @@ def metric_det_inverse(metric):
 
 
 def ricci_hat(s):
-    """Cleared Ricci components Rhat_ij with R_ij = Rhat_ij/(sigma^2 Dhat^2),
-    plus the lambda-free lowest-term fingerprints.
+    """Cleared Ricci components Rhat_ij with R_ij = Rhat_ij/(sigma^2 Dhat^2).
 
-    Returns a dict with the three numerator series and their reports.
+    Returns a dict with the numerator series of R11, R12 and R22, and
+    ``ricci_symmetry_ok``: whether R12 = R21 through the validated order.
     """
     ginv = s.metric_inverse[1]
-    gam = christoffel(s.metric.tensor, ginv)
-    ric = ricci(riemann(gam))
-    out = {}
-    for name, comp in (("R11", ric.r11), ("R12", ric.r12), ("R22", ric.r22)):
-        norm = comp.to_powers(2, 2)
-        series = norm.num
-        free = series.lambda_free_part()
-        fv = free.valuation()
-        out[name] = {
-            "series": series,
-            "lowest_degree": series.valuation(),
-            "lambda_free_lowest_degree": fv,
-            "lambda_free_lowest": (free.homogeneous_part(fv) if fv is not None
-                                   else free),
-        }
+    ric = ricci(riemann(christoffel(s.metric.tensor, ginv)))
+    out = {name: comp.to_powers(2, 2).num
+           for name, comp in (("R11", ric.r11), ("R12", ric.r12),
+                              ("R22", ric.r22))}
     out["ricci_symmetry_ok"] = (ric.r12 - ric.r21).is_zero_through()
     return out

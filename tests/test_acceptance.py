@@ -66,17 +66,17 @@ def test_criterion_3_ricci_fingerprints(frames):
         rep = ricci_hat(frames[level])
         for name in ("R11", "R12", "R22"):
             deg, target = reference.RICCI_LOWEST[name]
-            rec = rep[name]
-            ok = ok and rec["lambda_free_lowest_degree"] == deg
-            ok = ok and reference.matches(rec["lambda_free_lowest"], target)
+            free = rep[name].lambda_free_part()
+            ok = ok and free.valuation() == deg
+            ok = ok and reference.matches(free.homogeneous_part(deg), target)
         ok = ok and rep["ricci_symmetry_ok"]
     # fast specialized run as well
     rep0 = ricci_hat(build_sigma(3, lambdas=(0, 0, 0, 0, 0)))
     for name in ("R11", "R12", "R22"):
         deg, target = reference.RICCI_LOWEST[name]
-        ok = ok and rep0[name]["lowest_degree"] == deg
-        ok = ok and reference.matches(rep0[name]["lambda_free_lowest"],
-                                      target)
+        lowest_deg, lowest = rep0[name].lowest_terms()
+        ok = ok and lowest_deg == deg
+        ok = ok and reference.matches(lowest, target)
     report(3, "Ricci lowest-term fingerprints, all levels", ok)
 
 

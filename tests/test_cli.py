@@ -228,19 +228,89 @@ def _counted(monkeypatch, module, name, calls, keep=lambda *a, **kw: True):
 
     def counted(*args, **kwargs):
         if keep(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
         return orig(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
 
 
+def _frame_keys(calls):
+    """(level, lambdas, order) of each recorded ``build_sigma`` call."""
+    return [(args[0], kw["lambdas"], kw["order"]) for args, kw in calls]
+
+
 def test_all_shares_frames_and_points(monkeypatch):
+    """One symbolic frame per level, each stopping at level + 1, plus one
+    zero chart at --max-order; one draw of points."""
     frames, draws = [], []
     _counted(monkeypatch, cli, "build_sigma", frames)
     _counted(monkeypatch, cli, "random_admissible_points", draws)
     _, code = run(quick_cfg("all", max_order=9))
     assert code == 0
-    assert sorted(args[0] for args in frames) == [3, 5, 7]
+    assert sorted(_frame_keys(frames), key=str) == [
+        (3, (0, 0, 0, 0, 0), 9), (3, None, 4), (5, None, 6), (7, None, 8)]
     assert len(draws) == 1
+
+
+def test_numeric_frames_by_lambda(monkeypatch):
+    """At lambda = 0 sigma is the same at every level: one exact frame
+    at --max-order serves them all.  Nonzero moduli build no zero chart,
+    since no lambda-free regression applies."""
+    frames = []
+    _counted(monkeypatch, cli, "build_sigma", frames)
+    _, code = run(quick_cfg("all", max_order=9, lambdas=(0, 0, 0, 0, 0)))
+    assert code == 0
+    assert _frame_keys(frames) == [(3, (0, 0, 0, 0, 0), 9)]
+    frames.clear()
+    _, code = run(quick_cfg("all", max_order=9, lambdas=LAM))
+    assert code == 0
+    assert _frame_keys(frames) == [(3, LAM, 4), (5, LAM, 6), (7, LAM, 8)]
+
+
+# -- honest horizons: lambda-dependent frames stop at level + 1 --------
+
+@pytest.mark.parametrize("lambdas", [None, LAM], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize("level", [3, 5, 7])
+def test_quartic_validated_through_the_horizon(level, lambdas):
+    report, code = run(RunConfig(command="quartic-verify", sigma_level=level,
+                                 lambdas=lambdas))
+    assert code == 0
+    rec, = report["checks"]
+    assert rec["validated_order"] == level + 2
+    assert rec["first_nonzero_degree"] is None
+
+
+def test_zero_chart_validates_past_the_horizon():
+    """At lambda = 0 the chart is exact, so the order is --max-order's."""
+    report, code = run(RunConfig(command="quartic-verify",
+                                 lambdas=(0, 0, 0, 0, 0)))
+    assert code == 0
+    assert report["checks"][0]["validated_order"] == DEFAULT_ORDER + 1
+
+
+@pytest.mark.parametrize("command", ["pde-verify", "kernel-verify"])
+def test_residual_reports_claim_only_the_ledger(command):
+    """No field claims an exact zero beyond the known order: a residual
+    with no term inside it reads zero_through == validated_order."""
+    report, code = run(RunConfig(command=command, sigma_level=3))
+    assert code == 0
+    for rec in report["checks"]:
+        assert set(rec) == {"name", "status", "expected_order",
+                            "zero_through", "validated_order"}
+
+
+def test_numeric_ricci_records_give_their_horizon():
+    """A null lowest degree reads as "beyond the validated order"."""
+    expect = {3: {"R11": (None, 8), "R12": (None, 10), "R22": (None, 10)},
+              5: {"R11": (10, 10), "R12": (12, 12), "R22": (None, 12)},
+              7: {"R11": (10, 12), "R12": (12, 14), "R22": (14, 14)}}
+    for level, want in expect.items():
+        report, code = run(RunConfig(command="ricci-leading",
+                                     sigma_level=level, lambdas=LAM))
+        assert code == 0
+        got = {c["name"].split("-")[1]: (c["lowest_degree"],
+                                         c["validated_order"])
+               for c in report["checks"] if c["status"] == "qualified"}
+        assert got == want, level
 
 
 @pytest.mark.parametrize("command,lifts", [

@@ -14,12 +14,13 @@ LAM = tuple(parse_rational(x) for x in ("1/2", "-3", "2/7", "5", "-1"))
 ZERO = (0, 0, 0, 0, 0)
 
 GOLDEN = [
+    # numeric lambda: validated orders stop at the level + 1 horizon
     (dict(command="quartic-verify", sigma_level=5, lambdas=LAM),
-     "2c9d2b1782d3a4a0ba8d520b106b64cf91cafad2154f73c10919fd4b5fcd0267"),
+     "72a077cb8cf79039054352df76403c2dae1c979c34fc195ec91ec24bf0323315"),
     (dict(command="pde-verify", sigma_level=5, lambdas=LAM),
-     "c740db21b8d62c6c3187b163e3b131ac590f9bddb0f81749b3788a60bf3c6c51"),
+     "413b8b067541b99d990c430b1708964009a3e815e4c6f3308bac0d2cc6a33340"),
     (dict(command="kernel-verify", sigma_level=5, lambdas=LAM),
-     "52513194a46e35440b980f8bbce01d1f9c14c183349bf37a322b08670b754e39"),
+     "f9b8e48056e32dd8e742aab8178e9f8f70da62016d1e2fa48b6775deef877f72"),
     (dict(command="metric-report", sigma_level=3),
      "8fd5ac0cafe10f93e2c47470c9907b15611d11ab038ceab9fd57dc6b9e752312"),
     (dict(command="ricci-leading", sigma_level=3, max_order=12),
@@ -33,9 +34,9 @@ GOLDEN = [
     (dict(command="ricci-point", points=3, seed=11, lambdas=LAM),
      "2e921a71e97e3855c971d08558ec61c2f7852aed8b1009c956c5fce7d3255292"),
     (dict(command="metric-report", sigma_level=7, lambdas=LAM),
-     "ff18dc07c8ab552930f3fab4b1e8993429760b79fb894a3f30e3218450330cad"),
+     "dfa88a991972e401283cb9490aa1ec933fd722b271611d0335918a020147d657"),
     (dict(command="ricci-leading", sigma_level=7, max_order=12, lambdas=LAM),
-     "1914b84de61986252bdb7b092e93a6b361f9b76d3bb99c2228226ff53df9cd63"),
+     "9179dd59d70772b9d0ffbd8b47fcfaf89a6ec0074fa23744d66cd83e473d5aed"),
     # exact Chern number: radius, c1, remainder and limit as "p/q"
     (dict(command="chern"),
      "a103c8ef71797e32966f6f547b5237d63449c0070aac8d9d4b0443249ccb60b1"),

@@ -78,6 +78,36 @@ def test_lambda_specialization_matches_symbolic_eval():
     assert mapped == specialized.sigma_poly
 
 
+# Buchstaber-Enolski-Leykin weights of (u, v, l0, ..., l4)
+WEIGHTS = (3, 1) + tuple(2 * i - 10 for i in range(5))
+
+
+def weights(poly):
+    """The set of weights of the terms of a symbolic polynomial."""
+    return {sum(w * e for w, e in zip(WEIGHTS, poly.ctx.unpack(k)))
+            for k in poly.terms}
+
+
+def test_sigma_has_weight_three():
+    for level in (3, 5, 7):
+        assert weights(build_sigma(level).sigma_poly) == {3}
+
+
+@pytest.mark.parametrize("level,order", [(3, 16), (7, 12)])
+def test_stage_weights(level, order):
+    """Every stage built from a weight-3 sigma is weight homogeneous: the
+    wp2 and wp3 numerators, the PDE residuals over sigma^4, and
+    sigma^8 det K with the adopted wp11 entry.  The printed wp22 entry
+    mixes two weights."""
+    s = build_sigma(level, order=order)
+    assert [weights(w.num.body) for w in s.xyz] == [{4}, {2}, {0}]
+    assert [weights(w.num.body) for w in s.wp3s] == [{6}, {4}, {2}, {0}]
+    assert [weights(r.num.body) for r in pde_residuals(s)] \
+        == [{8}, {6}, {4}, {2}, {0}]
+    assert weights(kummer_det(s).body) == {8}
+    assert weights(kummer_det(s, variant="wp22").body) == {8, 12}
+
+
 def test_sigma_parity():
     """sigma is odd under (u, v) -> (-u, -v)."""
     for level in (3, 5, 7):
@@ -249,9 +279,9 @@ def test_ricci_fingerprints_per_level(level):
     rep = ricci_hat(build_sigma(level))
     for name in ("R11", "R12", "R22"):
         deg, target = reference.RICCI_LOWEST[name]
-        rec = rep[name]
-        assert rec["lambda_free_lowest_degree"] == deg
-        assert reference.matches(rec["lambda_free_lowest"], target)
+        free = rep[name].lambda_free_part()
+        assert free.valuation() == deg
+        assert reference.matches(free.homogeneous_part(deg), target)
     assert rep["ricci_symmetry_ok"]
 
 
@@ -259,8 +289,9 @@ def test_ricci_fingerprints_at_zero_moduli():
     rep = ricci_hat(build_sigma(3, lambdas=(0, 0, 0, 0, 0)))
     for name in ("R11", "R12", "R22"):
         deg, target = reference.RICCI_LOWEST[name]
-        assert rep[name]["lowest_degree"] == deg
-        assert reference.matches(rep[name]["lambda_free_lowest"], target)
+        lowest_deg, lowest = rep[name].lowest_terms()
+        assert lowest_deg == deg
+        assert reference.matches(lowest, target)
 
 
 def test_sigma_rational_power_normalization():
@@ -272,3 +303,21 @@ def test_sigma_rational_power_normalization():
     # raise then lower again must round-trip
     raised = prod._raise_to(6, 0).to_powers(4, 0)
     assert (raised - prod).is_zero_through()
+
+
+@pytest.mark.parametrize("level", [5, 7])
+def test_lambda_free_part_is_the_zero_chart(level):
+    """Setting lambda = 0 is a ring map: the lambda-free part of every
+    symbolic stage is the same stage of the lambda = 0 chart, with the
+    same known order."""
+    def stages(s):
+        m = s.metric
+        rep = ricci_hat(s)
+        return [m.ghat11, m.ghat12, m.ghat22, s.dhat,
+                rep["R11"], rep["R12"], rep["R22"]]
+    sym = build_sigma(level, order=12)
+    zero = build_sigma(level, lambdas=(0, 0, 0, 0, 0), order=12)
+    for a, b in zip(stages(sym), stages(zero)):
+        assert a.known_order == b.known_order
+        assert not b.body.is_zero()
+        assert a.lambda_free_part().map_context(zero.ctx) == b.body
