@@ -53,7 +53,7 @@ class RunConfig:
         if self.max_order > MAX_ORDER_LIMIT:
             raise ConfigError("max order is capped at %d" % MAX_ORDER_LIMIT)
         levels = self.levels()
-        if levels and self.max_order < max(levels) + 2:
+        if self.reads_zero_chart() and self.max_order < max(levels) + 2:
             raise ConfigError("max order must be at least %d, the highest "
                               "sigma level run + 2" % (max(levels) + 2))
         if self.points < 1:
@@ -76,6 +76,14 @@ class RunConfig:
         if self.command == "all":
             return (3, 5, 7)
         return (self.sigma_level,) if self.command in _SIGMA_COMMANDS else ()
+
+    def reads_zero_chart(self):
+        """Whether the run reads the lambda = 0 chart, the only frame built
+        at --max-order: every sigma command at lambda = 0, and the
+        symbolic metric-report, ricci-leading and all."""
+        if self.lambdas is None:
+            return self.command in ("metric-report", "ricci-leading", "all")
+        return bool(self.levels()) and not self.nonzero_lambda()
 
     def point_lambdas(self):
         """Numeric lambda tuple for the inversion-chart commands, which
@@ -459,11 +467,12 @@ def build_parser():
     ap.add_argument("--max-order", type=int, default=DEFAULT_ORDER,
                     help="order of the exact lambda = 0 chart, which every "
                          "lambda-free regression reads, at most %d "
-                         "(default %d); the sigma-chart commands need at "
-                         "least sigma-level+2, and all needs 9.  Frames "
-                         "that depend on lambda (symbolic or nonzero) stop "
-                         "at sigma-level+1, the last degree the truncated "
-                         "sigma shares with the true one"
+                         "(default %d); a run that reads it needs at least "
+                         "sigma-level+2, and all needs 9.  Frames that "
+                         "depend on lambda (symbolic or nonzero) stop at "
+                         "sigma-level+1, the last degree the truncated "
+                         "sigma shares with the true one, and do not read "
+                         "this order"
                          % (MAX_ORDER_LIMIT, DEFAULT_ORDER))
     ap.add_argument("--seed", type=int, default=20260803,
                     help="seed for the random point streams")

@@ -4,12 +4,17 @@ truncated power series with validity-order tracking.
 Monomials are packed into a single integer, 8 bits per variable, so that
 monomial multiplication is integer addition.  The first ``grading`` context
 variables (the coordinates) carry the grading weight used for truncation;
-any remaining variables (the curve moduli) are weightless.
+any remaining variables (the curve moduli) are weightless.  Above the
+variable fields every key carries its grading degree (``key >> ctx.top``),
+which adds under multiplication as the exponents do, so truncation and
+valuation compare keys instead of summing fields.
 
-Coefficients are stored as canonical lowest-terms ``Fraction``s.  Products
-bring each factor over one common denominator and multiply integer
-numerators, so the inner loop does no per-term gcd; a product whose
-exponents could overflow the 8-bit fields raises ``ContextError``.
+A ``Poly`` holds integer numerators over one common denominator, in lowest
+terms: ``den > 0``, gcd(den, *numerators) == 1 and no zero numerator.
+Products multiply Python integers and build no rational per term;
+rationals enter only through the ``Poly(ctx, {key: rational})``
+constructor and leave through ``Poly.items()``.  A product whose exponents
+could overflow the 8-bit fields raises ``ContextError``.
 """
 
 import functools
@@ -58,13 +63,15 @@ class Context:
     """Fixed variable set for a polynomial ring.
 
     ``grading`` is the number of leading variables whose total degree is
-    tracked for series truncation (the coordinates, e.g. (u, v)).
+    tracked for series truncation (the coordinates, e.g. (u, v)); a key
+    keeps that degree in the bits from ``top`` up.
     """
 
     def __init__(self, names, grading=2):
         self.names = tuple(names)
         self.n = len(self.names)
         self.grading = grading
+        self.top = _SHIFT * self.n
         self.index = {name: i for i, name in enumerate(self.names)}
         if len(self.index) != self.n:
             raise ContextError("duplicate variable names")
@@ -72,7 +79,8 @@ class Context:
             raise ContextError("grading must select a nonempty prefix")
 
     def pack(self, exps):
-        key = 0
+        exps = tuple(exps)
+        key = sum(exps[:self.grading]) << self.top
         for i, e in enumerate(exps):
             if not 0 <= e <= _EXP_LIMIT:
                 raise ContextError("exponent out of packing range")
@@ -83,10 +91,7 @@ class Context:
         return tuple((key >> (_SHIFT * i)) & _MASK for i in range(self.n))
 
     def grading_degree(self, key):
-        d = 0
-        for i in range(self.grading):
-            d += (key >> (_SHIFT * i)) & _MASK
-        return d
+        return key >> self.top
 
     def total_degree(self, key):
         d = 0
@@ -102,18 +107,47 @@ class Context:
         return "Context(%s)" % ", ".join(self.names)
 
 
-class Poly:
-    """Sparse multivariate polynomial with exact rational coefficients.
+def _lowest(terms, den):
+    """The one normaliser of every ``Poly``: (terms, den) with den > 0 and
+    gcd(den, *terms.values()) == 1.  ``terms`` maps keys to nonzero ints
+    and ``den`` is a nonzero int."""
+    if den == 1:
+        return terms, 1
+    g = math.gcd(den, *terms.values())
+    if den < 0:
+        g = -g
+    if g == 1:
+        return terms, den
+    return {k: n // g for k, n in terms.items()}, den // g
 
-    No zero coefficients are stored; equality and text output are canonical
-    (graded-lex with the context variable order, earlier variables larger).
+
+class Poly:
+    """Sparse multivariate polynomial with exact rational coefficients:
+    ``terms`` maps packed keys to integer numerators over the common
+    denominator ``den``, in lowest terms (see the module docstring).
+
+    Equality and text output are canonical (graded-lex with the context
+    variable order, earlier variables larger).
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "den")
 
     def __init__(self, ctx, terms=None):
+        """``terms`` maps packed keys to rationals (ints or Fractions)."""
+        terms = terms or {}
+        den = math.lcm(*[c.denominator for c in terms.values()])
         self.ctx = ctx
-        self.terms = terms if terms is not None else {}
+        self.terms, self.den = _lowest(
+            {k: c.numerator * (den // c.denominator)
+             for k, c in terms.items() if c}, den)
+
+    @classmethod
+    def _of(cls, ctx, terms, den=1):
+        """The polynomial terms/den, from nonzero integer numerators."""
+        p = object.__new__(cls)
+        p.ctx = ctx
+        p.terms, p.den = _lowest(terms, den)
+        return p
 
     # -- construction -------------------------------------------------
 
@@ -123,9 +157,6 @@ class Poly:
 
     @classmethod
     def const(cls, ctx, value):
-        value = rat(value)
-        if value == 0:
-            return cls(ctx)
         return cls(ctx, {0: value})
 
     @classmethod
@@ -133,7 +164,7 @@ class Poly:
         i = ctx.index.get(name)
         if i is None:
             raise ContextError("unknown variable %r" % name)
-        return cls(ctx, {1 << (_SHIFT * i): rat(coeff)})
+        return cls(ctx, {ctx.pack(int(j == i) for j in range(ctx.n)): coeff})
 
     @classmethod
     def from_terms(cls, ctx, items):
@@ -141,13 +172,13 @@ class Poly:
         terms = {}
         for exps, c in items:
             key = ctx.pack(exps)
-            c = rat(c) if not hasattr(c, "denominator") else c
-            c = terms.get(key, 0) + c
-            if c == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = c
+            terms[key] = terms.get(key, 0) + c
         return cls(ctx, terms)
+
+    def items(self):
+        """(key, coefficient) pairs, each coefficient a ``Fraction``."""
+        den = self.den
+        return ((k, Fraction(n, den)) for k, n in self.terms.items())
 
     def _check(self, other):
         if self.ctx != other.ctx:
@@ -156,62 +187,65 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, {k: -c for k, c in self.terms.items()})
+        return Poly._of(self.ctx, {k: -n for k, n in self.terms.items()},
+                        self.den)
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
-    def _combine(self, other, op):
-        """Sum or difference (``op`` is operator.add or operator.sub), term
-        by term; terms that cancel are dropped."""
+    def _combine(self, other, sign):
+        """self + sign * other over the common denominator, term by term;
+        terms that cancel are dropped."""
         if not isinstance(other, Poly):
             other = Poly.const(self.ctx, other)
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c if op is operator.add else -c
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, sign * (d1 // g)
+        out = dict(self.terms) if f1 == 1 else \
+            {k: n * f1 for k, n in self.terms.items()}
+        get = out.get
+        for k, n in other.terms.items():
+            s = get(k, 0) + n * f2
+            if s:
+                out[k] = s
             else:
-                s = op(s, c)
-                if s == 0:
-                    del out[k]
-                else:
-                    out[k] = s
-        return Poly(self.ctx, out)
+                del out[k]
+        return Poly._of(self.ctx, out, d1 * f1)
 
     def mul(self, other, cap=None):
         """Product, optionally dropping terms of grading degree > cap.
 
-        Each factor is brought over one common denominator, so the product
-        loop multiplies and adds Python integers; every stored coefficient
-        of the result is still a canonical lowest-terms ``Fraction``.
-        """
+        The numerators are multiplied and added as Python integers over
+        the product of the two denominators.  The degree field makes a
+        key below ``(cap + 1) << top`` exactly when its degree is within
+        the cap, so each row of the product stops at the first key of
+        ``other`` (in ascending order) that would pass it."""
         self._check(other)
         ctx = self.ctx
         _check_exponent_sums(ctx, self.terms, other.terms)
-        den1, ints1 = _integer_terms(self.terms)
-        den2, ints2 = _integer_terms(other.terms)
+        t2 = sorted(other.terms.items())
+        if cap is None:
+            # one past the largest key of the product
+            limit = max(self.terms, default=0) + (t2[-1][0] if t2 else 0) + 1
+        else:
+            limit = (cap + 1) << ctx.top
         out = {}
         get = out.get
-        # bucket by grading degree so the cap prunes whole blocks
-        b1 = _buckets(ctx, ints1)
-        b2 = _buckets(ctx, ints2)
-        for d1, t1 in b1.items():
-            for d2, t2 in b2.items():
-                if cap is not None and d1 + d2 > cap:
-                    continue
-                for k1, c1 in t1:
-                    for k2, c2 in t2:
-                        k = k1 + k2
-                        out[k] = get(k, 0) + c1 * c2
-        den = den1 * den2
-        return Poly(ctx, {k: Fraction(n, den) for k, n in out.items() if n})
+        for k1, c1 in self.terms.items():
+            room = limit - k1
+            for k2, c2 in t2:
+                if k2 >= room:
+                    break
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return Poly._of(ctx, {k: n for k, n in out.items() if n},
+                        self.den * other.den)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -222,10 +256,12 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
-        c = rat(c) if isinstance(c, int) else c
-        if c == 0:
+        """Multiply by an int or a ``Fraction``."""
+        n = c.numerator
+        if not n:
             return Poly(self.ctx)
-        return Poly(self.ctx, {k: c * v for k, v in self.terms.items()})
+        return Poly._of(self.ctx, {k: v * n for k, v in self.terms.items()},
+                        self.den * c.denominator)
 
     def __pow__(self, n):
         if not (isinstance(n, int) and n >= 0):
@@ -241,7 +277,8 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.ctx == other.ctx and self.terms == other.terms
+            return self.ctx == other.ctx and self.den == other.den \
+                and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(self.ctx, other)
         return NotImplemented
@@ -250,16 +287,19 @@ class Poly:
 
     def diff(self, var):
         """Formal partial derivative with respect to a context variable."""
-        i = self.ctx.index.get(var) if isinstance(var, str) else var
-        if i is None or not 0 <= i < self.ctx.n:
+        ctx = self.ctx
+        i = ctx.index.get(var) if isinstance(var, str) else var
+        if i is None or not 0 <= i < ctx.n:
             raise ContextError("unknown variable %r" % (var,))
         shift = _SHIFT * i
+        # one off the exponent, and one off the degree of a grading variable
+        step = (1 << shift) + ((1 << ctx.top) if i < ctx.grading else 0)
         out = {}
-        for k, c in self.terms.items():
+        for k, n in self.terms.items():
             e = (k >> shift) & _MASK
             if e:
-                out[k - (1 << shift)] = c * e
-        return Poly(self.ctx, out)
+                out[k - step] = n * e
+        return Poly._of(ctx, out, self.den)
 
     def eval(self, assignment):
         """Exact evaluation; assignment must cover every variable present."""
@@ -272,7 +312,7 @@ class Poly:
             else:
                 values.append(None)
         total = rat(0)
-        for k, c in self.terms.items():
+        for k, c in self.items():
             term = c
             for i in range(ctx.n):
                 e = (k >> (_SHIFT * i)) & _MASK
@@ -288,39 +328,45 @@ class Poly:
         return not self.terms
 
     def grading_degree_max(self):
-        gdeg = self.ctx.grading_degree
-        return max((gdeg(k) for k in self.terms), default=-1)
+        return max(self.terms) >> self.ctx.top if self.terms else -1
 
     def valuation(self):
         """Lowest grading degree present, or None for the zero polynomial."""
-        gdeg = self.ctx.grading_degree
-        return min((gdeg(k) for k in self.terms), default=None)
+        return min(self.terms) >> self.ctx.top if self.terms else None
+
+    def _kept(self, out):
+        """The sub-polynomial of the terms ``out`` kept from self; dropping
+        terms can change the content, so it is renormalised."""
+        if len(out) == len(self.terms):
+            return self
+        return Poly._of(self.ctx, out, self.den)
 
     def homogeneous_part(self, degree):
-        gdeg = self.ctx.grading_degree
-        return Poly(self.ctx,
-                    {k: c for k, c in self.terms.items() if gdeg(k) == degree})
+        top = self.ctx.top
+        return self._kept({k: n for k, n in self.terms.items()
+                           if k >> top == degree})
 
     def truncated(self, cap):
-        gdeg = self.ctx.grading_degree
-        return Poly(self.ctx,
-                    {k: c for k, c in self.terms.items() if gdeg(k) <= cap})
+        limit = (cap + 1) << self.ctx.top
+        return self._kept({k: n for k, n in self.terms.items() if k < limit})
 
     def restrict_to_grading_vars(self):
         """Sub-polynomial of terms free of every non-grading variable."""
         ctx = self.ctx
+        fields = (1 << ctx.top) - 1
         limit = 1 << (_SHIFT * ctx.grading)
-        return Poly(ctx, {k: c for k, c in self.terms.items() if k < limit})
+        return self._kept({k: n for k, n in self.terms.items()
+                           if k & fields < limit})
 
     def coefficient(self, exps):
-        return self.terms.get(self.ctx.pack(exps), rat(0))
+        return Fraction(self.terms.get(self.ctx.pack(exps), 0), self.den)
 
     def map_context(self, new_ctx, assignment=None):
         """Re-express in another context; variables absent from new_ctx must
         be given numeric values in ``assignment``."""
         assignment = assignment or {}
-        out = Poly(new_ctx)
-        for k, c in self.terms.items():
+        out = {}
+        for k, c in self.items():
             exps = self.ctx.unpack(k)
             new_exps = [0] * new_ctx.n
             coeff = c
@@ -335,9 +381,9 @@ class Poly:
                     coeff = coeff * assignment[name] ** e
                 else:
                     raise ContextError("no target for variable %r" % name)
-            if coeff != 0:
-                out = out + Poly(new_ctx, {new_ctx.pack(new_exps): coeff})
-        return out
+            key = new_ctx.pack(new_exps)
+            out[key] = out.get(key, 0) + coeff
+        return Poly(new_ctx, out)
 
     # -- canonical order and text -------------------------------------
 
@@ -347,15 +393,16 @@ class Poly:
         return (self.ctx.total_degree(key), tuple(-e for e in exps))
 
     def sorted_terms(self):
-        """Terms in canonical graded-lex order (low degree first)."""
-        return sorted(self.terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        """(key, coefficient) pairs in canonical graded-lex order (low
+        degree first)."""
+        return sorted(self.items(), key=lambda kv: self._sort_key(kv[0]))
 
     def min_term(self):
         """Smallest (key, coeff) in graded-lex order; None if zero."""
         if not self.terms:
             return None
         key = min(self.terms, key=self._sort_key)
-        return key, self.terms[key]
+        return key, Fraction(self.terms[key], self.den)
 
     def __str__(self):
         if not self.terms:
@@ -374,22 +421,6 @@ class Poly:
     __repr__ = __str__
 
 
-def _integer_terms(terms):
-    """(D, {key: int}) with D the lcm of the coefficient denominators and
-    every coefficient equal to its int over D."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return den, {k: c.numerator * (den // c.denominator)
-                 for k, c in terms.items()}
-
-
-def _buckets(ctx, terms):
-    gdeg = ctx.grading_degree
-    bs = {}
-    for k, c in terms.items():
-        bs.setdefault(gdeg(k), []).append((k, c))
-    return bs
-
-
 def _field_maxima(ctx, keys):
     return [max(((k >> (_SHIFT * i)) & _MASK for k in keys), default=0)
             for i in range(ctx.n)]
@@ -400,13 +431,14 @@ def _check_exponent_sums(ctx, terms1, terms2):
     two term dicts could exceed the packed field, which would otherwise
     carry silently into the next variable.
 
-    The bitwise OR of a factor's keys bounds every field from above, so
-    the exact per-variable maxima are only computed when the bounds could
-    sum past the limit."""
-    or1 = functools.reduce(operator.or_, terms1, 0)
-    or2 = functools.reduce(operator.or_, terms2, 0)
-    if all(((or1 >> (_SHIFT * i)) & _MASK) + ((or2 >> (_SHIFT * i)) & _MASK)
-           <= _EXP_LIMIT for i in range(ctx.n)):
+    The bitwise OR of a factor's keys bounds every field from above.  Added
+    as plain integers, two such bounds carry into the low bit of the next
+    field exactly when some field sum passes the limit, so the exact
+    per-variable maxima are only computed after such a carry."""
+    fields = (1 << ctx.top) - 1
+    or1 = functools.reduce(operator.or_, terms1, 0) & fields
+    or2 = functools.reduce(operator.or_, terms2, 0) & fields
+    if not ((or1 + or2) ^ or1 ^ or2) & (fields // _MASK) << _SHIFT:
         return
     for i, (e1, e2) in enumerate(zip(_field_maxima(ctx, terms1),
                                      _field_maxima(ctx, terms2))):
@@ -539,11 +571,11 @@ def exact_divide(s, d):
     pivot_key, pivot_coeff = pivot
     w = d.body.valuation()
     limit = min(s.known_order, d.known_order)
-    rem = {k: c for k, c in s.body.terms.items()
+    rem = {k: c for k, c in s.body.items()
            if ctx.grading_degree(k) <= limit}
     quot = {}
     sort_key = Poly(ctx)._sort_key
-    d_terms = list(d.body.terms.items())
+    d_terms = list(d.body.items())
     pivot_exps = ctx.unpack(pivot_key)
     while rem:
         t_key = min(rem, key=sort_key)

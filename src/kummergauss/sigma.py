@@ -96,8 +96,10 @@ class SigmaSeries:
             else _sigma_poly(self.ctx, self.lam, level)
         self.sigma_poly = poly
         self.sigma = TruncatedSeries(poly, order)
-        # exact derivative polynomials of the (polynomial) sigma
+        # sigma's derivatives by sorted curve indices: the exact
+        # polynomials, and the series at the frame's order
         self._d = {(): poly}
+        self._sd = {(): self.sigma}
         self._sigma_pows = {0: TruncatedSeries(Poly.const(self.ctx, 1), order),
                             1: self.sigma}
 
@@ -138,8 +140,11 @@ class SigmaSeries:
         return self.metric_inverse[0]
 
     @cached_property
-    def _dhat_d(self):
-        return [self.dhat.diff("u"), self.dhat.diff("v")]
+    def _quotient_pairs(self):
+        """Per coordinate: (sigma_i Dhat, sigma Dhat_i), the two products
+        the quotient rule needs under a Dhat denominator."""
+        return [(self.sd(k) * self.dhat, self.sigma * self.dhat.diff(var))
+                for k, var in ((1, "u"), (2, "v"))]
 
     @cached_property
     def _sigD(self):
@@ -162,7 +167,12 @@ class SigmaSeries:
         return self._d[key]
 
     def sd(self, *indices):
-        return TruncatedSeries(self.sigma_deriv(indices), self.order)
+        """``sigma_deriv`` as a series at the frame's order, built once per
+        sorted index tuple."""
+        key = tuple(sorted(indices))
+        if key not in self._sd:
+            self._sd[key] = TruncatedSeries(self.sigma_deriv(key), self.order)
+        return self._sd[key]
 
     # -- denominator bookkeeping --------------------------------------
 
@@ -257,10 +267,8 @@ class SigmaRational:
                 num = num - self.num * frame.sd(1 if i == 0 else 2).scale(a)
             return SigmaRational(frame, num, a + 1, 0)
         num = nd * frame._sigD
-        sprime = frame.sd(1 if i == 0 else 2)
-        combo = (sprime * frame.dhat).scale(a) + \
-            (frame.sigma * frame._dhat_d[i]).scale(b)
-        num = num - self.num * combo
+        sprime_dhat, sigma_dprime = frame._quotient_pairs[i]
+        num = num - self.num * (sprime_dhat.scale(a) + sigma_dprime.scale(b))
         return SigmaRational(frame, num, a + 1, b + 1)
 
     def to_powers(self, a, b):

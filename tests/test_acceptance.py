@@ -178,7 +178,7 @@ def test_criterion_8_property_suites():
     # sigma parity under (u, v) -> (-u, -v)
     sp = build_sigma(7).sigma_poly
     flipped = Poly(sp.ctx, {k: (c if sp.ctx.grading_degree(k) % 2 else -c)
-                            for k, c in sp.terms.items()})
+                            for k, c in sp.items()})
     ok = ok and flipped == sp
 
     # chart swap symmetry of the induced metric diagonal

@@ -27,8 +27,13 @@ def quick_cfg(command, **kw):
 # -- config validation ------------------------------------------------
 
 def test_order_floor_enforced():
+    """The zero chart is built at --max-order, so a run that reads it needs
+    at least its sigma level + 2."""
     with pytest.raises(ConfigError):
-        quick_cfg("quartic-verify", sigma_level=7, max_order=8).validate()
+        quick_cfg("quartic-verify", sigma_level=7, max_order=8,
+                  lambdas=(0, 0, 0, 0, 0)).validate()
+    with pytest.raises(ConfigError):
+        quick_cfg("ricci-leading", sigma_level=7, max_order=8).validate()
 
 
 def test_all_order_floor_is_its_top_level():
@@ -39,21 +44,43 @@ def test_all_order_floor_is_its_top_level():
 
 
 def test_order_floor_only_for_sigma_commands():
-    """Commands that build no sigma frame run no sigma level, so the
-    level + 2 floor does not apply to them."""
+    """Only the zero chart reads --max-order, so the level + 2 floor
+    applies to the runs that read it: every sigma command at lambda = 0,
+    and the symbolic metric-report, ricci-leading and all.  Commands that
+    build no sigma frame run no sigma level, and lambda-dependent frames
+    stop at level + 1 whatever the order."""
     sigma = ("quartic-verify", "pde-verify", "kernel-verify",
              "metric-report", "ricci-leading", "all")
+    symbolic_zero_chart = ("metric-report", "ricci-leading", "all")
     for command in cli.COMMANDS:
-        cfg = quick_cfg(command, max_order=1)
-        if command in sigma:
-            assert cfg.levels()
-            with pytest.raises(ConfigError):
+        assert bool(quick_cfg(command).levels()) == (command in sigma)
+        for lam in (None, (0, 0, 0, 0, 0), LAM):
+            cfg = quick_cfg(command, max_order=1, lambdas=lam)
+            floored = command in sigma and (
+                lam == (0, 0, 0, 0, 0)
+                or (lam is None and command in symbolic_zero_chart))
+            if floored:
+                with pytest.raises(ConfigError):
+                    cfg.validate()
+            else:
                 cfg.validate()
-        else:
-            assert cfg.levels() == ()
-            cfg.validate()
     assert cli.main(["chern", "--max-order", "5", "--output",
                      os.devnull]) == 0
+
+
+def test_lambda_frames_ignore_max_order(tmp_path):
+    """A run on lambda-dependent frames only echoes --max-order: below the
+    old floor it exits 0 with the report it gives at the floor."""
+    reports = []
+    for order in ("8", "9"):
+        out = tmp_path / ("pde-%s.json" % order)
+        assert cli.main(["pde-verify", "--lambda", "1/2,-3,2/7,5,-1",
+                         "--max-order", order, "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"].pop("max_order") == int(order)
+        rep.pop("wall_time_s")
+        reports.append(rep)
+    assert reports[0] == reports[1]
 
 
 def test_order_cap_enforced():

@@ -93,6 +93,14 @@ def test_mixed_contexts_rejected():
         Poly.var(CTX, "u") + Poly.var(CTX3, "u")
 
 
+def assert_lowest_terms(poly):
+    """The representation invariant: integer numerators, none zero, over
+    a positive denominator that shares no factor with all of them."""
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(n) is int and n != 0 for n in poly.terms.values())
+    assert math.gcd(poly.den, *poly.terms.values()) == 1
+
+
 # -- the integer product kernel against the Fraction schoolbook loop ---
 
 def _mul_reference(p, q, cap=None):
@@ -100,8 +108,8 @@ def _mul_reference(p, q, cap=None):
     of grading degree > cap; the reference for Poly.mul."""
     out = {}
     if cap is None:
-        for k1, c1 in p.terms.items():
-            for k2, c2 in q.terms.items():
+        for k1, c1 in p.items():
+            for k2, c2 in q.items():
                 k = k1 + k2
                 s = out.get(k)
                 out[k] = c1 * c2 if s is None else s + c1 * c2
@@ -110,7 +118,7 @@ def _mul_reference(p, q, cap=None):
 
         def buckets(poly):
             bs = {}
-            for k, c in poly.terms.items():
+            for k, c in poly.items():
                 bs.setdefault(gdeg(k), []).append((k, c))
             return bs
 
@@ -169,11 +177,10 @@ def test_mul_matches_fraction_reference(ctx):
     for p, q in _kernel_pairs(rng, ctx, 200):
         for cap in (None, rng.randint(-1, 12)):
             want = _mul_reference(p, q, cap)
-            got = p.mul(q, cap=cap).terms
-            assert got == want
-            for c in got.values():
-                assert type(c) is Fraction and c != 0
-                assert math.gcd(c.numerator, c.denominator) == 1
+            pq = p.mul(q, cap=cap)
+            assert dict(pq.items()) == want
+            assert_lowest_terms(pq)
+            got = pq.terms
             if cap is None and len(got) < len(p.terms) * len(q.terms):
                 merged += 1
     assert merged > 20
@@ -196,6 +203,86 @@ def test_mul_reaches_exponent_limit():
     assert u ** 200 * u ** 55 == Poly.from_terms(CTX, [((255, 0), 1)])
     # the keys' bitwise OR (255) overstates the largest exponent (128)
     assert (u ** 128 + u ** 127) * u == u ** 129 + u ** 128
+
+
+# -- the representation: lowest terms and the packed degree -----------
+
+def _moduli_values(ctx, rng):
+    return {name: rat(rng.randint(-9, 9), rng.randint(1, 9))
+            for name in ctx.names[ctx.grading:]}
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX7], ids=["uv", "uv+moduli"])
+def test_every_result_is_in_lowest_terms(ctx):
+    rng = random.Random(20261019)
+    last = ctx.names[-1]
+    for _ in range(150):
+        p = _wide_poly(rng, ctx, 4, 8)
+        q = _wide_poly(rng, ctx, 4, 8)
+        cap = rng.randint(-1, 10)
+        c = rat(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 5040))
+        results = [p + q, p - q, -p, p.mul(q), p.mul(q, cap=cap),
+                   p.scale(c), p.scale(rng.randint(-6, 6)), p.diff("u"),
+                   p.diff(last), p.truncated(cap),
+                   p.homogeneous_part(rng.randint(0, 8)),
+                   p.restrict_to_grading_vars(),
+                   p.map_context(CTX, _moduli_values(ctx, rng)),
+                   p.map_context(CTX7)]
+        for r in results:
+            assert_lowest_terms(r)
+    # the content of a result can shrink: u/2 + u/2, 2 * (u/2), d(u^2/2)
+    half = Poly.var(ctx, "u", rat(1, 2))
+    for r in (half + half, half.scale(2),
+              (half * Poly.var(ctx, "u")).diff("u")):
+        assert_lowest_terms(r)
+        assert r.den == 1
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX7], ids=["uv", "uv+moduli"])
+def test_packed_degree_is_the_grading_degree(ctx):
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(150):
+        p = _wide_poly(rng, ctx, 4, 8)
+        q = _wide_poly(rng, ctx, 4, 8)
+        pq = p * q
+        for r in (pq, pq.diff("v"), pq.diff(ctx.names[-1]),
+                  p.mul(q, cap=5)):
+            for k in r.terms:
+                assert ctx.grading_degree(k) \
+                    == sum(ctx.unpack(k)[:ctx.grading])
+                assert ctx.pack(ctx.unpack(k)) == k
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX7], ids=["uv", "uv+moduli"])
+def test_routes_to_one_polynomial_compare_equal(ctx):
+    rng = random.Random(20261021)
+    unequal = 0
+    for _ in range(150):
+        p = _wide_poly(rng, ctx, 4, 8)
+        q = _wide_poly(rng, ctx, 4, 8)
+        cap = rng.randint(-1, 10)
+        assert p.mul(q, cap=cap) == (p * q).truncated(cap)
+        assert (p + q) - q == p
+        assert p - p == Poly.zero(ctx)
+        assert p.scale(rat(2, 3)).scale(rat(3, 2)) == p
+        assert Poly(ctx, dict(p.items())) == p
+        unequal += p.den != q.den
+    assert unequal > 100
+
+
+def test_exponent_guard_covers_the_field_below_the_degree():
+    """The last variable's field sits just under the degree field, where
+    a carry would silently change the grading degree."""
+    last = Poly.var(CTX7, "l4")
+    with pytest.raises(ContextError):
+        (last ** 200).mul(last ** 100, cap=30)
+    v = Poly.var(CTX7, "v")
+    with pytest.raises(ContextError):
+        (v ** 200).mul(v ** 56)
+    assert (v ** 200 * v ** 55).valuation() == 255
 
 
 # -- seeded small random polynomials ----------------------------------

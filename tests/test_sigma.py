@@ -114,7 +114,7 @@ def test_sigma_parity():
         p = build_sigma(level).sigma_poly
         flipped = Poly(p.ctx, {k: (c if p.ctx.grading_degree(k) % 2
                                    else -c)
-                               for k, c in p.terms.items()})
+                               for k, c in p.items()})
         assert flipped == p
 
 
