@@ -11,12 +11,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import __version__, reference
-from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
-                        random_admissible_points, ricci_point, xyz_jets)
+from .inversion import (JET_ORDER, ChartBPoint, dz_closed_form,
+                        quartic_check, random_admissible_points, ricci_point)
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
                     pde_residuals)
@@ -128,9 +128,14 @@ class _Stages:
 
     @cached_property
     def points(self):
+        """The admissible points, lifted at order 3 when the run reads
+        their Ricci values (ricci-point, all) and at order 1 otherwise:
+        dZ and the quartic read no further."""
         cfg = self.cfg
+        order = JET_ORDER if cfg.command in ("ricci-point", "all") else 1
         return random_admissible_points(cfg.seed, cfg.points,
-                                        lambdas=cfg.point_lambdas())
+                                        lambdas=cfg.point_lambdas(),
+                                        order=order)
 
     @cached_property
     def dz_failures(self):
@@ -276,35 +281,42 @@ def _point_echo(p):
 
 
 def run_inversion(st):
-    # fixed witnesses, including the two Z sheet values
-    w, w2 = _WITNESSES[:2]
-    X, Y, Z, _ = xyz_jets(w)
+    # fixed witnesses, including the two Z sheet values; only base values
+    # are read, so each run lifts its own copies at order 0
+    witnesses = [replace(w, order=0) for w in _WITNESSES]
+    w, w2 = witnesses[:2]
+    X, Y, Z, _ = w.lift
     z = format_rational(Z.base.rational_value())
-    z2 = format_rational(xyz_jets(w2)[2].base.rational_value())
+    z2 = format_rational(w2.lift[2].base.rational_value())
     out = [_check("inversion-witness-z", z == "16/9", point=_point_echo(w),
                   X=format_rational(X.base.a), Y=format_rational(Y.base.a),
                   Z=z),
            _check("inversion-witness-z-sheet", z2 == "16/1",
                   point=_point_echo(w2), Z=z2)]
-    for i, w in enumerate(_WITNESSES):
+    for i, w in enumerate(witnesses):
         val = quartic_check(w)
         out.append(_check("inversion-witness-%d-quartic" % (i + 1),
                           val.is_zero(), point=_point_echo(w),
                           value=str(val)))
     points = st.points
-    bad = [_point_echo(q) for p in points
-           for q in (p, p.swapped(), p.both_flipped(),
-                     p.swapped().both_flipped())
-           if not quartic_check(q).is_zero()]
+    # each point reads its own lift; its other three sign choices, at
+    # order 0
+    bad = []
+    for p in points:
+        b = replace(p, order=0)
+        for q in (p, b.swapped(), b.both_flipped(),
+                  b.swapped().both_flipped()):
+            if not quartic_check(q).is_zero():
+                bad.append(_point_echo(q))
     dz_bad = st.dz_failures
     out.append(_check("inversion-random-quartic", not bad,
                       points=len(points), sign_choices=4, failures=bad))
     out.append(_check("inversion-random-dz", not dz_bad,
                       points=len(points), failures=dz_bad))
     # the discrepancy resolution: the alternative diagonal entry must fail
-    alt = quartic_check(_WITNESSES[0], variant="wp22")
+    alt = quartic_check(witnesses[0], variant="wp22")
     out.append(_check("inversion-variant-wp22-fails", not alt.is_zero(),
-                      point=_point_echo(_WITNESSES[0]), value=str(alt)))
+                      point=_point_echo(witnesses[0]), value=str(alt)))
     return out
 
 

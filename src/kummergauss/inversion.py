@@ -1,13 +1,17 @@
 """Jacobi-inversion chart: X, Y, Z as symmetric functions of (x1, x2) with
-y_i^2 = f5(x_i), evaluated exactly at rational points through order-3 jets
-over the quadratic extension algebra.  A backend is the triple (jet ring,
-y1, y2): the exact one is the point's ``QuadExtContext`` with its signed
-square roots.  A point keeps the exact order-3 lift and metric it computes
-first (``lift``, ``metric``), so the admissible-point filter and every
-later check share them."""
+y_i^2 = f5(x_i), evaluated exactly at rational points through jets over
+the quadratic extension algebra.  A backend is the triple (jet ring, y1,
+y2): the exact one is the point's ``QuadExtContext`` with its signed
+square roots.
+
+A point carries the jet order its checks read: 3 for the Ricci values
+(the metric through order 2, differentiated twice), 1 for dZ and the
+quartic, 0 for a point whose base values alone are read.  It keeps the
+exact lift and metric it computes first (``lift``, ``metric``), so the
+admissible-point filter and every later check share them."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .jets import Jet, NumericRing
@@ -46,6 +50,8 @@ class ChartBPoint:
     lambdas: tuple = (0, 0, 0, 0, 0)
     sign1: int = 1
     sign2: int = 1
+    # jet order of the cached lift; not part of the point's identity
+    order: int = field(default=JET_ORDER, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x1", rat(self.x1)
@@ -58,11 +64,11 @@ class ChartBPoint:
         if self.sign1 not in (1, -1) or self.sign2 not in (1, -1):
             raise ValueError("signs must be +1 or -1")
 
-    @property
+    @cached_property
     def c1(self):
         return f5_scalar(self.x1, self.lambdas)
 
-    @property
+    @cached_property
     def c2(self):
         return f5_scalar(self.x2, self.lambdas)
 
@@ -75,16 +81,15 @@ class ChartBPoint:
             raise AdmissibilityError("f5(x2) == 0 (y2 not invertible)")
 
     def swapped(self):
-        return ChartBPoint(self.x2, self.x1, self.lambdas, self.sign2,
-                           self.sign1)
+        return replace(self, x1=self.x2, x2=self.x1, sign1=self.sign2,
+                       sign2=self.sign1)
 
     def both_flipped(self):
-        return ChartBPoint(self.x1, self.x2, self.lambdas, -self.sign1,
-                           -self.sign2)
+        return replace(self, sign1=-self.sign1, sign2=-self.sign2)
 
     @cached_property
     def lift(self):
-        return xyz_jets(self)
+        return xyz_jets(self, order=self.order)
 
     @cached_property
     def metric(self):
@@ -188,8 +193,9 @@ def dz_closed_form(p):
 def quartic_check(p, variant="wp11"):
     """Value of det K at the point's (X, Y, Z); exactly zero on the surface
     with the adopted kernel-matrix entry.  Only the base values enter, so
-    the point is lifted at jet order 0."""
-    X, Y, Z, _ = xyz_jets(p, order=0)
+    this reads the base of the point's own lift, whatever its order; a
+    point built for this check alone is made at order 0."""
+    X, Y, Z, _ = p.lift
     ctx = X.ring
     lam = [ctx.rational(v) for v in p.lambdas]
     return det4(kummer_matrix(lam, X.base, Y.base, Z.base,
@@ -198,9 +204,10 @@ def quartic_check(p, variant="wp11"):
 
 def metric_point(p, backend=None):
     """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2 etc.
-    and of its inverse, through order 2 about the base point, from the
-    point's own exact lift unless a backend is given.  Raises
-    NonInvertibleError where det g is not invertible."""
+    and of its inverse about the base point, one order below the lift:
+    from the point's own exact lift unless a backend is given, which is
+    lifted at order 3.  Raises NonInvertibleError where det g is not
+    invertible."""
     X, Y, Z, lifted = p.lift if backend is None \
         else xyz_jets(p, backend=backend)
     jx1, jx2 = lifted["x1"], lifted["x2"]
@@ -216,7 +223,8 @@ def metric_point(p, backend=None):
 
 def ricci_point(p, backend=None):
     """Exact Ricci components at the base point via the generic tensor
-    pipeline over the jet ring."""
+    pipeline over the jet ring.  The metric is differentiated twice, so a
+    point lifted below order 3 raises ValueError from ``Jet.diff``."""
     try:
         g, ginv = p.metric if backend is None \
             else metric_point(p, backend=backend)
@@ -232,16 +240,18 @@ def ricci_point(p, backend=None):
 
 
 def random_admissible_points(seed, count, lambdas=(0, 0, 0, 0, 0),
-                             max_abs=50):
+                             max_abs=50, order=JET_ORDER):
     """Deterministic stream of admissible rational points with numerators
-    and denominators bounded by ``max_abs``."""
+    and denominators bounded by ``max_abs``, each lifted at jet ``order``
+    (at least 1).  Acceptance reads only the base value of det g, and jet
+    truncation is a ring map, so every order accepts the same points."""
     rng = random.Random(seed)
 
     def draw():
         return rat(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
     out = []
     while len(out) < count:
-        p = ChartBPoint(draw(), draw(), tuple(lambdas))
+        p = ChartBPoint(draw(), draw(), tuple(lambdas), order=order)
         # admissible, with an invertible metric on the principal sheet; the
         # point keeps its lift and metric for the checks that follow
         try:

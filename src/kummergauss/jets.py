@@ -5,9 +5,10 @@ in two displacements through total degree n.  The charts use exact
 coefficients: the jet ring of the inversion chart is the
 ``QuadExtContext`` itself, the sphere charts use ``NumericRing(Fraction)``;
 floats and complex numbers remain only in the tests and the
-``complex_backend`` reference.  The ring supplies ``zero``, ``one`` and
-``inv``; it embeds nothing, since rationals are added to and multiplied
-into its elements directly.
+``complex_backend`` reference.  The ring supplies ``zero``, ``one``,
+``inv`` and ``product``, the truncated product of two coefficient dicts,
+so each ring multiplies jets in its own arithmetic; it embeds nothing,
+since rationals are added to and multiplied into its elements directly.
 """
 
 
@@ -20,6 +21,20 @@ class NumericRing:
 
     def inv(self, x):
         return self.one / x
+
+    def product(self, p, q, n):
+        """Coefficients of the product of the jets with coefficients p and
+        q, through total degree n."""
+        out = {}
+        for (i1, j1), c1 in p.items():
+            for (i2, j2), c2 in q.items():
+                i, j = i1 + i2, j1 + j2
+                if i + j > n:
+                    continue
+                k = (i, j)
+                prev = out.get(k)
+                out[k] = c1 * c2 if prev is None else prev + c1 * c2
+        return out
 
 
 class Jet:
@@ -73,16 +88,8 @@ class Jet:
         if not isinstance(other, Jet):
             return self.scale(other)
         n = min(self.order, other.order)
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > n:
-                    continue
-                k = (i, j)
-                prev = out.get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return Jet(self.ring, n, out)
+        return Jet(self.ring, n,
+                   self.ring.product(self.coeffs, other.coeffs, n))
 
     __rmul__ = __mul__
 

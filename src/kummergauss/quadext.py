@@ -8,8 +8,10 @@ fields.  ``.a``, ``.b``, ``.c`` and ``.d`` read the parts as lowest-terms
 ``Fraction``s.
 
 A ``QuadExtContext`` fixes (c1, c2) and is also the coefficient ring of
-the inversion-chart jets: it carries ``zero`` and ``one`` and inverts
-with ``inv``."""
+the inversion-chart jets: it carries ``zero`` and ``one``, inverts with
+``inv`` and multiplies jets with ``product``, which works on the integer
+numerators of both factors and builds one element per output
+coefficient."""
 
 import cmath
 import math
@@ -61,6 +63,57 @@ class QuadExtContext:
     def inv(self, x):
         return x.inv()
 
+    def _numerators(self, coeffs):
+        """A jet's coefficients as (degree, key, four integer numerators)
+        over their lcm denominator, sorted by degree, and that denominator.
+        Raises ValueError on a coefficient of another context."""
+        den = math.lcm(*[x.den for x in coeffs.values()])
+        out = []
+        for (i, j), x in coeffs.items():
+            if x.ctx is not self and x.ctx != self:
+                raise ValueError("mixed quadratic extension contexts")
+            s = den // x.den
+            out.append((i + j, i, j, x.na * s, x.nb * s, x.nc * s, x.nd * s))
+        out.sort()
+        return out, den
+
+    def product(self, p, q, n):
+        """Coefficients of the product of the jets with coefficients p and
+        q, through total degree n.  Each factor is scaled to integer
+        numerators over its lcm denominator, the four numerators of every
+        output coefficient accumulate as ints under ``rule``, and each
+        output key becomes one ``QuadExtScalar`` (one gcd)."""
+        ps, dp = self._numerators(p)
+        qs, dq = self._numerators(q)
+        r, k1, k2, k12 = self.rule
+        acc = {}
+        for e1, i1, j1, a1, b1, c1, d1 in ps:
+            if e1 > n:
+                break
+            ra, rb, rc, rd = r * a1, r * b1, r * c1, r * d1
+            k1b, k1d, k2c, k2d, k12d = (k1 * b1, k1 * d1, k2 * c1, k2 * d1,
+                                        k12 * d1)
+            room = n - e1
+            for e2, i2, j2, a2, b2, c2, d2 in qs:
+                if e2 > room:
+                    break
+                na = ra * a2 + k1b * b2 + k2c * c2 + k12d * d2
+                nb = ra * b2 + rb * a2 + k2c * d2 + k2d * c2
+                nc = ra * c2 + rc * a2 + k1b * d2 + k1d * b2
+                nd = ra * d2 + rb * c2 + rc * b2 + rd * a2
+                k = (i1 + i2, j1 + j2)
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = [na, nb, nc, nd]
+                else:
+                    s[0] += na
+                    s[1] += nb
+                    s[2] += nc
+                    s[3] += nd
+        den = r * dp * dq
+        return {k: QuadExtScalar(self, na, nb, nc, nd, den)
+                for k, (na, nb, nc, nd) in acc.items()}
+
     @property
     def y1(self):
         return self.element(b=1)
@@ -88,21 +141,23 @@ class QuadExtScalar:
     c = property(lambda self: Fraction(self.nc, self.den))
     d = property(lambda self: Fraction(self.nd, self.den))
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExtScalar):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ValueError("mixed quadratic extension contexts")
-            return other
-        return self.ctx.rational(rat(other) if isinstance(other, int)
-                                 else other)
+    def _check_ctx(self, other):
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ValueError("mixed quadratic extension contexts")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        e1, e2 = self.den, o.den
-        return QuadExtScalar(self.ctx, self.na * e2 + o.na * e1,
-                             self.nb * e2 + o.nb * e1,
-                             self.nc * e2 + o.nc * e1,
-                             self.nd * e2 + o.nd * e1, e1 * e2)
+        if not isinstance(other, QuadExtScalar):
+            # an int or Fraction adds into the first numerator
+            n, d = other.numerator, other.denominator
+            return QuadExtScalar(self.ctx, self.na * d + n * self.den,
+                                 self.nb * d, self.nc * d, self.nd * d,
+                                 self.den * d)
+        self._check_ctx(other)
+        e1, e2 = self.den, other.den
+        return QuadExtScalar(self.ctx, self.na * e2 + other.na * e1,
+                             self.nb * e2 + other.nb * e1,
+                             self.nc * e2 + other.nc * e1,
+                             self.nd * e2 + other.nd * e1, e1 * e2)
 
     __radd__ = __add__
 
@@ -111,22 +166,22 @@ class QuadExtScalar:
                              -self.nd, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, QuadExtScalar):
             return self.scale(other)
-        o = self._coerce(other)
+        self._check_ctx(other)
         r, k1, k2, k12 = self.ctx.rule
         a1, b1, c1, d1 = self.na, self.nb, self.nc, self.nd
-        a2, b2, c2, d2 = o.na, o.nb, o.nc, o.nd
+        a2, b2, c2, d2 = other.na, other.nb, other.nc, other.nd
         return QuadExtScalar(
             self.ctx,
             r * a1 * a2 + k1 * b1 * b2 + k2 * c1 * c2 + k12 * d1 * d2,
             r * (a1 * b2 + b1 * a2) + k2 * (c1 * d2 + d1 * c2),
             r * (a1 * c2 + c1 * a2) + k1 * (b1 * d2 + d1 * b2),
             r * (a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2),
-            r * self.den * o.den)
+            r * self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -341,19 +342,21 @@ def test_numeric_ricci_records_give_their_horizon():
 
 
 @pytest.mark.parametrize("command,lifts", [
-    ("ricci-point", 3), ("dz-check", 3),
-    ("inversion-verify", 5),  # 3 points plus 2 witnesses
-])
-def test_one_order_three_lift_per_point(monkeypatch, command, lifts):
+    ("ricci-point", {3: 3}),
+    ("dz-check", {1: 3}),
+    # the points at order 1; 3 witnesses and 3 x 3 sign variants at order 0
+    ("inversion-verify", {1: 3, 0: 12}),
+    ("all", {3: 3, 0: 12}),
+], ids=["ricci-point", "dz-check", "inversion-verify", "all"])
+def test_lifts_at_the_order_each_command_reads(monkeypatch, command,
+                                               lifts):
+    """One lift per point, at order 3 only where Ricci values are read."""
     calls = []
-
-    def order_three(p, backend=None, order=inversion.JET_ORDER):
-        return order == inversion.JET_ORDER
-    for module in (cli, inversion):
-        _counted(monkeypatch, module, "xyz_jets", calls, keep=order_three)
-    _, code = run(quick_cfg(command, points=3))
+    _counted(monkeypatch, inversion, "xyz_jets", calls)
+    _, code = run(quick_cfg(command, max_order=9, points=3))
     assert code == 0
-    assert len(calls) == lifts
+    assert Counter(kw.get("order", inversion.JET_ORDER)
+                   for _, kw in calls) == lifts
 
 
 def test_all_checks_dz_once_per_point(monkeypatch):

@@ -192,6 +192,81 @@ def test_kernel_matches_fraction_reference(c1, c2):
                 assert_canonical(inv)
 
 
+def test_rational_addition_matches_element_addition():
+    rng = random.Random(20261019)
+    ctx = QuadExtContext(rat(-3, 7), rat(11, 5040))
+    for _ in range(60):
+        x = ctx.element(*random_parts(rng))
+        q = rat(rng.randint(-50, 50), rng.randint(1, 5040))
+        for r in (q, q.numerator):
+            for z in (x + r, r + x):
+                assert z == x + ctx.rational(r)
+                assert_canonical(z)
+            assert x - r == x + ctx.rational(-r)
+
+
+# -- the jet product kernel -------------------------------------------
+
+def _schoolbook(p, q, n):
+    """The truncated jet product from QuadExtScalar ``*`` and ``+``."""
+    out = {}
+    for (i1, j1), x in p.items():
+        for (i2, j2), y in q.items():
+            if i1 + i2 + j1 + j2 <= n:
+                k = (i1 + i2, j1 + j2)
+                out[k] = out[k] + x * y if k in out else x * y
+    return out
+
+
+def _random_coeffs(rng, ctx, order):
+    """Jet coefficients through ``order`` with mixed denominators; about
+    one key in five is missing."""
+    return {(i, d - i): ctx.element(*random_parts(rng))
+            for d in range(order + 1) for i in range(d + 1)
+            if rng.random() < 0.8}
+
+
+@pytest.mark.parametrize("c1,c2", KERNEL_CONTEXTS,
+                         ids=["%s,%s" % c for c in KERNEL_CONTEXTS])
+def test_jet_product_matches_schoolbook(c1, c2):
+    rng = random.Random(20261019 + KERNEL_CONTEXTS.index((c1, c2)))
+    ctx = QuadExtContext(c1, c2)
+    cancelled = 0
+    for _ in range(5):
+        for op in range(4):
+            for oq in range(4):
+                p = _random_coeffs(rng, ctx, op)
+                q = _random_coeffs(rng, ctx, oq)
+                # p(e1, e2) p(-e1, e2) is even in e1: its odd coefficients
+                # are sums that cancel to zero
+                r = {(i, j): -x if i % 2 else x for (i, j), x in p.items()}
+                n = min(op, oq)
+                for a, b, m, bo in ((p, q, n, oq), (p, r, op, op)):
+                    want = _schoolbook(a, b, m)
+                    assert ctx.product(a, b, m) == want
+                    got = Jet(ctx, op, a) * Jet(ctx, bo, b)
+                    assert (got.order, got.coeffs) == (m, want)
+                    for x in got.coeffs.values():
+                        assert_canonical(x)
+                odd = [x for (i, j), x in ctx.product(p, r, op).items()
+                       if i % 2]
+                assert all(x.is_zero() for x in odd)
+                cancelled += len(odd)
+    assert cancelled > 0
+
+
+def test_jet_product_over_two_contexts_rejected():
+    a, b = QuadExtContext(2, 3), QuadExtContext(2, 5)
+    ja = Jet.coordinate(a, 2, a.y1, 0)
+    jb = Jet.coordinate(b, 2, b.y1, 1)
+    for x, y in ((ja, jb), (jb, ja)):
+        with pytest.raises(ValueError):
+            x * y
+    # equal contexts built apart are one ring
+    c = QuadExtContext(2, 3)
+    assert (ja * Jet.coordinate(c, 2, c.y1, 1)).base == 2
+
+
 def test_equal_values_have_equal_fields_and_hash():
     rng = random.Random(20261018)
     ctx = QuadExtContext(rat(-3, 7), rat(5, 2))
