@@ -49,6 +49,19 @@ GOLDEN = [
      "c473fc32a2fc502b98da0ecc8217613192755ede4ac7c723c6907b3b44caa962"),
     (dict(command="dz-check", points=3, seed=11, lambdas=LAM),
      "5fdc7fab52a91f18d47d75fbaffc6f5c640e96d3086de55e6bd7241f01ce3c16"),
+    # numeric lambda at levels 3 and 7, next to the level-5 entries above
+    (dict(command="quartic-verify", sigma_level=3, lambdas=LAM),
+     "e9f9fcdd63305150edbb71892d5ac3bbd0fdd07ba8dcfcebfac0f8e7952593ba"),
+    (dict(command="pde-verify", sigma_level=3, lambdas=LAM),
+     "127540fd0bf50e57b24871456b77cedf3f90b9467e11b620d46e7c6fe250fdc7"),
+    (dict(command="kernel-verify", sigma_level=3, lambdas=LAM),
+     "56ee64766390a8011edb56564b276e72d8ab308b66b667496e2bb8bb47622825"),
+    (dict(command="quartic-verify", sigma_level=7, lambdas=LAM),
+     "18f245aace57b46dd7b490e1be3e645d02a4a811d2489b6ea3fa5f2ad06d5639"),
+    (dict(command="pde-verify", sigma_level=7, lambdas=LAM),
+     "563e5fafc8f724ed6dcca3b3d584d003f8777f320a86f358aa8c5c1bf8207c20"),
+    (dict(command="kernel-verify", sigma_level=7, lambdas=LAM),
+     "66f537fdb861fcbf4d094fd90333913935b7a7470652d9db39acf3f3d3794875"),
 ]
 
 
