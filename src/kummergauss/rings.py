@@ -225,9 +225,26 @@ class Poly:
         the product of the two denominators.  The degree field makes a
         key below ``(cap + 1) << top`` exactly when its degree is within
         the cap, so each row of the product stops at the first key of
-        ``other`` (in ascending order) that would pass it."""
+        ``other`` (in ascending order) that would pass it.
+
+        A constant factor (the single key 0) scales the other factor's
+        numerators; its key adds nothing, so no exponent can overflow."""
         self._check(other)
         ctx = self.ctx
+        den = self.den * other.den
+        if len(self.terms) == 1 and 0 in self.terms:
+            c, terms = self.terms[0], other.terms
+        elif len(other.terms) == 1 and 0 in other.terms:
+            c, terms = other.terms[0], self.terms
+        else:
+            c = None
+        if c is not None:
+            if cap is None:
+                return Poly._of(ctx, {k: n * c for k, n in terms.items()},
+                                den)
+            limit = (cap + 1) << ctx.top
+            return Poly._of(ctx, {k: n * c for k, n in terms.items()
+                                  if k < limit}, den)
         _check_exponent_sums(ctx, self.terms, other.terms)
         t2 = sorted(other.terms.items())
         if cap is None:
@@ -244,8 +261,7 @@ class Poly:
                     break
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return Poly._of(ctx, {k: n for k, n in out.items() if n},
-                        self.den * other.den)
+        return Poly._of(ctx, {k: n for k, n in out.items() if n}, den)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):

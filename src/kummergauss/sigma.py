@@ -11,7 +11,10 @@ A ``SigmaSeries`` frame owns every stage over its sigma: the moduli, X/Y/Z
 (wp2), the four wp3, the Gauss metric, Dhat with its powers and
 derivatives, and the cleared Ricci components.  Each is a read-only
 attribute, computed on first use by the module function defining the
-stage; nothing outside the frame writes it.
+stage; nothing outside the frame writes it.  The frame also forms each
+product of two sigma derivatives once (``sd_product``).  Only products
+are shared: a product's known order does not depend on how its factors
+are grouped, while a sum's does.
 
 A frame is exact through its ``order`` only as far as its sigma is: a
 sigma truncated at level L matches the true one through degree L + 1,
@@ -102,6 +105,8 @@ class SigmaSeries:
         self._sd = {(): self.sigma}
         self._sigma_pows = {0: TruncatedSeries(Poly.const(self.ctx, 1), order),
                             1: self.sigma}
+        # sd(*a) * sd(*b) by the sorted pair of sorted index tuples
+        self._sd_products = {}
 
     # -- derived stages, each computed on first use --------------------
 
@@ -173,6 +178,14 @@ class SigmaSeries:
         if key not in self._sd:
             self._sd[key] = TruncatedSeries(self.sigma_deriv(key), self.order)
         return self._sd[key]
+
+    def sd_product(self, a, b):
+        """``sd(*a) * sd(*b)``, formed once per unordered pair; the series
+        product and its known order do not depend on the factor order."""
+        key = tuple(sorted((tuple(sorted(a)), tuple(sorted(b)))))
+        if key not in self._sd_products:
+            self._sd_products[key] = self.sd(*key[0]) * self.sd(*key[1])
+        return self._sd_products[key]
 
     # -- denominator bookkeeping --------------------------------------
 
@@ -302,22 +315,23 @@ def wp2(s, ij):
     """Second log derivative wp_ij = (sigma_i sigma_j - sigma sigma_ij)
     over sigma^2."""
     i, j = int(str(ij)[0]), int(str(ij)[1])
-    num = s.sd(i) * s.sd(j) - s.sigma * s.sd(i, j)
+    num = s.sd_product((i,), (j,)) - s.sd_product((), (i, j))
     return s.rational(num, sig_pow=2)
 
 
 def wp3(s, ijk):
     """Third log derivative wp_ijk = -(sigma^2 s_ijk - sigma (s_ij s_k +
     s_ik s_j + s_jk s_i) + 2 s_i s_j s_k) / sigma^3, with s_i = sigma_i
-    (independent of differentiating wp2)."""
+    (independent of differentiating wp2).  Every pair product comes from
+    the frame's ``sd_product``; s_i s_j s_k is wp2's s_i s_j times s_k."""
     key = str(ijk)
     if key not in ("222", "221", "211", "111"):
         raise ValueError("ijk must be one of 222, 221, 211, 111")
     i, j, k = (int(c) for c in key)
-    sig, si, sj, sk = s.sigma, s.sd(i), s.sd(j), s.sd(k)
-    pairs = s.sd(i, j) * sk + s.sd(i, k) * sj + s.sd(j, k) * si
-    inner = sig * sig * s.sd(i, j, k) - sig * pairs \
-        + (si * sj * sk).scale(2)
+    pairs = s.sd_product((i, j), (k,)) + s.sd_product((i, k), (j,)) \
+        + s.sd_product((j, k), (i,))
+    inner = s.sigma_pow(2) * s.sd(i, j, k) - s.sigma * pairs \
+        + (s.sd_product((i,), (j,)) * s.sd(k)).scale(2)
     return s.rational(-inner, sig_pow=3)
 
 
@@ -327,8 +341,9 @@ def pde_residuals(s):
     sigma expansion."""
     X, Y, Z = s.xyz
     # wp_{ij kl} = d_k d_l wp_{ij}; coordinate 0 is u (index 1), 1 is v
-    p2222 = X.diff(1).diff(1)
-    p2221 = X.diff(1).diff(0)
+    Xv = X.diff(1)
+    p2222 = Xv.diff(1)
+    p2221 = Xv.diff(0)
     p2211 = Y.diff(1).diff(0)
     p2111 = Y.diff(0).diff(0)
     p1111 = Z.diff(0).diff(0)
@@ -356,11 +371,14 @@ def kummer_matrix(lam, X, Y, Z, two, zero, variant="wp11"):
     l0, l1, l2, l3, l4 = lam
     half = Fraction(1, 2)
     diag2 = -l2 - Z.scale(4) if variant == "wp11" else -l2 - X.scale(4)
+    # each symmetric entry is built once and placed twice
+    k01, k02, k03 = l1.scale(half), Z.scale(2), Y.scale(-2)
+    k12, k13 = l3.scale(half) + Y.scale(2), X.scale(2)
     return [
-        [-l0, l1.scale(half), Z.scale(2), Y.scale(-2)],
-        [l1.scale(half), diag2, l3.scale(half) + Y.scale(2), X.scale(2)],
-        [Z.scale(2), l3.scale(half) + Y.scale(2), -l4 - X.scale(4), two],
-        [Y.scale(-2), X.scale(2), two, zero],
+        [-l0, k01, k02, k03],
+        [k01, diag2, k12, k13],
+        [k02, k12, -l4 - X.scale(4), two],
+        [k03, k13, two, zero],
     ]
 
 
@@ -378,6 +396,9 @@ def kernel_residual(s):
     """K . (wp222, wp221, wp211, wp111)^T; all four entries vanish through
     their validated order."""
     w = s.wp3s
+    # Row 4 ends in K's structural zero, and 0 * wp111 is still formed:
+    # as in ``det4``, the zero product's known order caps the row's, and
+    # dropping it would claim orders past the frame's level + 1 horizon.
     return [r[0] * w[0] + r[1] * w[1] + r[2] * w[2] + r[3] * w[3]
             for r in _frame_kummer_matrix(s)]
 
@@ -399,9 +420,11 @@ def gauss_metric(s):
     """First fundamental form of S = (X, Y, Z): g11 = wp221^2 + wp211^2 +
     wp111^2 and companions, assembled from the sigma^3 numerators."""
     n222, n221, n211, n111 = (w.num for w in s.wp3s)
-    ghat11 = n221 * n221 + n211 * n211 + n111 * n111
+    # the squares ghat11 and ghat22 share are formed once
+    sq221, sq211 = n221 * n221, n211 * n211
+    ghat11 = sq221 + sq211 + n111 * n111
     ghat12 = n222 * n221 + n221 * n211 + n211 * n111
-    ghat22 = n222 * n222 + n221 * n221 + n211 * n211
+    ghat22 = n222 * n222 + sq221 + sq211
     return GaussMetric(s, ghat11, ghat12, ghat22)
 
 

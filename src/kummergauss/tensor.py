@@ -42,21 +42,26 @@ class RicciTensor:
 
 
 def det4(m):
-    """Determinant of a 4x4 matrix by expansion along the last row (the
-    kernel matrix carries a zero there)."""
+    """Determinant of a 4x4 matrix by expansion along the last row, each
+    3x3 minor along its first row.  The six 2x2 minors of rows 1-2 are
+    formed once and shared by the four 3x3 minors.
+
+    The kernel matrix has a structural zero in its last row, but its term
+    is still multiplied and added.  Over series a zero product keeps the
+    larger of the two known orders, and that caps the validated order of
+    the sum; skipping the term would raise it past the frame's horizon."""
+    pair = {(a, b): m[1][a] * m[2][b] - m[1][b] * m[2][a]
+            for a in range(4) for b in range(a + 1, 4)}
     total = None
     for col in range(4):
-        entry = m[3][col]
-        minor = [[m[r][c] for c in range(4) if c != col] for r in range(3)]
+        cols = [c for c in range(4) if c != col]
         d3 = None
         for c3 in range(3):
-            sub = [[minor[r][c] for c in range(3) if c != c3]
-                   for r in range(1, 3)]
-            term = minor[0][c3] * (sub[0][0] * sub[1][1]
-                                   - sub[0][1] * sub[1][0])
+            term = m[0][cols[c3]] * pair[tuple(cols[:c3] + cols[c3 + 1:])]
             if c3 == 1:
                 term = -term
             d3 = term if d3 is None else d3 + term
+        entry = m[3][col]
         signed = d3 * entry if col % 2 == 1 else -(d3 * entry)
         total = signed if total is None else total + signed
     return total

@@ -186,6 +186,33 @@ def test_mul_matches_fraction_reference(ctx):
     assert merged > 20
 
 
+def test_constant_factor_product_matches_fraction_reference():
+    """A constant on either side scales the other factor (and drops what
+    passes the cap); a one-term factor that is not constant must shift
+    every key, as the general loop does."""
+    rng = random.Random(20261020)
+    for ctx in (CTX, CTX7):
+        pad = (0,) * (ctx.n - 2)
+        for _ in range(40):
+            p = _wide_poly(rng, ctx, 4, 8)
+            c = rat(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 5040))
+            const = Poly.const(ctx, c)
+            mono = Poly.from_terms(ctx, [((rng.randint(0, 3),
+                                           rng.randint(1, 3)) + pad, c)])
+            for cap in (None, rng.randint(-1, 10)):
+                for a, b in ((const, p), (p, const), (mono, p), (p, mono)):
+                    ab = a.mul(b, cap=cap)
+                    assert dict(ab.items()) == _mul_reference(a, b, cap)
+                    assert_lowest_terms(ab)
+    # an integer constant that shares factors with the denominator
+    p = Poly.from_terms(CTX, [((1, 0), rat(1, 6)), ((0, 2), rat(5, 4))])
+    six = Poly.const(CTX, 6)
+    assert six * p == p * six == Poly.from_terms(
+        CTX, [((1, 0), 1), ((0, 2), rat(15, 2))])
+    assert_lowest_terms(six * p)
+    assert six.mul(p, cap=1) == Poly.var(CTX, "u")
+
+
 def test_mul_rejects_exponent_overflow():
     u = Poly.var(CTX, "u")
     with pytest.raises(ContextError):

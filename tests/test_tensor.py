@@ -228,3 +228,17 @@ def test_shared_determinant_matches_leibniz_over_quadratic_extension():
                             for _ in range(4)])
               for _ in range(4)] for _ in range(4)]
         assert det4(m) == leibniz_det(m, ctx.zero)
+
+
+def test_shared_determinant_matches_leibniz_with_a_zero_in_the_last_row():
+    """Shaped like the kernel matrix: symmetric, with a structural zero in
+    the last row and column."""
+    rng = random.Random(20261020)
+    for _ in range(20):
+        m = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                m[i][j] = m[j][i] = Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 5))
+        m[3][3] = Fraction(0)
+        assert det4(m) == leibniz_det(m, Fraction(0))
