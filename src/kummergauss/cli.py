@@ -16,7 +16,8 @@ from functools import cached_property
 
 from . import __version__, reference
 from .inversion import (JET_ORDER, ChartBPoint, dz_closed_form,
-                        quartic_check, random_admissible_points, ricci_point)
+                        quartic_check, quartic_identity,
+                        random_admissible_points, ricci_point)
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
                     pde_residuals)
@@ -130,7 +131,7 @@ class _Stages:
     def points(self):
         """The admissible points, lifted at order 3 when the run reads
         their Ricci values (ricci-point, all) and at order 1 otherwise:
-        dZ and the quartic read no further."""
+        dZ reads no further."""
         cfg = self.cfg
         order = JET_ORDER if cfg.command in ("ricci-point", "all") else 1
         return random_admissible_points(cfg.seed, cfg.points,
@@ -298,25 +299,20 @@ def run_inversion(st):
         out.append(_check("inversion-witness-%d-quartic" % (i + 1),
                           val.is_zero(), point=_point_echo(w),
                           value=str(val)))
-    points = st.points
-    # each point reads its own lift; its other three sign choices, at
-    # order 0
-    bad = []
-    for p in points:
-        b = replace(p, order=0)
-        for q in (p, b.swapped(), b.both_flipped(),
-                  b.swapped().both_flipped()):
-            if not quartic_check(q).is_zero():
-                bad.append(_point_echo(q))
+    # the quartic as one identity in symbolic lambda on both sheets
+    det, reduced = quartic_identity()
+    out.append(_check("inversion-quartic-identity", reduced.is_zero(),
+                      terms=len(det.terms), reduced_terms=len(reduced.terms),
+                      **{"lambda": "symbolic"}))
     dz_bad = st.dz_failures
-    out.append(_check("inversion-random-quartic", not bad,
-                      points=len(points), sign_choices=4, failures=bad))
     out.append(_check("inversion-random-dz", not dz_bad,
-                      points=len(points), failures=dz_bad))
+                      points=len(st.points), failures=dz_bad))
     # the discrepancy resolution: the alternative diagonal entry must fail
-    alt = quartic_check(witnesses[0], variant="wp22")
+    _, alt = quartic_identity("wp22")
+    val = quartic_check(witnesses[0], variant="wp22")
     out.append(_check("inversion-variant-wp22-fails", not alt.is_zero(),
-                      point=_point_echo(witnesses[0]), value=str(alt)))
+                      point=_point_echo(witnesses[0]), value=str(val),
+                      reduced_terms=len(alt.terms)))
     return out
 
 

@@ -1,27 +1,31 @@
 """Jacobi-inversion chart: X, Y, Z as symmetric functions of (x1, x2) with
-y_i^2 = f5(x_i), evaluated exactly at rational points through jets over
-the quadratic extension algebra.  A backend is the triple (jet ring, y1,
-y2): the exact one is the point's ``QuadExtContext`` with its signed
-square roots.
+y_i^2 = f5(x_i).  ``chart_F`` is the one F, for rationals, jets and
+``Poly``s.  The quartic is one ``Poly`` identity in symbolic lambda, which
+holds on both sheets (``quartic_identity``).
 
-A point carries the jet order its checks read: 3 for the Ricci values
-(the metric through order 2, differentiated twice), 1 for dZ and the
-quartic, 0 for a point whose base values alone are read.  It keeps the
-exact lift and metric it computes first (``lift``, ``metric``), so the
-admissible-point filter and every later check share them."""
+Points are evaluated exactly through jets over the quadratic extension
+algebra.  A backend is the triple (jet ring, y1, y2): the exact one is the
+point's ``QuadExtContext`` with its signed square roots.  A point carries
+the jet order its checks read: 3 for the Ricci values (the metric through
+order 2, differentiated twice), 1 for dZ, 0 for a point whose base values
+alone are read.  It keeps the exact lift and metric it computes first
+(``lift``, ``metric``), so the admissible-point filter and every later
+check share them."""
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .jets import Jet, NumericRing
 from .quadext import NonInvertibleError, QuadExtContext
-from .rings import rat
-from .sigma import kummer_matrix
+from .rings import Context, Poly, rat
+from .sigma import LAMBDA_NAMES, kummer_matrix
 from .tensor import (MetricTensor, christoffel, det4, inverse_metric, ricci,
                      riemann)
 
 JET_ORDER = 3
+# the ring of the quartic identity and the closed-form dZ
+_CHART_CTX = Context(("x1", "x2", "y1", "y2") + LAMBDA_NAMES, grading=2)
 
 
 class AdmissibilityError(ValueError):
@@ -33,14 +37,19 @@ class SingularPointError(ArithmeticError):
 
 
 def f5_scalar(x, lam):
-    """The curve quintic at x, which may be a rational or a jet."""
+    """The curve quintic at x, which may be a rational, a jet or a
+    ``Poly``."""
     l0, l1, l2, l3, l4 = lam
     return ((((4 * x + l4) * x + l3) * x + l2) * x + l1) * x + l0
 
 
-def f5_deriv_scalar(x, lam):
-    _, l1, l2, l3, l4 = lam
-    return (((20 * x + 4 * l4) * x + 3 * l3) * x + 2 * l2) * x + l1
+def chart_F(x1, x2, lam):
+    """F = 4 p^2 s + 2 l4 p^2 + l3 p s + 2 l2 p + l1 s + 2 l0, s = x1 + x2,
+    p = x1 x2, in Horner form with the ring element left of every sum, so
+    x1 and x2 may be rationals, jets or ``Poly``s."""
+    l0, l1, l2, l3, l4 = lam
+    s, p = x1 + x2, x1 * x2
+    return p * (p * (s * 4 + 2 * l4) + s * l3 + 2 * l2) + s * l1 + 2 * l0
 
 
 @dataclass(frozen=True)
@@ -79,13 +88,6 @@ class ChartBPoint:
             raise AdmissibilityError("f5(x1) == 0 (y1 not invertible)")
         if self.c2 == 0:
             raise AdmissibilityError("f5(x2) == 0 (y2 not invertible)")
-
-    def swapped(self):
-        return replace(self, x1=self.x2, x2=self.x1, sign1=self.sign2,
-                       sign2=self.sign1)
-
-    def both_flipped(self):
-        return replace(self, sign1=-self.sign1, sign2=-self.sign2)
 
     @cached_property
     def lift(self):
@@ -135,17 +137,6 @@ def lift_point(p, backend=None, order=JET_ORDER):
     return {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2}
 
 
-def _F_jet(jx1, jx2, lam):
-    s = jx1 + jx2
-    prod = jx1 * jx2
-    return ((prod * prod * s).scale(4)
-            + (prod * prod).scale(2 * lam[4])
-            + (prod * s).scale(lam[3])
-            + prod.scale(2 * lam[2])
-            + s.scale(lam[1])
-            ).add_scalar(2 * lam[0])
-
-
 def xyz_jets(p, backend=None, order=JET_ORDER):
     """X = x1 + x2, Y = -x1 x2, Z = (F - 2 y1 y2) / (4 (x1 - x2)^2)."""
     lifted = lift_point(p, backend=backend, order=order)
@@ -155,39 +146,58 @@ def xyz_jets(p, backend=None, order=JET_ORDER):
     Y = -(jx1 * jx2)
     diffj = jx1 - jx2
     denom = (diffj * diffj).scale(4)
-    Z = (_F_jet(jx1, jx2, p.lambdas) - (jy1 * jy2).scale(2)) \
+    Z = (chart_F(jx1, jx2, p.lambdas) - (jy1 * jy2).scale(2)) \
         * denom.inverse()
     return X, Y, Z, lifted
 
 
 def dz_closed_form(p):
-    """The closed-form partial derivatives of Z at the base point, straight
-    from the displayed formulas (independent of the jet path)."""
+    """dZ/dx_i at the base point by the quotient rule, with dF/dx_i and
+    f5'(x_i) the formal derivatives of F and f5 over the chart ring at the
+    point's moduli (independent of the jet path)."""
     p.check_admissible()
     ctx, y1, y2 = exact_backend(p)
-    lam = p.lambdas
-    x1, x2 = p.x1, p.x2
-    F = (4 * x1 ** 2 * x2 ** 2 * (x1 + x2) + 2 * lam[4] * x1 ** 2 * x2 ** 2
-         + lam[3] * x1 * x2 * (x1 + x2) + 2 * lam[2] * x1 * x2
-         + lam[1] * (x1 + x2) + 2 * lam[0])
-    dF1 = (4 * x2 ** 2 * (3 * x1 ** 2 + 2 * x1 * x2)
-           + 4 * lam[4] * x1 * x2 ** 2 + lam[3] * x2 * (2 * x1 + x2)
-           + 2 * lam[2] * x2 + lam[1])
-    dF2 = (4 * x1 ** 2 * (3 * x2 ** 2 + 2 * x1 * x2)
-           + 4 * lam[4] * x2 * x1 ** 2 + lam[3] * x1 * (2 * x2 + x1)
-           + 2 * lam[2] * x1 + lam[1])
-    core = ctx.rational(F) - (y1 * y2).scale(rat(2))
-    d3 = (x1 - x2) ** 3
-    d2 = (x1 - x2) ** 2
-    dz1 = core.scale(-1 / (2 * d3)) \
-        + (ctx.rational(dF1)
-           - (y2 * y1.inv()).scale(f5_deriv_scalar(x1, lam))
-           ).scale(1 / (4 * d2))
-    dz2 = core.scale(1 / (2 * d3)) \
-        + (ctx.rational(dF2)
-           - (y1 * y2.inv()).scale(f5_deriv_scalar(x2, lam))
-           ).scale(1 / (4 * d2))
-    return dz1, dz2
+    x1, x2 = Poly.var(_CHART_CTX, "x1"), Poly.var(_CHART_CTX, "x2")
+    F = chart_F(x1, x2, p.lambdas)
+    df5 = f5_scalar(x1, p.lambdas).diff("x1")
+    at = {"x1": p.x1, "x2": p.x2}
+    d = p.x1 - p.x2
+    N = ctx.rational(chart_F(p.x1, p.x2, p.lambdas)) - (y1 * y2).scale(2)
+    # dZ/dx_i = (dF/dx_i - f5'(x_i) y_j / y_i) / (4 d^2) -+ N / (2 d^3);
+    # f5' is one polynomial in x1, read at each x_i
+    out = []
+    for name, yi, yj, sign in (("x1", y1, y2, -1), ("x2", y2, y1, 1)):
+        dN = ctx.rational(F.diff(name).eval(at)) \
+            - (yj * yi.inv()).scale(df5.eval({"x1": at[name]}))
+        out.append(N.scale(sign / (2 * d ** 3)) + dN.scale(1 / (4 * d * d)))
+    return tuple(out)
+
+
+def quartic_identity(variant="wp11"):
+    """D^4 det K on the chart as a ``Poly`` in (x1, x2, y1, y2, l0..l4),
+    and its normal form modulo y_i^2 = f5(x_i).  Each kernel-matrix entry
+    is linear in (lambda, X, Y, Z, 2), so with D = 4 (x1 - x2)^2 and
+    N = F - 2 y1 y2 = Z D the matrix of (lambda D, X D, Y D, N, 2 D) has
+    determinant D^4 det K.  The quotient ring is free on 1, y1, y2, y1 y2
+    over Q[x1, x2, lambda], so a zero normal form is det K = 0 on the
+    chart for every lambda and both sheets."""
+    x1, x2, y1, y2, *lam = [Poly.var(_CHART_CTX, name)
+                            for name in _CHART_CTX.names]
+    zero = Poly.zero(_CHART_CTX)
+    D = (x1 - x2) ** 2 * 4
+    N = chart_F(x1, x2, lam) - y1 * y2 * 2
+    det = det4(kummer_matrix([l * D for l in lam], (x1 + x2) * D,
+                             -(x1 * x2) * D, N, D * 2, zero, variant))
+    # y1, y2 are variables 2 and 3: y_i^(2k + e) -> f5(x_i)^k y_i^e
+    f1, f2 = f5_scalar(x1, lam), f5_scalar(x2, lam)
+    parts = {}
+    for key, c in det.items():
+        e = list(_CHART_CTX.unpack(key))
+        k1, e[2] = divmod(e[2], 2)
+        k2, e[3] = divmod(e[3], 2)
+        parts.setdefault((k1, k2), {})[_CHART_CTX.pack(e)] = c
+    return det, sum((Poly(_CHART_CTX, t) * f1 ** k1 * f2 ** k2
+                     for (k1, k2), t in parts.items()), zero)
 
 
 def quartic_check(p, variant="wp11"):

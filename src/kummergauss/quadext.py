@@ -224,11 +224,14 @@ class QuadExtScalar:
                     and self.na == other.na
                     and self.nb == other.nb and self.nc == other.nc
                     and self.nd == other.nd and self.den == other.den)
-        if isinstance(other, int):
-            return self == self.ctx.rational(rat(other))
+        if isinstance(other, (int, Fraction)):
+            return self == self.ctx.rational(other)
         return NotImplemented
 
     def __hash__(self):
+        # a rational element hashes as the rational it equals
+        if not (self.nb or self.nc or self.nd):
+            return hash(Fraction(self.na, self.den))
         return hash((self.na, self.nb, self.nc, self.nd, self.den))
 
     def rational_value(self):

@@ -366,14 +366,6 @@ class Poly:
         limit = (cap + 1) << self.ctx.top
         return self._kept({k: n for k, n in self.terms.items() if k < limit})
 
-    def restrict_to_grading_vars(self):
-        """Sub-polynomial of terms free of every non-grading variable."""
-        ctx = self.ctx
-        fields = (1 << ctx.top) - 1
-        limit = 1 << (_SHIFT * ctx.grading)
-        return self._kept({k: n for k, n in self.terms.items()
-                           if k & fields < limit})
-
     def coefficient(self, exps):
         return Fraction(self.terms.get(self.ctx.pack(exps), 0), self.den)
 
@@ -545,10 +537,6 @@ class TruncatedSeries:
         order = self.known_order if order is None else order
         v = self.body.valuation()
         return v is None or v > order
-
-    def lambda_free_part(self):
-        """Terms with zero degree in every non-grading variable."""
-        return self.body.restrict_to_grading_vars()
 
     def lowest_terms(self):
         """(degree, homogeneous part) of the minimal grading degree, or

@@ -341,12 +341,29 @@ def test_numeric_ricci_records_give_their_horizon():
         assert got == want, level
 
 
+@pytest.mark.parametrize("lambdas", [(0, 0, 0, 0, 0), LAM],
+                         ids=["zero", "numeric"])
+def test_inversion_reports_the_quartic_identity(lambdas):
+    """The quartic is one identity in symbolic lambda, whatever the run's
+    lambda; the printed wp22 entry leaves a nonzero normal form."""
+    report, code = run(quick_cfg("inversion-verify", lambdas=lambdas))
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    assert "inversion-random-quartic" not in checks
+    assert checks["inversion-quartic-identity"] == {
+        "name": "inversion-quartic-identity", "status": "pass",
+        "lambda": "symbolic", "terms": 189, "reduced_terms": 0}
+    alt = checks["inversion-variant-wp22-fails"]
+    assert alt["status"] == "pass" and alt["reduced_terms"] == 264
+    assert alt["value"] != "(0 + 0*y1 + 0*y2 + 0*y1y2)"
+
+
 @pytest.mark.parametrize("command,lifts", [
     ("ricci-point", {3: 3}),
     ("dz-check", {1: 3}),
-    # the points at order 1; 3 witnesses and 3 x 3 sign variants at order 0
-    ("inversion-verify", {1: 3, 0: 12}),
-    ("all", {3: 3, 0: 12}),
+    # the points at order 1, the 3 witnesses at order 0
+    ("inversion-verify", {1: 3, 0: 3}),
+    ("all", {3: 3, 0: 3}),
 ], ids=["ricci-point", "dz-check", "inversion-verify", "all"])
 def test_lifts_at_the_order_each_command_reads(monkeypatch, command,
                                                lifts):

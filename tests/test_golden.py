@@ -26,9 +26,9 @@ GOLDEN = [
     (dict(command="ricci-leading", sigma_level=3, max_order=12),
      "44c30700cb3c6011cf2056ebbae07a323583dc383ac2ab152d7c4a450aef101b"),
     (dict(command="inversion-verify", points=3, seed=11, lambdas=ZERO),
-     "cc985b520a73eb62806b38a42c8ec53777ab752b51d00433be2a814c5e4f7da6"),
+     "b69c4e1c9d4b74a532625850a4de9accff452ea9e7f7bb5a1cd52f97e0a414a3"),
     (dict(command="inversion-verify", points=3, seed=11, lambdas=LAM),
-     "19466b786498a1ff25a0ba52288c03d2fabcc8af45a1e0484d340c7039807751"),
+     "330aa5000f05410cd51d99abc01422c908adf027e60e9b4b5acf5ed559023520"),
     (dict(command="ricci-point", points=3, seed=11, lambdas=ZERO),
      "146af5e47cd2346cb2b42af2a701baf44d7a5f290cb9867653d9a22456a61f2e"),
     (dict(command="ricci-point", points=3, seed=11, lambdas=LAM),

@@ -1,18 +1,26 @@
 """Tests for the symmetric-function chart over the hyperelliptic curve:
-witness values, the quartic at random points, closed-form derivatives
-against jets, and symmetry of the induced metric."""
+witness values, the quartic as one identity in symbolic lambda on both
+sheets, closed-form derivatives against jets, and symmetry of the induced
+metric."""
+
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from kummergauss.inversion import (AdmissibilityError, ChartBPoint,
+from kummergauss import inversion
+from kummergauss.inversion import (AdmissibilityError, ChartBPoint, chart_F,
                                    complex_backend, dz_closed_form,
-                                   f5_deriv_scalar, f5_scalar, lift_point,
-                                   metric_point, quartic_check,
+                                   f5_scalar, lift_point, metric_point,
+                                   quartic_check, quartic_identity,
                                    random_admissible_points, ricci_point,
                                    xyz_jets)
-from kummergauss.rings import rat
+from kummergauss.jets import Jet, NumericRing
+from kummergauss.rings import Context, Poly, rat
+from kummergauss.sigma import LAMBDA_NAMES
 
 W = ChartBPoint(1, 4)
+RING = Context(("x1", "x2") + LAMBDA_NAMES)
 
 
 # -- admissibility ----------------------------------------------------
@@ -37,7 +45,25 @@ def test_f5_witness_values():
     lam0 = (rat(0),) * 5
     assert f5_scalar(rat(1), lam0) == 4
     assert f5_scalar(rat(4), lam0) == 4096
-    assert f5_deriv_scalar(rat(1), lam0) == 20
+    x = Poly.var(RING, "x1")
+    assert f5_scalar(x, lam0).diff("x1").eval({"x1": 1}) == 20
+
+
+def test_chart_F_is_one_formula_on_every_ring():
+    """Rationals, Fraction jets and chart-ring polynomials give the same F
+    and the same first derivatives."""
+    lam = (rat(1, 2), rat(-3), rat(2, 7), rat(5), rat(-1))
+    a, b = rat(3, 5), rat(-7, 2)
+    assert chart_F(rat(1), rat(4), (rat(0),) * 5) == 320  # Z = 64/36
+    ring = NumericRing(Fraction)
+    jet = chart_F(Jet.coordinate(ring, 1, a, 0),
+                  Jet.coordinate(ring, 1, b, 1), lam)
+    x1, x2, *lv = [Poly.var(RING, name) for name in RING.names]
+    poly = chart_F(x1, x2, lv)
+    at = dict(zip(("x1", "x2") + LAMBDA_NAMES, (a, b) + lam))
+    assert jet.base == poly.eval(at) == chart_F(a, b, lam)
+    assert jet.get(1, 0) == poly.diff("x1").eval(at)
+    assert jet.get(0, 1) == poly.diff("x2").eval(at)
 
 
 # -- witness values ---------------------------------------------------
@@ -53,7 +79,7 @@ def test_witness_xyz():
 
 
 def test_witness_other_sheet():
-    _, _, Z, _ = xyz_jets(W.both_flipped().swapped().swapped())
+    _, _, Z, _ = xyz_jets(replace(W, sign1=-1, sign2=-1))
     assert Z.base.rational_value() == rat(16, 9)  # both signs flipped: same Z
     _, _, Z2, _ = xyz_jets(ChartBPoint(1, 4, sign2=-1))
     assert Z2.base.rational_value() == 16
@@ -74,14 +100,38 @@ def test_second_witness_on_quartic():
     assert quartic_check(p).is_zero()
 
 
-# -- the quartic at random points -------------------------------------
+# -- the quartic as an identity ----------------------------------------
 
-def test_quartic_zero_at_random_points_all_sheets():
-    points = random_admissible_points(99, 8)
-    for p in points:
-        for q in (p, p.swapped(), p.both_flipped(),
-                  p.swapped().both_flipped()):
-            assert quartic_check(q).is_zero(), q
+def test_quartic_identity_holds_on_both_sheets():
+    """D^4 det K is a nonzero polynomial that reduces to 0 modulo
+    y_i^2 = f5(x_i): det K vanishes for every lambda and sign choice."""
+    det, reduced = quartic_identity()
+    assert len(det.terms) == 189
+    assert reduced.is_zero()
+
+
+def test_wp22_identity_is_det_k_on_both_sheets():
+    """The printed variant leaves a nonzero normal form, and its value at
+    the witness is D^4 times the pointwise det K on each sheet."""
+    det, reduced = quartic_identity("wp22")
+    assert (len(det.terms), len(reduced.terms)) == (283, 264)
+    d4 = (4 * (1 - 4) ** 2) ** 4
+    for sign2 in (1, -1):
+        at = {"x1": 1, "x2": 4, "y1": 2, "y2": 64 * sign2,
+              **dict.fromkeys(LAMBDA_NAMES, 0)}
+        point = ChartBPoint(1, 4, sign2=sign2)
+        value = quartic_check(point, variant="wp22").rational_value()
+        assert value != 0
+        assert reduced.eval(at) == det.eval(at) == d4 * value
+
+
+def test_quartic_identity_catches_a_wrong_F(monkeypatch):
+    """One lambda term of F changed breaks the identity."""
+    orig = inversion.chart_F
+    monkeypatch.setattr(inversion, "chart_F",
+                        lambda x1, x2, lam: orig(x1, x2, lam) + lam[0])
+    _, reduced = quartic_identity()
+    assert not reduced.is_zero()
 
 
 def test_quartic_zero_with_nonzero_moduli():
@@ -128,7 +178,7 @@ def test_metric_swap_covariance():
     """Swapping (x1, x2) swaps the metric diagonal and keeps g12."""
     for p in random_admissible_points(31, 5):
         g, _ = metric_point(p)
-        gs, _ = metric_point(p.swapped())
+        gs, _ = metric_point(replace(p, x1=p.x2, x2=p.x1))
         assert _swap_eq(g.g11.base, gs.g22.base)
         assert _swap_eq(g.g22.base, gs.g11.base)
         assert _swap_eq(g.g12.base, gs.g12.base)
@@ -138,7 +188,7 @@ def test_metric_sheet_symmetry():
     """Flipping both branch signs leaves the metric unchanged."""
     for p in random_admissible_points(17, 5):
         g, _ = metric_point(p)
-        gf, _ = metric_point(p.both_flipped())
+        gf, _ = metric_point(replace(p, sign1=-1, sign2=-1))
         assert g.g11.base == gf.g11.base
         assert g.g12.base == gf.g12.base
         assert g.g22.base == gf.g22.base

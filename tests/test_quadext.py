@@ -298,6 +298,19 @@ def test_equal_values_have_equal_fields_and_hash():
     assert ctx.rational(rat(3, 4)).scale(4) == 3
 
 
+def test_rational_elements_equal_their_rationals():
+    """An element with no y part equals the int or Fraction it holds, from
+    either side, and hashes as it does."""
+    ctx = QuadExtContext(2, 3)
+    half = ctx.rational(rat(1, 2))
+    assert half == rat(1, 2) and rat(1, 2) == half
+    assert hash(half) == hash(rat(1, 2))
+    assert ctx.rational(3) == 3 and hash(ctx.rational(3)) == hash(3)
+    assert half != rat(1, 3) and half != 0
+    assert ctx.y1 != rat(1, 2) and (ctx.y1 + rat(1, 2)) != rat(1, 2)
+    assert {half: "x"}[rat(1, 2)] == "x"
+
+
 # -- embeddings -------------------------------------------------------
 
 def test_rational_value_with_square_roots():

@@ -252,7 +252,6 @@ def test_every_result_is_in_lowest_terms(ctx):
                    p.scale(c), p.scale(rng.randint(-6, 6)), p.diff("u"),
                    p.diff(last), p.truncated(cap),
                    p.homogeneous_part(rng.randint(0, 8)),
-                   p.restrict_to_grading_vars(),
                    p.map_context(CTX, _moduli_values(ctx, rng)),
                    p.map_context(CTX7)]
         for r in results:
@@ -402,12 +401,6 @@ def test_series_mul_randomized_agrees_with_poly_product():
                   a + TruncatedSeries(q, n), a - b):
             assert all(CTX.grading_degree(k) <= r.known_order
                        for k in r.body.terms)
-
-
-def test_lambda_free_part_strips_moduli():
-    p = Poly.from_terms(CTX3, [((1, 0, 0), rat(2)), ((1, 1, 3), rat(5))])
-    s = TruncatedSeries(p, 8)
-    assert s.lambda_free_part() == Poly.from_terms(CTX3, [((1, 0, 0), rat(2))])
 
 
 def test_lowest_terms_reports_valuation_block():
