@@ -3,7 +3,7 @@
 Each subcommand runs one verification and emits a report, as canonical
 JSON (sorted keys, exact rationals as "p/q" strings) or as an aligned
 text table.  Exit status: 0 when every check passes, 1 when any check
-fails, 2 on a configuration error.
+fails, 2 on a configuration error or when the report cannot be written.
 """
 
 import argparse
@@ -516,9 +516,13 @@ def main(argv=None):
         text = render_text(report)
     if cfg.output == "-":
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(cfg.output, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        print("write error: %s" % e, file=sys.stderr)
+        return 2
     return code
 
 

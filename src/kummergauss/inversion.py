@@ -4,19 +4,19 @@ y_i^2 = f5(x_i).  ``chart_F`` is the one F, for rationals, jets and
 holds on both sheets (``quartic_identity``).
 
 Points are evaluated exactly through jets over the quadratic extension
-algebra.  A backend is the triple (jet ring, y1, y2): the exact one is the
-point's ``QuadExtContext`` with its signed square roots.  A point carries
-the jet order its checks read: 3 for the Ricci values (the metric through
-order 2, differentiated twice), 1 for dZ, 0 for a point whose base values
-alone are read.  It keeps the exact lift and metric it computes first
-(``lift``, ``metric``), so the admissible-point filter and every later
-check share them."""
+algebra: ``ChartBPoint.roots`` is the point's ``QuadExtContext`` with its
+signed square roots y1, y2, built once and read by the jets and by the
+closed-form dZ.  A point carries the jet order its checks read: 3 for the
+Ricci values (the metric through order 2, differentiated twice), 1 for dZ,
+0 for a point whose base values alone are read.  It keeps the exact lift
+and metric it computes first (``lift``, ``metric``), so the
+admissible-point filter and every later check share them."""
 
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .jets import Jet, NumericRing
+from .jets import Jet
 from .quadext import NonInvertibleError, QuadExtContext
 from .rings import Context, Poly, rat
 from .sigma import LAMBDA_NAMES, kummer_matrix
@@ -90,25 +90,31 @@ class ChartBPoint:
             raise AdmissibilityError("f5(x2) == 0 (y2 not invertible)")
 
     @cached_property
+    def roots(self):
+        """(ring, y1, y2): the point's extension with y_i^2 = f5(x_i) and
+        the square roots on its sheet."""
+        ctx = QuadExtContext(self.c1, self.c2)
+        return ctx, ctx.y1.scale(self.sign1), ctx.y2.scale(self.sign2)
+
+    @cached_property
     def lift(self):
         return xyz_jets(self, order=self.order)
 
     @cached_property
     def metric(self):
-        return metric_point(self)
-
-
-def exact_backend(p):
-    ctx = QuadExtContext(p.c1, p.c2)
-    return ctx, ctx.y1.scale(p.sign1), ctx.y2.scale(p.sign2)
-
-
-def complex_backend(p):
-    import cmath
-    ring = NumericRing(complex)
-    y1 = p.sign1 * cmath.sqrt(complex(p.c1))
-    y2 = p.sign2 * cmath.sqrt(complex(p.c2))
-    return ring, y1, y2
+        """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2
+        etc. and of its inverse about the base point, one order below the
+        lift.  Raises NonInvertibleError where det g is not invertible."""
+        _, _, Z, lifted = self.lift
+        jx1, jx2 = lifted["x1"], lifted["x2"]
+        dz1 = Z.diff(0)
+        dz2 = Z.diff(1)
+        # dS/dx1 = (1, -x2, dZ/dx1); dS/dx2 = (1, -x1, dZ/dx2)
+        g11 = (jx2 * jx2 + dz1 * dz1).add_scalar(1)
+        g12 = (jx1 * jx2 + dz1 * dz2).add_scalar(1)
+        g22 = (jx1 * jx1 + dz2 * dz2).add_scalar(1)
+        g = MetricTensor(g11, g12, g22)
+        return g, inverse_metric(g)
 
 
 def _sqrt_jet(s, y0, ring, slot):
@@ -125,30 +131,23 @@ def _sqrt_jet(s, y0, ring, slot):
     return Jet(ring, s.order, y)
 
 
-def lift_point(p, backend=None, order=JET_ORDER):
-    """Jets of x1, x2, y1, y2 about the base point; the y-jets satisfy
-    (y-jet)^2 = jet of f5(x_i) through the jet order."""
+def xyz_jets(p, order=JET_ORDER):
+    """X = x1 + x2, Y = -x1 x2, Z = (F - 2 y1 y2) / (4 (x1 - x2)^2), and
+    the lifted jets of x1, x2, y1, y2 about the base point; the y-jets
+    satisfy (y-jet)^2 = jet of f5(x_i) through the jet order."""
     p.check_admissible()
-    ring, y1, y2 = backend or exact_backend(p)
+    ring, y1, y2 = p.roots
     jx1 = Jet.coordinate(ring, order, ring.zero + p.x1, 0)
     jx2 = Jet.coordinate(ring, order, ring.zero + p.x2, 1)
     jy1 = _sqrt_jet(f5_scalar(jx1, p.lambdas), y1, ring, 0)
     jy2 = _sqrt_jet(f5_scalar(jx2, p.lambdas), y2, ring, 1)
-    return {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2}
-
-
-def xyz_jets(p, backend=None, order=JET_ORDER):
-    """X = x1 + x2, Y = -x1 x2, Z = (F - 2 y1 y2) / (4 (x1 - x2)^2)."""
-    lifted = lift_point(p, backend=backend, order=order)
-    jx1, jx2 = lifted["x1"], lifted["x2"]
-    jy1, jy2 = lifted["y1"], lifted["y2"]
     X = jx1 + jx2
     Y = -(jx1 * jx2)
     diffj = jx1 - jx2
     denom = (diffj * diffj).scale(4)
     Z = (chart_F(jx1, jx2, p.lambdas) - (jy1 * jy2).scale(2)) \
         * denom.inverse()
-    return X, Y, Z, lifted
+    return X, Y, Z, {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2}
 
 
 def dz_closed_form(p):
@@ -156,7 +155,7 @@ def dz_closed_form(p):
     f5'(x_i) the formal derivatives of F and f5 over the chart ring at the
     point's moduli (independent of the jet path)."""
     p.check_admissible()
-    ctx, y1, y2 = exact_backend(p)
+    ctx, y1, y2 = p.roots
     x1, x2 = Poly.var(_CHART_CTX, "x1"), Poly.var(_CHART_CTX, "x2")
     F = chart_F(x1, x2, p.lambdas)
     df5 = f5_scalar(x1, p.lambdas).diff("x1")
@@ -212,32 +211,13 @@ def quartic_check(p, variant="wp11"):
                               ctx.rational(2), ctx.zero, variant))
 
 
-def metric_point(p, backend=None):
-    """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2 etc.
-    and of its inverse about the base point, one order below the lift:
-    from the point's own exact lift unless a backend is given, which is
-    lifted at order 3.  Raises NonInvertibleError where det g is not
-    invertible."""
-    X, Y, Z, lifted = p.lift if backend is None \
-        else xyz_jets(p, backend=backend)
-    jx1, jx2 = lifted["x1"], lifted["x2"]
-    dz1 = Z.diff(0)
-    dz2 = Z.diff(1)
-    # dS/dx1 = (1, -x2, dZ/dx1); dS/dx2 = (1, -x1, dZ/dx2)
-    g11 = (jx2 * jx2 + dz1 * dz1).add_scalar(1)
-    g12 = (jx1 * jx2 + dz1 * dz2).add_scalar(1)
-    g22 = (jx1 * jx1 + dz2 * dz2).add_scalar(1)
-    g = MetricTensor(g11, g12, g22)
-    return g, inverse_metric(g)
-
-
-def ricci_point(p, backend=None):
+def ricci_point(p):
     """Exact Ricci components at the base point via the generic tensor
-    pipeline over the jet ring.  The metric is differentiated twice, so a
-    point lifted below order 3 raises ValueError from ``Jet.diff``."""
+    pipeline over the point's jet ring.  The metric is differentiated
+    twice, so a point lifted below order 3 raises ValueError from
+    ``Jet.diff``."""
     try:
-        g, ginv = p.metric if backend is None \
-            else metric_point(p, backend=backend)
+        g, ginv = p.metric
     except NonInvertibleError as e:
         raise SingularPointError(str(e))
     ric = ricci(riemann(christoffel(g, ginv)))
@@ -250,15 +230,15 @@ def ricci_point(p, backend=None):
 
 
 def random_admissible_points(seed, count, lambdas=(0, 0, 0, 0, 0),
-                             max_abs=50, order=JET_ORDER):
+                             order=JET_ORDER):
     """Deterministic stream of admissible rational points with numerators
-    and denominators bounded by ``max_abs``, each lifted at jet ``order``
-    (at least 1).  Acceptance reads only the base value of det g, and jet
-    truncation is a ring map, so every order accepts the same points."""
+    and denominators bounded by 50, each lifted at jet ``order`` (at least
+    1).  Acceptance reads only the base value of det g, and jet truncation
+    is a ring map, so every order accepts the same points."""
     rng = random.Random(seed)
 
     def draw():
-        return rat(rng.randint(-max_abs, max_abs), rng.randint(1, max_abs))
+        return rat(rng.randint(-50, 50), rng.randint(1, 50))
     out = []
     while len(out) < count:
         p = ChartBPoint(draw(), draw(), tuple(lambdas), order=order)

@@ -13,7 +13,6 @@ the inversion-chart jets: it carries ``zero`` and ``one``, inverts with
 numerators of both factors and builds one element per output
 coefficient."""
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -199,12 +198,6 @@ class QuadExtScalar:
         return QuadExtScalar(self.ctx, self.na, self.nb, -self.nc,
                              -self.nd, self.den)
 
-    def norm(self):
-        """Product of the four sign conjugates; always rational."""
-        n = self * self.conj1() * self.conj2() * self.conj1().conj2()
-        assert n.nb == 0 and n.nc == 0 and n.nd == 0
-        return n.a
-
     def inv(self):
         cof = self.conj1() * self.conj2() * self.conj1().conj2()
         n = self * cof  # n.na / n.den, rational
@@ -240,15 +233,8 @@ class QuadExtScalar:
         r1 = rational_sqrt(self.ctx.c1)
         r2 = rational_sqrt(self.ctx.c2)
         if r1 is None or r2 is None:
-            raise ValueError("square roots are irrational; use to_complex")
+            raise ValueError("square roots are irrational")
         return self.a + self.b * r1 + self.c * r2 + self.d * r1 * r2
-
-    def to_complex(self):
-        """Embed with y_i -> principal sqrt(c_i)."""
-        r1 = cmath.sqrt(complex(self.ctx.c1))
-        r2 = cmath.sqrt(complex(self.ctx.c2))
-        return (complex(self.a) + complex(self.b) * r1
-                + complex(self.c) * r2 + complex(self.d) * r1 * r2)
 
     def __str__(self):
         return "(%s + %s*y1 + %s*y2 + %s*y1y2)" % (self.a, self.b, self.c,

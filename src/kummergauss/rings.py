@@ -318,27 +318,34 @@ class Poly:
         return Poly._of(ctx, out, self.den)
 
     def eval(self, assignment):
-        """Exact evaluation; assignment must cover every variable present."""
+        """Exact value at rational variable values; the assignment must
+        cover every variable present.  A value n/d whose largest exponent
+        is E enters a term as n^e d^(E - e), so the sum runs on the integer
+        numerators over the one denominator den * prod d^E."""
         ctx = self.ctx
-        values = []
-        for i, name in enumerate(ctx.names):
-            if name in assignment:
-                v = assignment[name]
-                values.append(rat(v) if isinstance(v, int) else v)
-            else:
-                values.append(None)
-        total = rat(0)
-        for k, c in self.items():
-            term = c
+        top = [0] * ctx.n
+        for k in self.terms:
             for i in range(ctx.n):
                 e = (k >> (_SHIFT * i)) & _MASK
-                if e:
-                    if values[i] is None:
-                        raise ContextError(
-                            "missing value for %r" % ctx.names[i])
-                    term = term * values[i] ** e
-            total = total + term
-        return total
+                if e > top[i]:
+                    top[i] = e
+        powers, den = [], self.den
+        for i, e_max in enumerate(top):
+            if not e_max:
+                continue
+            name = ctx.names[i]
+            if name not in assignment:
+                raise ContextError("missing value for %r" % name)
+            n, d = assignment[name].numerator, assignment[name].denominator
+            powers.append((_SHIFT * i, [n ** e * d ** (e_max - e)
+                                        for e in range(e_max + 1)]))
+            den *= d ** e_max
+        total = 0
+        for k, c in self.terms.items():
+            for shift, pw in powers:
+                c *= pw[(k >> shift) & _MASK]
+            total += c
+        return Fraction(total, den)
 
     def is_zero(self):
         return not self.terms

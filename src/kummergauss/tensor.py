@@ -4,8 +4,7 @@ the 4x4 determinant shared by the kernel-matrix checks of both charts.
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
 index i in {0, 1}, and ``.scale(q)`` by a rational q; ``inverse_metric``
 also needs ``.inverse()``.  The same code drives exact series and exact
-point-jets; floats and complex numbers reach it only from the tests and
-the ``complex_backend`` reference.
+point-jets; floats and complex numbers reach it only from the tests.
 
 The curvature steps pass plain components: ``christoffel`` returns the
 dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and

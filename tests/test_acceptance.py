@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from kummergauss import reference
-from kummergauss.inversion import (ChartBPoint, dz_closed_form, metric_point,
+from kummergauss.inversion import (ChartBPoint, dz_closed_form,
                                    quartic_check, quartic_identity,
                                    random_admissible_points, ricci_point,
                                    xyz_jets)
@@ -194,8 +194,8 @@ def test_criterion_8_property_suites():
 
     # chart swap symmetry of the induced metric diagonal
     for p in random_admissible_points(31, 3):
-        g, _ = metric_point(p)
-        gs, _ = metric_point(replace(p, x1=p.x2, x2=p.x1))
+        g, _ = p.metric
+        gs, _ = replace(p, x1=p.x2, x2=p.x1).metric
         ok = ok and g.g11.base.a == gs.g22.base.a
         ok = ok and g.g22.base.a == gs.g11.base.a
 

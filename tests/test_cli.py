@@ -203,6 +203,17 @@ def test_output_to_file(tmp_path):
     assert json.loads(out.read_text())["command"] == "fresnel"
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    """A report that cannot be written is one error line and exit 2, not
+    a traceback: exit 1 means a check failed."""
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(["goepel", "--output", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("write error: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_text_format_renders_table(capsys):
     code = cli.main(["goepel", "--format", "text"])
     assert code == 0

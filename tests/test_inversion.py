@@ -1,7 +1,8 @@
 """Tests for the symmetric-function chart over the hyperelliptic curve:
 witness values, the quartic as one identity in symbolic lambda on both
-sheets, closed-form derivatives against jets, and symmetry of the induced
-metric."""
+sheets, closed-form derivatives against jets, symmetry of the induced
+metric, and the Ricci values against the Gauss curvature of the chart's
+second fundamental form."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -10,17 +11,18 @@ import pytest
 
 from kummergauss import inversion
 from kummergauss.inversion import (AdmissibilityError, ChartBPoint, chart_F,
-                                   complex_backend, dz_closed_form,
-                                   f5_scalar, lift_point, metric_point,
-                                   quartic_check, quartic_identity,
-                                   random_admissible_points, ricci_point,
-                                   xyz_jets)
+                                   dz_closed_form, f5_scalar, quartic_check,
+                                   quartic_identity, random_admissible_points,
+                                   ricci_point, xyz_jets)
 from kummergauss.jets import Jet, NumericRing
 from kummergauss.rings import Context, Poly, rat
 from kummergauss.sigma import LAMBDA_NAMES
 
 W = ChartBPoint(1, 4)
 RING = Context(("x1", "x2") + LAMBDA_NAMES)
+LAM = (rat(1, 2), rat(-3), rat(2, 7), rat(5), rat(-1))
+LIFT_LAMBDAS = pytest.mark.parametrize(
+    "lambdas", [(0, 0, 0, 0, 0), LAM], ids=["zero", "lam"])
 
 
 # -- admissibility ----------------------------------------------------
@@ -91,7 +93,7 @@ def test_witness_dz_closed_form():
 
 
 def test_witness_metric_entry():
-    g, _ = metric_point(W)
+    g, _ = W.metric
     assert g.g11.base.rational_value() == rat(18793, 729)
 
 
@@ -177,8 +179,8 @@ def _swap_eq(a, b):
 def test_metric_swap_covariance():
     """Swapping (x1, x2) swaps the metric diagonal and keeps g12."""
     for p in random_admissible_points(31, 5):
-        g, _ = metric_point(p)
-        gs, _ = metric_point(replace(p, x1=p.x2, x2=p.x1))
+        g, _ = p.metric
+        gs, _ = replace(p, x1=p.x2, x2=p.x1).metric
         assert _swap_eq(g.g11.base, gs.g22.base)
         assert _swap_eq(g.g22.base, gs.g11.base)
         assert _swap_eq(g.g12.base, gs.g12.base)
@@ -187,8 +189,8 @@ def test_metric_swap_covariance():
 def test_metric_sheet_symmetry():
     """Flipping both branch signs leaves the metric unchanged."""
     for p in random_admissible_points(17, 5):
-        g, _ = metric_point(p)
-        gf, _ = metric_point(replace(p, sign1=-1, sign2=-1))
+        g, _ = p.metric
+        gf, _ = replace(p, sign1=-1, sign2=-1).metric
         assert g.g11.base == gf.g11.base
         assert g.g12.base == gf.g12.base
         assert g.g22.base == gf.g22.base
@@ -202,18 +204,6 @@ def test_ricci_nonzero_at_random_points():
         assert (rep["R12"] - rep["R21"]).is_zero()
 
 
-def test_ricci_point_matches_complex_backend():
-    """The exact pipeline and a plain complex-float pipeline agree to
-    1e-9 relative at the base point."""
-    for p in random_admissible_points(3, 4, max_abs=9):
-        exact = ricci_point(p)
-        approx = ricci_point(p, backend=complex_backend(p))
-        for key in ("R11", "R12", "R22"):
-            e = exact[key].to_complex()
-            a = approx[key]
-            assert abs(e - a) <= 1e-9 * max(1.0, abs(e)), (p, key)
-
-
 def test_random_points_deterministic():
     a = random_admissible_points(123, 6)
     b = random_admissible_points(123, 6)
@@ -221,17 +211,80 @@ def test_random_points_deterministic():
 
 
 def test_lift_point_respects_order():
-    lifted = lift_point(W, order=2)
+    _, _, _, lifted = xyz_jets(W, order=2)
     assert lifted["y1"].order == 2
     assert lifted["x1"].get(1, 0) == lifted["x1"].ring.one
 
 
+def test_points_share_one_extension():
+    """The lift and the closed-form dZ read the point's one context."""
+    p = ChartBPoint(rat(2, 3), rat(-5, 7))
+    ctx = p.roots[0]
+    assert p.lift[2].base.ctx is ctx
+    assert all(d.ctx is ctx for d in dz_closed_form(p))
+
+
+# -- Ricci against the theorema egregium ------------------------------
+
+def egregium(p):
+    """Gauss curvature K and the metric (E, F, G) from the second
+    fundamental form of S = (x1 + x2, -x1 x2, Z), read off the point's
+    lift alone.  With S_1 = (1, -x2, Z_1), S_2 = (1, -x1, Z_2) and the
+    unnormalised normal S_1 x S_2 = (x1 Z_1 - x2 Z_2, Z_1 - Z_2, d),
+    d = x2 - x1: L = Z_11 d, M = Z_12 d - (Z_1 - Z_2), N = Z_22 d, and
+    |S_1 x S_2|^2 = EG - F^2, so K = (LN - M^2) / (EG - F^2)^2."""
+    Z = p.lift[2]
+    z1, z2 = Z.get(1, 0), Z.get(0, 1)
+    z11, z12, z22 = Z.get(2, 0).scale(2), Z.get(1, 1), Z.get(0, 2).scale(2)
+    x1, x2 = p.x1, p.x2
+    d = x2 - x1
+    E = z1 * z1 + (1 + x2 * x2)
+    F = z1 * z2 + (1 + x1 * x2)
+    G = z2 * z2 + (1 + x1 * x1)
+    L, M, N = z11.scale(d), z12.scale(d) - (z1 - z2), z22.scale(d)
+    area = E * G - F * F
+    return (L * N - M * M) * (area * area).inv(), (E, F, G)
+
+
+def _riemann_sign_mutant(gam):
+    """``tensor.riemann`` with the sign of one Gamma.Gamma term flipped."""
+    block = {}
+    for a in range(2):
+        for b in range(2):
+            val = gam[a, b, 1].diff(0) - gam[a, b, 0].diff(1)
+            for tau in range(2):
+                val = val + gam[a, tau, 0] * gam[tau, b, 1]
+                val = val + gam[a, tau, 1] * gam[tau, b, 0]
+            block[a, b] = val
+    return block
+
+
+def _ricci_is_k_times_metric(p):
+    K, (E, F, G) = egregium(p)
+    rep = ricci_point(p)
+    return K, (rep["R11"], rep["R12"], rep["R21"], rep["R22"]) \
+        == (K * E, K * F, K * F, K * G)
+
+
+@LIFT_LAMBDAS
+def test_ricci_equals_gauss_curvature_times_metric(lambdas):
+    """In two dimensions R_ij = K g_ij, with K from the extrinsic
+    geometry of the chart: an exact oracle for the whole Christoffel,
+    Riemann and Ricci pipeline, and K != 0 (not Ricci flat)."""
+    for p in random_admissible_points(7, 6, lambdas=lambdas):
+        K, ok = _ricci_is_k_times_metric(p)
+        assert ok, p
+        assert not K.is_zero(), p
+
+
+def test_egregium_oracle_catches_a_riemann_sign(monkeypatch):
+    monkeypatch.setattr(inversion, "riemann", _riemann_sign_mutant)
+    for lambdas in ((0, 0, 0, 0, 0), LAM):
+        points = random_admissible_points(7, 6, lambdas=lambdas)
+        assert not any(_ricci_is_k_times_metric(p)[1] for p in points)
+
+
 # -- lift order -------------------------------------------------------
-
-LAM = (rat(1, 2), rat(-3), rat(2, 7), rat(5), rat(-1))
-LIFT_LAMBDAS = pytest.mark.parametrize(
-    "lambdas", [(0, 0, 0, 0, 0), LAM], ids=["zero", "lam"])
-
 
 def _echo(points):
     return [(p.x1, p.x2, p.sign1, p.sign2) for p in points]

@@ -72,15 +72,6 @@ def test_associativity_and_distributivity_randomized():
         assert x * y == y * x
 
 
-def test_norm_is_multiplicative_randomized():
-    rng = random.Random(20260821)
-    ctx = QuadExtContext(rat(3), rat(7))
-    for _ in range(120):
-        x = random_elem(rng, ctx)
-        y = random_elem(rng, ctx)
-        assert (x * y).norm() == x.norm() * y.norm()
-
-
 def test_inverse_round_trip_randomized():
     rng = random.Random(20260822)
     ctx = QuadExtContext(rat(2), rat(-3))
@@ -325,20 +316,25 @@ def test_rational_value_requires_perfect_squares():
         QuadExtContext(2, 9).y1.rational_value()
 
 
-def test_to_complex_agrees_with_rational_value():
-    ctx = QuadExtContext(4, 25)
-    e = ctx.element(a=rat(1, 3), b=rat(-2), c=rat(1), d=rat(2))
-    assert abs(e.to_complex() - complex(e.rational_value())) < 1e-12
-
-
-def test_complex_embedding_is_a_homomorphism():
+def test_rational_value_is_a_ring_map():
+    """With both c_i perfect squares, y_i -> sqrt(c_i) is an exact ring
+    map to Q: it respects +, * and inv (the algebra is then split, so an
+    element with a nonzero value may still be non-invertible)."""
     rng = random.Random(20260823)
-    ctx = QuadExtContext(rat(2), rat(-5))
-    for _ in range(50):
+    ctx = QuadExtContext(rat(4, 9), rat(25))
+    done = 0
+    while done < 60:
         x = random_elem(rng, ctx, span=4)
         y = random_elem(rng, ctx, span=4)
-        assert abs((x * y).to_complex()
-                   - x.to_complex() * y.to_complex()) < 1e-9
+        rx, ry = x.rational_value(), y.rational_value()
+        assert (x + y).rational_value() == rx + ry
+        assert (x * y).rational_value() == rx * ry
+        try:
+            inv = x.inv()
+        except NonInvertibleError:
+            continue
+        assert inv.rational_value() == 1 / rx
+        done += 1
 
 
 # -- jets -------------------------------------------------------------
@@ -390,8 +386,8 @@ def test_jet_inverse_over_quadext():
     assert prod.get(1, 0).is_zero()
 
 
-# the three coefficient rings the charts and the complex reference use,
-# each with an element of its own type
+# the coefficient rings of the two charts and of the float tests, each with
+# an element of its own type
 _JET_CTX = QuadExtContext(rat(-3, 7), rat(5, 2))
 JET_RINGS = pytest.mark.parametrize("ring,e", [
     (_JET_CTX, _JET_CTX.y1.scale(3)),

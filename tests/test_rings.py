@@ -82,6 +82,35 @@ def test_eval_is_a_homomorphism_randomized():
         assert (p * q).eval(point) == p.eval(point) * q.eval(point)
 
 
+def test_eval_matches_fraction_reference_randomized():
+    """The integer evaluation equals the term-by-term Fraction sum, a
+    variable the polynomial does not use may be left out, and a used one
+    may not."""
+    rng = random.Random(20260815)
+    seen = set()
+    for _ in range(250):
+        p = random_poly(rng, CTX7, max_deg=3, terms=5, max_coeff=50)
+        point = {name: rat(rng.randint(-9, 9), rng.randint(1, 9))
+                 for name in CTX7.names}
+        expected = Fraction(0)
+        for k, c in p.items():
+            for name, e in zip(CTX7.names, CTX7.unpack(k)):
+                c *= point[name] ** e
+            expected += c
+        assert p.eval(point) == expected
+        used = {name for k in p.terms
+                for name, e in zip(CTX7.names, CTX7.unpack(k)) if e}
+        for name in CTX7.names:
+            rest = {n: v for n, v in point.items() if n != name}
+            seen.add(name in used)
+            if name in used:
+                with pytest.raises(ContextError):
+                    p.eval(rest)
+            else:
+                assert p.eval(rest) == expected
+    assert seen == {True, False}
+
+
 def test_eval_requires_every_used_variable():
     p = Poly.var(CTX, "u") * Poly.var(CTX, "v")
     with pytest.raises(ContextError):
