@@ -12,7 +12,8 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from . import __version__, reference
 from .inversion import (JET_ORDER, ChartBPoint, dz_closed_form,
@@ -59,8 +60,13 @@ class RunConfig:
                               "sigma level run + 2" % (max(levels) + 2))
         if self.points < 1:
             raise ConfigError("points must be at least 1")
-        if self.lambdas is not None and len(self.lambdas) != 5:
-            raise ConfigError("lambda wants exactly five rationals")
+        if self.lambdas is not None:
+            if len(self.lambdas) != 5:
+                raise ConfigError("lambda wants exactly five rationals")
+            # a float would compare equal to a memoised rational frame
+            if not all(isinstance(x, (int, Fraction)) for x in self.lambdas):
+                raise ConfigError("lambda entries must be integers or "
+                                  "fractions")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must fit in 64 bits")
         if not math.isfinite(self.tolerance) or self.tolerance < 1e-10:
@@ -97,11 +103,28 @@ class RunConfig:
         return self.lambdas is not None and any(x != 0 for x in self.lambdas)
 
 
+@lru_cache(maxsize=4)
+def _frame(level, lambdas, order):
+    """The sigma frame of (level, lambda tuple or None, order), built once
+    per process.  A frame's stages are pure and filled on first use, so a
+    later run reads the same objects.  Four frames are the most one run
+    builds: a symbolic ``all`` reads three levels and the zero chart."""
+    return build_sigma(level, lambdas=lambdas, order=order)
+
+
+@lru_cache(maxsize=2)
+def _quartic_identity(variant):
+    """``quartic_identity`` per kernel-matrix variant, once per process: it
+    reads neither lambda nor the config."""
+    return quartic_identity(variant)
+
+
 class _Stages:
     """What the runners of one ``run`` call share, each built on first
     use: the exact lambda = 0 chart, a sigma frame per level the command
-    runs, the admissible points and their dZ check.  It lives for that
-    call only."""
+    runs, the admissible points and their dZ check.  The points live for
+    that call only; the frames come from ``_frame``, which keeps the last
+    four for later calls in the same process."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -111,8 +134,7 @@ class _Stages:
         """The lambda = 0 frame at --max-order.  There sigma is exactly
         u - v^3/3 at every level (by weight), so the chart is exact at any
         order; every lambda-free regression reads it."""
-        return build_sigma(3, lambdas=(0, 0, 0, 0, 0),
-                           order=self.cfg.max_order)
+        return _frame(3, (0, 0, 0, 0, 0), self.cfg.max_order)
 
     @cached_property
     def frames(self):
@@ -123,8 +145,8 @@ class _Stages:
         cfg = self.cfg
         if cfg.lambdas is not None and not cfg.nonzero_lambda():
             return {level: self.zero_chart for level in cfg.levels()}
-        return {level: build_sigma(level, lambdas=cfg.lambdas,
-                                   order=level + 1)
+        lambdas = None if cfg.lambdas is None else tuple(cfg.lambdas)
+        return {level: _frame(level, lambdas, level + 1)
                 for level in cfg.levels()}
 
     @cached_property
@@ -300,7 +322,7 @@ def run_inversion(st):
                           val.is_zero(), point=_point_echo(w),
                           value=str(val)))
     # the quartic as one identity in symbolic lambda on both sheets
-    det, reduced = quartic_identity()
+    det, reduced = _quartic_identity("wp11")
     out.append(_check("inversion-quartic-identity", reduced.is_zero(),
                       terms=len(det.terms), reduced_terms=len(reduced.terms),
                       **{"lambda": "symbolic"}))
@@ -308,7 +330,7 @@ def run_inversion(st):
     out.append(_check("inversion-random-dz", not dz_bad,
                       points=len(st.points), failures=dz_bad))
     # the discrepancy resolution: the alternative diagonal entry must fail
-    _, alt = quartic_identity("wp22")
+    _, alt = _quartic_identity("wp22")
     val = quartic_check(witnesses[0], variant="wp22")
     out.append(_check("inversion-variant-wp22-fails", not alt.is_zero(),
                       point=_point_echo(witnesses[0]), value=str(val),

@@ -14,7 +14,7 @@ admissible-point filter and every later check share them."""
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .jets import Jet
 from .quadext import NonInvertibleError, QuadExtContext
@@ -150,24 +150,33 @@ def xyz_jets(p, order=JET_ORDER):
     return X, Y, Z, {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2}
 
 
+@lru_cache(maxsize=4)
+def _chart_derivatives(lambdas):
+    """(dF/dx1, dF/dx2, f5'(x1)) over the chart ring at the moduli
+    ``lambdas``; they depend on nothing else, so each lambda tuple builds
+    them once."""
+    x1, x2 = Poly.var(_CHART_CTX, "x1"), Poly.var(_CHART_CTX, "x2")
+    F = chart_F(x1, x2, lambdas)
+    return F.diff("x1"), F.diff("x2"), f5_scalar(x1, lambdas).diff("x1")
+
+
 def dz_closed_form(p):
     """dZ/dx_i at the base point by the quotient rule, with dF/dx_i and
     f5'(x_i) the formal derivatives of F and f5 over the chart ring at the
     point's moduli (independent of the jet path)."""
     p.check_admissible()
     ctx, y1, y2 = p.roots
-    x1, x2 = Poly.var(_CHART_CTX, "x1"), Poly.var(_CHART_CTX, "x2")
-    F = chart_F(x1, x2, p.lambdas)
-    df5 = f5_scalar(x1, p.lambdas).diff("x1")
+    dF1, dF2, df5 = _chart_derivatives(p.lambdas)
     at = {"x1": p.x1, "x2": p.x2}
     d = p.x1 - p.x2
     N = ctx.rational(chart_F(p.x1, p.x2, p.lambdas)) - (y1 * y2).scale(2)
     # dZ/dx_i = (dF/dx_i - f5'(x_i) y_j / y_i) / (4 d^2) -+ N / (2 d^3);
     # f5' is one polynomial in x1, read at each x_i
     out = []
-    for name, yi, yj, sign in (("x1", y1, y2, -1), ("x2", y2, y1, 1)):
-        dN = ctx.rational(F.diff(name).eval(at)) \
-            - (yj * yi.inv()).scale(df5.eval({"x1": at[name]}))
+    for dF, xi, yi, yj, sign in ((dF1, p.x1, y1, y2, -1),
+                                 (dF2, p.x2, y2, y1, 1)):
+        dN = ctx.rational(dF.eval(at)) \
+            - (yj * yi.inv()).scale(df5.eval({"x1": xi}))
         out.append(N.scale(sign / (2 * d ** 3)) + dN.scale(1 / (4 * d * d)))
     return tuple(out)
 

@@ -16,6 +16,14 @@ from kummergauss.cli import ConfigError, RunConfig, config_from_args, run
 from kummergauss.sigma import DEFAULT_ORDER
 
 LAM = cli._parse_lambda("1/2,-3,2/7,5,-1")
+ZERO = (0, 0, 0, 0, 0)
+
+
+@pytest.fixture(autouse=True)
+def cold_frames():
+    """Every test starts with no memoised sigma frame, so the frames a run
+    builds do not depend on the tests that ran before it."""
+    cli._frame.cache_clear()
 
 
 def quick_cfg(command, **kw):
@@ -110,6 +118,28 @@ def test_points_floor():
 def test_bad_lambda_count():
     with pytest.raises(ConfigError):
         quick_cfg("quartic-verify", lambdas=(1, 2)).validate()
+
+
+def test_float_lambda_rejected():
+    """0.5 == 1/2 would reuse the rational frame, so only exact entries
+    are accepted, with a config error rather than a failure inside the
+    ring layer."""
+    with pytest.raises(ConfigError):
+        quick_cfg("quartic-verify", lambdas=(0.5, 1, 2, 3, 4)).validate()
+    with pytest.raises(ConfigError):
+        run(quick_cfg("quartic-verify", lambdas=(1, 2, 3, 4, 5.0)))
+
+
+def test_lambda_list_runs_like_its_tuple(monkeypatch):
+    """A lambda list is keyed as its tuple: it reports what the tuple does
+    and reuses the tuple's frame."""
+    frames = []
+    _counted(monkeypatch, cli, "build_sigma", frames)
+    tuple_body, list_body = [
+        _report_body(quick_cfg("quartic-verify", lambdas=lambdas))
+        for lambdas in (LAM, list(LAM))]
+    assert tuple_body == list_body
+    assert _frame_keys(frames) == [(3, LAM, 4)]
 
 
 def test_lambda_parsing():
@@ -303,6 +333,52 @@ def test_numeric_frames_by_lambda(monkeypatch):
     _, code = run(quick_cfg("all", max_order=9, lambdas=LAM))
     assert code == 0
     assert _frame_keys(frames) == [(3, LAM, 4), (5, LAM, 6), (7, LAM, 8)]
+
+
+def test_frames_outlive_the_run(monkeypatch):
+    """A run repeated at the same (level, lambda, order) builds no frame;
+    a changed lambda does, and so does a changed --max-order for the zero
+    chart."""
+    frames = []
+    _counted(monkeypatch, cli, "build_sigma", frames)
+    for command in ("quartic-verify", "pde-verify", "quartic-verify"):
+        assert run(quick_cfg(command, lambdas=LAM))[1] == 0
+    assert _frame_keys(frames) == [(3, LAM, 4)]
+    other = (1, 0, 0, 0, 0)
+    assert run(quick_cfg("quartic-verify", lambdas=other))[1] == 0
+    for order in (8, 9, 8):
+        assert run(quick_cfg("quartic-verify", lambdas=ZERO,
+                             max_order=order))[1] == 0
+    assert _frame_keys(frames) == [(3, LAM, 4), (3, other, 4),
+                                   (3, ZERO, 8), (3, ZERO, 9)]
+
+
+def _report_body(cfg):
+    report, code = run(cfg)
+    assert code == 0
+    report.pop("wall_time_s")
+    return json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("lambdas", [None, ZERO, LAM],
+                         ids=["symbolic", "zero", "numeric"])
+def test_reports_identical_cold_and_warm(lambdas):
+    """A report does not depend on what earlier runs left in the memoised
+    frames: each command reports the same from an empty memo as after
+    other commands filled the stages of its frames in another order and
+    runs at other configs came between."""
+    commands = ("quartic-verify", "pde-verify", "kernel-verify",
+                "metric-report")
+    cold = []
+    for command in commands:
+        cli._frame.cache_clear()
+        cold.append(_report_body(quick_cfg(command, lambdas=lambdas)))
+    cli._frame.cache_clear()
+    run(quick_cfg("ricci-leading", lambdas=lambdas))
+    run(quick_cfg("pde-verify", sigma_level=5, lambdas=(1, 0, 0, 0, 0)))
+    warm = [_report_body(quick_cfg(command, lambdas=lambdas))
+            for command in reversed(commands)]
+    assert warm[::-1] == cold
 
 
 # -- honest horizons: lambda-dependent frames stop at level + 1 --------
