@@ -103,13 +103,20 @@ class RunConfig:
         return self.lambdas is not None and any(x != 0 for x in self.lambdas)
 
 
-@lru_cache(maxsize=4)
 def _frame(level, lambdas, order):
     """The sigma frame of (level, lambda tuple or None, order), built once
-    per process.  A frame's stages are pure and filled on first use, so a
-    later run reads the same objects.  Four frames are the most one run
-    builds: a symbolic ``all`` reads three levels and the zero chart."""
-    return build_sigma(level, lambdas=lambdas, order=order)
+    per process by the function bound to ``build_sigma`` here.  A frame's
+    stages are pure and filled on first use, so a later run reads the same
+    objects; a wrapper bound in its place (a tracer, a test's counter)
+    builds its own frames, so it sees every frame its runs read."""
+    return _built_frame(build_sigma, level, lambdas, order)
+
+
+@lru_cache(maxsize=4)
+def _built_frame(build, level, lambdas, order):
+    """Four frames are the most one run builds: a symbolic ``all`` reads
+    three levels and the zero chart."""
+    return build(level, lambdas=lambdas, order=order)
 
 
 @lru_cache(maxsize=2)
@@ -488,7 +495,9 @@ def build_parser():
         prog="kummer-verify",
         description="exact verification suite for the Kummer-surface "
                     "Gauss-metric computation")
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", nargs="+", choices=COMMANDS,
+                    help="one or more commands, run in order with the same "
+                         "flags; they share the sigma frames they read")
     ap.add_argument("--lambda", dest="lam", default="symbolic",
                     help="'symbolic' or five comma-separated rationals "
                          "l0,l1,l2,l3,l4 (default symbolic)")
@@ -517,30 +526,42 @@ def build_parser():
     return ap
 
 
-def config_from_args(args):
-    return RunConfig(command=args.command, lambdas=_parse_lambda(args.lam),
-                     sigma_level=args.sigma_level, max_order=args.max_order,
-                     seed=args.seed, points=args.points, output=args.output,
-                     format=args.format, tolerance=args.tol)
+def configs_from_args(args):
+    """One config per command named on the command line, all with the
+    same flags."""
+    return [RunConfig(command=command, lambdas=_parse_lambda(args.lam),
+                      sigma_level=args.sigma_level,
+                      max_order=args.max_order, seed=args.seed,
+                      points=args.points, output=args.output,
+                      format=args.format, tolerance=args.tol)
+            for command in args.command]
 
 
 def main(argv=None):
+    """Run each command given; one command writes its report, several
+    write a JSON list of reports (or the text reports one after another).
+    Every config is validated before the first run."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        report, code = run(cfg)
+        cfgs = configs_from_args(args)
+        for cfg in cfgs:
+            cfg.validate()
+        results = [run(cfg) for cfg in cfgs]
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
-    if cfg.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    reports = [report for report, _ in results]
+    code = max(code for _, code in results)
+    if args.format == "json":
+        doc = reports[0] if len(reports) == 1 else reports
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        text = render_text(report)
-    if cfg.output == "-":
+        text = "\n".join(render_text(report) for report in reports)
+    if args.output == "-":
         sys.stdout.write(text)
         return code
     try:
-        with open(cfg.output, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
     except OSError as e:
         print("write error: %s" % e, file=sys.stderr)

@@ -12,18 +12,11 @@ import pytest
 
 import kummergauss
 from kummergauss import cli, inversion
-from kummergauss.cli import ConfigError, RunConfig, config_from_args, run
+from kummergauss.cli import ConfigError, RunConfig, configs_from_args, run
 from kummergauss.sigma import DEFAULT_ORDER
 
 LAM = cli._parse_lambda("1/2,-3,2/7,5,-1")
 ZERO = (0, 0, 0, 0, 0)
-
-
-@pytest.fixture(autouse=True)
-def cold_frames():
-    """Every test starts with no memoised sigma frame, so the frames a run
-    builds do not depend on the tests that ran before it."""
-    cli._frame.cache_clear()
 
 
 def quick_cfg(command, **kw):
@@ -156,7 +149,8 @@ def test_environment_does_not_set_max_order(monkeypatch):
     """Only --max-order sets the working order; the environment does not."""
     args = cli.build_parser().parse_args(["quartic-verify"])
     monkeypatch.setenv("KUMMER_MAX_ORDER", "12")
-    assert config_from_args(args).max_order == DEFAULT_ORDER
+    assert [cfg.max_order for cfg in configs_from_args(args)] == [
+        DEFAULT_ORDER]
 
 
 # -- exit codes -------------------------------------------------------
@@ -353,6 +347,52 @@ def test_frames_outlive_the_run(monkeypatch):
                                    (3, ZERO, 8), (3, ZERO, 9)]
 
 
+def test_a_new_builder_starts_cold(monkeypatch):
+    """Frames are memoised per function bound to ``cli.build_sigma``: a
+    wrapper bound after other runs filled the memo sees the builds of its
+    own runs, once per frame."""
+    assert run(quick_cfg("quartic-verify", lambdas=LAM))[1] == 0
+    frames = []
+    _counted(monkeypatch, cli, "build_sigma", frames)
+    for command in ("quartic-verify", "kernel-verify"):
+        assert run(quick_cfg(command, lambdas=LAM))[1] == 0
+    assert _frame_keys(frames) == [(3, LAM, 4)]
+
+
+def test_commands_of_one_invocation_share_frames(monkeypatch, capsys):
+    """Several commands in one invocation build each frame once and write
+    a JSON list of the reports each would write alone."""
+    argv = ["quartic-verify", "pde-verify", "kernel-verify", "metric-report",
+            "--lambda", "1/2,-3,2/7,5,-1", "--sigma-level", "3"]
+    frames = []
+    _counted(monkeypatch, cli, "build_sigma", frames)
+    assert cli.main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert _frame_keys(frames) == [(3, LAM, 4)]
+    assert [r["command"] for r in reports] == argv[:4]
+    for report in reports:
+        report.pop("wall_time_s")
+        assert cli.main([report["command"]] + argv[4:]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        alone.pop("wall_time_s")
+        assert alone == report
+
+
+def test_commands_of_one_invocation_exit_and_render(capsys):
+    """The exit code is the worst of the runs, a config error in any
+    command stops the invocation before the first run, and the text format
+    renders each report in turn."""
+    assert cli.main(["goepel", "fresnel", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("command: ") == 2
+    assert out.index("goepel-constants") < out.index("command: fresnel")
+    assert cli.main(["goepel", "quartic-verify", "--lambda", "0,0,0,0,0",
+                     "--max-order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err
+
+
 def _report_body(cfg):
     report, code = run(cfg)
     assert code == 0
@@ -371,9 +411,9 @@ def test_reports_identical_cold_and_warm(lambdas):
                 "metric-report")
     cold = []
     for command in commands:
-        cli._frame.cache_clear()
+        cli._built_frame.cache_clear()
         cold.append(_report_body(quick_cfg(command, lambdas=lambdas)))
-    cli._frame.cache_clear()
+    cli._built_frame.cache_clear()
     run(quick_cfg("ricci-leading", lambdas=lambdas))
     run(quick_cfg("pde-verify", sigma_level=5, lambdas=(1, 0, 0, 0, 0)))
     warm = [_report_body(quick_cfg(command, lambdas=lambdas))
