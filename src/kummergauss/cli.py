@@ -126,12 +126,50 @@ def _quartic_identity(variant):
     return quartic_identity(variant)
 
 
+class _PointSet:
+    """One drawn stream of admissible points and, on first use, the points
+    among them whose jet dZ differs from the closed form: a run that reads
+    only Ricci values never checks dZ."""
+
+    def __init__(self, points):
+        self.points = points
+
+    @cached_property
+    def dz_failures(self):
+        bad = []
+        for p in self.points:
+            Z = p.lift[2]
+            dz1, dz2 = dz_closed_form(p)
+            if not (Z.get(1, 0) - dz1).is_zero() \
+                    or not (Z.get(0, 1) - dz2).is_zero():
+                bad.append(p)
+        return tuple(bad)
+
+
+def _point_set(seed, count, lambdas, order):
+    """The points of (seed, count, lambda tuple, order), drawn and lifted
+    once per process by the function bound to ``random_admissible_points``
+    here, as ``_frame`` keeps frames.  A point keeps its lift and metric,
+    so a later run reads the same objects."""
+    return _drawn_points(random_admissible_points, seed, count, lambdas,
+                         order)
+
+
+@lru_cache(maxsize=2)
+def _drawn_points(draw, seed, count, lambdas, order):
+    """Two sets cover the chart commands at one (seed, lambda) in turn:
+    the order-1 set of inversion-verify and dz-check and the order-3 set
+    of ricci-point."""
+    return _PointSet(tuple(draw(seed, count, lambdas=lambdas, order=order)))
+
+
 class _Stages:
     """What the runners of one ``run`` call share, each built on first
     use: the exact lambda = 0 chart, a sigma frame per level the command
-    runs, the admissible points and their dZ check.  The points live for
-    that call only; the frames come from ``_frame``, which keeps the last
-    four for later calls in the same process."""
+    runs, the admissible points and their dZ check.  Frames and point sets
+    outlive the call: ``_frame`` keeps the last four frames and
+    ``_point_set`` the last two point sets for later calls in the same
+    process."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -157,27 +195,23 @@ class _Stages:
                 for level in cfg.levels()}
 
     @cached_property
-    def points(self):
+    def point_set(self):
         """The admissible points, lifted at order 3 when the run reads
         their Ricci values (ricci-point, all) and at order 1 otherwise:
         dZ reads no further."""
         cfg = self.cfg
         order = JET_ORDER if cfg.command in ("ricci-point", "all") else 1
-        return random_admissible_points(cfg.seed, cfg.points,
-                                        lambdas=cfg.point_lambdas(),
-                                        order=order)
+        return _point_set(cfg.seed, cfg.points, cfg.point_lambdas(), order)
 
-    @cached_property
+    @property
+    def points(self):
+        return self.point_set.points
+
+    @property
     def dz_failures(self):
-        """Echoes of the points whose jet dZ differs from the closed form."""
-        bad = []
-        for p in self.points:
-            Z = p.lift[2]
-            dz1, dz2 = dz_closed_form(p)
-            if not (Z.get(1, 0) - dz1).is_zero() \
-                    or not (Z.get(0, 1) - dz2).is_zero():
-                bad.append(_point_echo(p))
-        return bad
+        """Echoes of the points whose jet dZ differs from the closed form,
+        built afresh for each report."""
+        return [_point_echo(p) for p in self.point_set.dz_failures]
 
 
 def _check(name, ok, qualified=False, **data):
@@ -497,7 +531,8 @@ def build_parser():
                     "Gauss-metric computation")
     ap.add_argument("command", nargs="+", choices=COMMANDS,
                     help="one or more commands, run in order with the same "
-                         "flags; they share the sigma frames they read")
+                         "flags; they share the sigma frames and random "
+                         "points they read")
     ap.add_argument("--lambda", dest="lam", default="symbolic",
                     help="'symbolic' or five comma-separated rationals "
                          "l0,l1,l2,l3,l4 (default symbolic)")

@@ -62,14 +62,17 @@ class Jet:
     def base(self):
         return self.get(0, 0)
 
+    def _through(self, n):
+        """A new dict of the coefficients through total degree n."""
+        if self.order == n:
+            return dict(self.coeffs)
+        return {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= n}
+
     def __add__(self, other):
         if not isinstance(other, Jet):
             return self.add_scalar(other)
         n = min(self.order, other.order)
-        if self.order == n:
-            out = dict(self.coeffs)
-        else:
-            out = {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= n}
+        out = self._through(n)
         for k, c in other.coeffs.items():
             if k[0] + k[1] > n:
                 continue
@@ -82,7 +85,18 @@ class Jet:
                    {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        """Subtracts each coefficient of ``other`` in place of adding its
+        negation, which would build one more jet and ring element."""
+        if not isinstance(other, Jet):
+            return self.add_scalar(-other)
+        n = min(self.order, other.order)
+        out = self._through(n)
+        for k, c in other.coeffs.items():
+            if k[0] + k[1] > n:
+                continue
+            prev = out.get(k)
+            out[k] = -c if prev is None else prev - c
+        return Jet(self.ring, n, out)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):

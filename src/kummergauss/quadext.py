@@ -153,6 +153,10 @@ class QuadExtScalar:
                                  self.den * d)
         self._check_ctx(other)
         e1, e2 = self.den, other.den
+        if e1 == e2:
+            return QuadExtScalar(self.ctx, self.na + other.na,
+                                 self.nb + other.nb, self.nc + other.nc,
+                                 self.nd + other.nd, e1)
         return QuadExtScalar(self.ctx, self.na * e2 + other.na * e1,
                              self.nb * e2 + other.nb * e1,
                              self.nc * e2 + other.nc * e1,
@@ -165,7 +169,23 @@ class QuadExtScalar:
                              -self.nd, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        """``__add__`` with the signs of ``other`` flipped, without
+        building its negation first."""
+        if not isinstance(other, QuadExtScalar):
+            n, d = other.numerator, other.denominator
+            return QuadExtScalar(self.ctx, self.na * d - n * self.den,
+                                 self.nb * d, self.nc * d, self.nd * d,
+                                 self.den * d)
+        self._check_ctx(other)
+        e1, e2 = self.den, other.den
+        if e1 == e2:
+            return QuadExtScalar(self.ctx, self.na - other.na,
+                                 self.nb - other.nb, self.nc - other.nc,
+                                 self.nd - other.nd, e1)
+        return QuadExtScalar(self.ctx, self.na * e2 - other.na * e1,
+                             self.nb * e2 - other.nb * e1,
+                             self.nc * e2 - other.nc * e1,
+                             self.nd * e2 - other.nd * e1, e1 * e2)
 
     def __mul__(self, other):
         if not isinstance(other, QuadExtScalar):

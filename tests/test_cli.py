@@ -495,6 +495,8 @@ def test_inversion_reports_the_quartic_identity(lambdas):
 def test_lifts_at_the_order_each_command_reads(monkeypatch, command,
                                                lifts):
     """One lift per point, at order 3 only where Ricci values are read."""
+    # an earlier test may have left these point sets, lifted, in the memo
+    cli._drawn_points.cache_clear()
     calls = []
     _counted(monkeypatch, inversion, "xyz_jets", calls)
     _, code = run(quick_cfg(command, max_order=9, points=3))
@@ -505,11 +507,104 @@ def test_lifts_at_the_order_each_command_reads(monkeypatch, command,
 
 def test_all_checks_dz_once_per_point(monkeypatch):
     """inversion-random-dz and dz-closed-form share one dZ check."""
+    cli._drawn_points.cache_clear()
     calls = []
     _counted(monkeypatch, cli, "dz_closed_form", calls)
     _, code = run(quick_cfg("all", max_order=9, points=3))
     assert code == 0
     assert len(calls) == 3
+
+
+def _point_lift(p, order=inversion.JET_ORDER):
+    """A ``keep`` for ``_counted`` on ``xyz_jets``: the lifts of drawn
+    points, not the order-0 witnesses of inversion-verify."""
+    return order > 0
+
+
+def test_point_sets_outlive_the_run(monkeypatch):
+    """A run repeated at the same (seed, points, lambda, order) draws,
+    lifts and dZ-checks nothing; a changed seed, point count, lambda or
+    lift order draws again."""
+    draws, lifts, dz = [], [], []
+    # a draw function bound here is a new memo key: the test starts cold
+    _counted(monkeypatch, cli, "random_admissible_points", draws)
+    _counted(monkeypatch, inversion, "xyz_jets", lifts,
+             keep=_point_lift)
+    _counted(monkeypatch, cli, "dz_closed_form", dz)
+    assert run(quick_cfg("dz-check", lambdas=LAM))[1] == 0
+    assert (len(draws), len(dz)) == (1, 2)
+    assert lifts
+    lifts.clear()
+    for command in ("dz-check", "inversion-verify", "dz-check"):
+        assert run(quick_cfg(command, lambdas=LAM))[1] == 0
+    assert (len(draws), len(lifts), len(dz)) == (1, 0, 2)
+    # a new lift order draws again; ricci-point reads no dZ
+    assert run(quick_cfg("ricci-point", lambdas=LAM))[1] == 0
+    assert (len(draws), len(dz)) == (2, 2)
+    assert lifts
+    lifts.clear()
+    changed = [dict(seed=12), dict(points=3), dict(lambdas=(1, 0, 0, 0, 0))]
+    for n, kw in enumerate(changed, start=3):
+        kw = {"lambdas": LAM, **kw}
+        assert run(quick_cfg("dz-check", **kw))[1] == 0
+        assert len(draws) == n, kw
+        assert lifts, kw
+        lifts.clear()
+    assert [args[:2] + (kw["lambdas"], kw["order"])
+            for args, kw in draws] == [
+        (11, 2, LAM, 1), (11, 2, LAM, 3), (12, 2, LAM, 1), (11, 3, LAM, 1),
+        (11, 2, (1, 0, 0, 0, 0), 1)]
+
+
+@pytest.mark.parametrize("lambdas", [ZERO, LAM], ids=["zero", "numeric"])
+def test_point_reports_identical_cold_and_warm(lambdas):
+    """A chart report does not depend on what earlier runs left in the
+    memoised point sets: each command reports the same from an empty memo
+    as after the other commands lifted and dZ-checked the same points."""
+    commands = ("inversion-verify", "ricci-point", "dz-check")
+    cold = []
+    for command in commands:
+        cli._drawn_points.cache_clear()
+        cold.append(_report_body(quick_cfg(command, lambdas=lambdas)))
+    cli._drawn_points.cache_clear()
+    run(quick_cfg("all", lambdas=lambdas, max_order=9))
+    warm = [_report_body(quick_cfg(command, lambdas=lambdas))
+            for command in reversed(commands)]
+    assert warm[::-1] == cold
+
+
+def test_chart_commands_of_one_invocation_share_points(monkeypatch,
+                                                       capsys):
+    """inversion-verify, ricci-point and dz-check in one invocation lift
+    each point once per order, check dZ once per point, and report what
+    each reports alone."""
+    argv = ["inversion-verify", "ricci-point", "dz-check",
+            "--lambda", "1/2,-3,2/7,5,-1", "--points", "3", "--seed", "11"]
+    lifts, dz = [], []
+    # a new draw function: the points are drawn in this invocation
+    _counted(monkeypatch, cli, "random_admissible_points", [])
+    _counted(monkeypatch, inversion, "xyz_jets", lifts,
+             keep=_point_lift)
+    _counted(monkeypatch, cli, "dz_closed_form", dz)
+    assert cli.main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)
+    per_order = Counter((args[0], kw.get("order", inversion.JET_ORDER))
+                        for args, kw in lifts)
+    assert set(per_order.values()) == {1}
+    assert {order for _, order in per_order} == {1, 3}
+    # the same candidates at both orders (a point's order is not part of
+    # its identity)
+    assert {p for p, order in per_order if order == 1} \
+        == {p for p, order in per_order if order == 3}
+    assert len(dz) == 3
+    assert [r["command"] for r in reports] == argv[:3]
+    for report in reports:
+        report.pop("wall_time_s")
+        cli._drawn_points.cache_clear()
+        assert cli.main([report["command"]] + argv[3:]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        alone.pop("wall_time_s")
+        assert alone == report
 
 
 def test_all_equals_union_of_single_commands():
