@@ -7,10 +7,12 @@ Points are evaluated exactly through jets over the quadratic extension
 algebra: ``ChartBPoint.roots`` is the point's ``QuadExtContext`` with its
 signed square roots y1, y2, built once and read by the jets and by the
 closed-form dZ.  A point carries the jet order its checks read: 3 for the
-Ricci values (the metric through order 2, differentiated twice), 1 for dZ,
-0 for a point whose base values alone are read.  It keeps the exact lift
-and metric it computes first (``lift``, ``metric``), so the
-admissible-point filter and every later check share them."""
+Ricci values (the metric through order 2, differentiated twice, and its
+inverse one order below the metric, since it meets only first
+derivatives of g), 1 for dZ, 0 for a point whose base values alone are
+read.  It keeps the exact lift and metric it computes first (``lift``,
+``metric``), so the admissible-point filter and every later check share
+them."""
 
 import random
 from dataclasses import dataclass, field
@@ -103,8 +105,11 @@ class ChartBPoint:
     @cached_property
     def metric(self):
         """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2
-        etc. and of its inverse about the base point, one order below the
-        lift.  Raises NonInvertibleError where det g is not invertible."""
+        etc. about the base point, one order below the lift, and of its
+        inverse one order below the metric (order 0 for an order-0
+        metric): ``christoffel`` multiplies the inverse only into first
+        derivatives of g.  Raises NonInvertibleError where det g is not
+        invertible."""
         _, _, Z, lifted = self.lift
         jx1, jx2 = lifted["x1"], lifted["x2"]
         dz1 = Z.diff(0)
@@ -113,8 +118,11 @@ class ChartBPoint:
         g11 = (jx2 * jx2 + dz1 * dz1).add_scalar(1)
         g12 = (jx1 * jx2 + dz1 * dz2).add_scalar(1)
         g22 = (jx1 * jx1 + dz2 * dz2).add_scalar(1)
-        g = MetricTensor(g11, g12, g22)
-        return g, inverse_metric(g)
+        n = max(g11.order - 1, 0)
+        return (MetricTensor(g11, g12, g22),
+                inverse_metric(MetricTensor(g11.truncated(n),
+                                            g12.truncated(n),
+                                            g22.truncated(n))))
 
 
 def _sqrt_jet(s, y0, ring, slot):
@@ -223,8 +231,8 @@ def quartic_check(p, variant="wp11"):
 def ricci_point(p):
     """Exact Ricci components at the base point via the generic tensor
     pipeline over the point's jet ring.  The metric is differentiated
-    twice, so a point lifted below order 3 raises ValueError from
-    ``Jet.diff``."""
+    twice, with its inverse one order below the metric, so a point lifted
+    below order 3 raises ValueError from ``Jet.diff``."""
     try:
         g, ginv = p.metric
     except NonInvertibleError as e:

@@ -68,6 +68,13 @@ class Jet:
             return dict(self.coeffs)
         return {k: c for k, c in self.coeffs.items() if k[0] + k[1] <= n}
 
+    def truncated(self, n):
+        """The jet through total degree n; itself when n is not below its
+        order."""
+        if n >= self.order:
+            return self
+        return Jet(self.ring, n, self._through(n))
+
     def __add__(self, other):
         if not isinstance(other, Jet):
             return self.add_scalar(other)
@@ -138,8 +145,9 @@ class Jet:
         e = rest.add_scalar(-1)  # valuation >= 1
         acc = Jet.constant(self.ring, self.order, self.ring.one)
         power = Jet.constant(self.ring, self.order, self.ring.one)
+        neg = -e
         for _ in range(self.order):
-            power = power * (-e)
+            power = power * neg
             acc = acc + power
         return acc.scale(ic0)
 

@@ -9,6 +9,13 @@ point-jets; floats and complex numbers reach it only from the tests.
 The curvature steps pass plain components: ``christoffel`` returns the
 dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and
 ``ricci`` contracts that block into a ``RicciTensor``.
+
+Over jets each stage forms only the orders the next one reads:
+``riemann`` multiplies Gamma cut to the order of dGamma, and the
+inversion chart hands ``christoffel`` an inverse one order below its
+metric (the inverse meets only first derivatives of g).  The sigma
+chart's series are multiplied whole: there a Gamma.Gamma product decides
+the known order of the sum, so a lower cap would lower validated orders.
 """
 
 from fractions import Fraction
@@ -101,14 +108,21 @@ def riemann(gam):
     """The block {(a, b): R^a_{b01}}; in two dimensions it is the whole
     curvature tensor, since R^a_{b10} = -R^a_{b01} and R^a_{b00} =
     R^a_{b11} = 0."""
+    dgam = {(a, b): gam[a, b, 1].diff(0) - gam[a, b, 0].diff(1)
+            for a in range(2) for b in range(2)}
+    # The one dispatch on the ring: a jet carries its order, and a jet sum
+    # keeps the lower order of its terms, so Gamma cut to the highest order
+    # of dGamma forms no product term the sum would drop.  Elements without
+    # an order (the sigma chart's series) are multiplied whole.
+    if hasattr(dgam[0, 0], "order"):
+        n = max(d.order for d in dgam.values())
+        gam = {k: x.truncated(n) for k, x in gam.items()}
     block = {}
-    for a in range(2):
-        for b in range(2):
-            val = gam[a, b, 1].diff(0) - gam[a, b, 0].diff(1)
-            for tau in range(2):
-                val = val + gam[a, tau, 0] * gam[tau, b, 1]
-                val = val - gam[a, tau, 1] * gam[tau, b, 0]
-            block[a, b] = val
+    for (a, b), val in dgam.items():
+        for tau in range(2):
+            val = val + gam[a, tau, 0] * gam[tau, b, 1]
+            val = val - gam[a, tau, 1] * gam[tau, b, 0]
+        block[a, b] = val
     return block
 
 

@@ -419,6 +419,26 @@ JET_RINGS = pytest.mark.parametrize("ring,e", [
 
 
 @JET_RINGS
+def test_jet_truncation_keeps_the_coefficients_through_n(ring, e):
+    jet = Jet(ring, 3, {(0, 0): e, (1, 0): ring.one, (1, 1): e,
+                        (0, 3): e * e})
+    kept = dict(jet.coeffs)
+    for n, keys in ((0, [(0, 0)]), (1, [(0, 0), (1, 0)]),
+                    (2, [(0, 0), (1, 0), (1, 1)])):
+        low = jet.truncated(n)
+        assert low.order == n
+        assert low.coeffs == {k: jet.coeffs[k] for k in keys}
+    for n in (3, 4):
+        same = jet.truncated(n)
+        assert (same.order, same.coeffs) == (3, kept)
+    assert jet.coeffs == kept
+    # a ring map: truncating the factors truncates the product
+    x = Jet.coordinate(ring, 3, e, 0) + Jet.coordinate(ring, 3, ring.one, 1)
+    assert (jet * x).truncated(1).coeffs \
+        == (jet.truncated(1) * x.truncated(1)).coeffs
+
+
+@JET_RINGS
 def test_jet_plus_scalar_is_add_scalar(ring, e):
     x = Jet.coordinate(ring, 3, ring.one, 0)
     jet = x * x + Jet.coordinate(ring, 3, ring.zero, 1)

@@ -6,8 +6,14 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
+from kummergauss.inversion import random_admissible_points, ricci_point
 from kummergauss.jets import Jet, NumericRing
 from kummergauss.quadext import QuadExtContext
+from kummergauss.rings import rat
+from kummergauss.sphere import (_KAHLER_POINTS, _SPHERE_TS,
+                                kahler_metric_jets, sphere_metric_jets)
 from kummergauss.tensor import (MetricTensor, christoffel, det4,
                                 inverse_metric, ricci, riemann,
                                 scalar_curvature)
@@ -195,6 +201,82 @@ def test_two_dimensional_einstein_identity():
             for j in range(2):
                 comp = ric.comp(i, j) - half_r * g.comp(i, j)
                 assert abs(comp.base) < 1e-13
+
+
+# -- truncated jet stages ---------------------------------------------
+
+def whole_riemann(gam):
+    """The R^a_{b01} block with every Gamma.Gamma product formed through
+    the full order of Gamma, as ``riemann`` did before it truncated."""
+    block = {}
+    for a in range(2):
+        for b in range(2):
+            val = gam[a, b, 1].diff(0) - gam[a, b, 0].diff(1)
+            for tau in range(2):
+                val = val + gam[a, tau, 0] * gam[tau, b, 1]
+                val = val - gam[a, tau, 1] * gam[tau, b, 0]
+            block[a, b] = val
+    return block
+
+
+def ricci_bases(block):
+    ric = ricci(block)
+    return [x.base for x in (ric.r11, ric.r12, ric.r22, ric.r21)]
+
+
+@pytest.mark.parametrize("lambdas", [
+    (0, 0, 0, 0, 0), (rat(3, 4), rat(1, 7), rat(5, 2), rat(1, 2), rat(-3))],
+    ids=["zero", "lam"])
+def test_truncated_chart_b_pipeline_changes_no_value(lambdas):
+    """The point's inverse (one order below its metric) and the truncated
+    Gamma factors of ``riemann`` give the Ricci values of the whole
+    inverse and whole products, exactly."""
+    for p in random_admissible_points(1, 5, lambdas=lambdas):
+        g, _ = p.metric
+        whole = christoffel(g, inverse_metric(g))
+        want = ricci_bases(whole_riemann(whole))
+        assert ricci_bases(riemann(whole)) == want
+        rep = ricci_point(p)
+        assert [rep[k] for k in ("R11", "R12", "R22", "R21")] == want
+
+
+def test_truncated_sphere_pipeline_changes_no_value():
+    """The sphere charts at their default order give the Ricci and scalar
+    curvature of order-3 charts through whole products."""
+    charts = [(sphere_metric_jets(t), sphere_metric_jets(t, order=3))
+              for t in _SPHERE_TS[::3]]
+    charts += [(kahler_metric_jets(u, v), kahler_metric_jets(u, v, order=3))
+               for u, v in _KAHLER_POINTS]
+    for g, g3 in charts:
+        assert (g.g11.order, g3.g11.order) == (2, 3)
+        ginv, ginv3 = inverse_metric(g), inverse_metric(g3)
+        block = riemann(christoffel(g, ginv))
+        block3 = whole_riemann(christoffel(g3, ginv3))
+        assert ricci_bases(block) == ricci_bases(block3)
+        assert scalar_curvature(g, ginv, ricci(block)).base \
+            == scalar_curvature(g3, ginv3, ricci(block3)).base
+
+
+def test_ricci_stages_form_only_the_orders_read(monkeypatch):
+    """At an order-3 chart-B point the inverse metric is an order-1 jet,
+    and ``riemann`` forms every Gamma.Gamma product through order 0 only,
+    the order of the block it returns."""
+    p = random_admissible_points(1, 1, lambdas=(1, -3, 2, 5, -1))[0]
+    g, ginv = p.metric
+    assert [x.order for x in (g.g11, g.g12, g.g22)] == [2, 2, 2]
+    assert [x.order for x in (ginv.g11, ginv.g12, ginv.g22)] == [1, 1, 1]
+    gam = christoffel(g, ginv)
+    ring = p.roots[0]
+    product, orders = ring.product, []
+
+    def recorded(a, b, n):
+        orders.append(n)
+        return product(a, b, n)
+
+    monkeypatch.setattr(ring, "product", recorded)
+    block = riemann(gam)
+    assert len(orders) == 16 and set(orders) == {0}
+    assert {x.order for x in block.values()} == {0}
 
 
 # -- the shared 4x4 determinant ---------------------------------------
