@@ -16,9 +16,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import __version__, reference
-from .inversion import (JET_ORDER, ChartBPoint, dz_closed_form,
-                        quartic_check, quartic_identity,
-                        random_admissible_points, ricci_point)
+from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
+                        quartic_identity, random_admissible_points,
+                        ricci_point)
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
                     pde_residuals)
@@ -126,49 +126,36 @@ def _quartic_identity(variant):
     return quartic_identity(variant)
 
 
-class _PointSet:
-    """One drawn stream of admissible points and, on first use, the points
-    among them whose jet dZ differs from the closed form: a run that reads
-    only Ricci values never checks dZ."""
-
-    def __init__(self, points):
-        self.points = points
-
-    @cached_property
-    def dz_failures(self):
-        bad = []
-        for p in self.points:
-            Z = p.lift[2]
-            dz1, dz2 = dz_closed_form(p)
-            if not (Z.get(1, 0) - dz1).is_zero() \
-                    or not (Z.get(0, 1) - dz2).is_zero():
-                bad.append(p)
-        return tuple(bad)
-
-
-def _point_set(seed, count, lambdas, order):
-    """The points of (seed, count, lambda tuple, order), drawn and lifted
-    once per process by the function bound to ``random_admissible_points``
+def _point_set(seed, count, lambdas):
+    """The points of (seed, count, lambda tuple) and those among them whose
+    jet dZ differs from the closed form, drawn, lifted and dZ-checked once
+    per process by the function bound to ``random_admissible_points``
     here, as ``_frame`` keeps frames.  A point keeps its lift and metric,
     so a later run reads the same objects."""
-    return _drawn_points(random_admissible_points, seed, count, lambdas,
-                         order)
+    return _drawn_points(random_admissible_points, seed, count, lambdas)
 
 
-@lru_cache(maxsize=2)
-def _drawn_points(draw, seed, count, lambdas, order):
-    """Two sets cover the chart commands at one (seed, lambda) in turn:
-    the order-1 set of inversion-verify and dz-check and the order-3 set
-    of ricci-point."""
-    return _PointSet(tuple(draw(seed, count, lambdas=lambdas, order=order)))
+@lru_cache(maxsize=1)
+def _drawn_points(draw, seed, count, lambdas):
+    """One set serves every chart command of one invocation, which reads
+    one (seed, points, lambda)."""
+    points = tuple(draw(seed, count, lambdas=lambdas))
+    bad = []
+    for p in points:
+        Z = p.lift[2]
+        dz1, dz2 = dz_closed_form(p)
+        if not (Z.get(1, 0) - dz1).is_zero() \
+                or not (Z.get(0, 1) - dz2).is_zero():
+            bad.append(p)
+    return points, tuple(bad)
 
 
 class _Stages:
     """What the runners of one ``run`` call share, each built on first
     use: the exact lambda = 0 chart, a sigma frame per level the command
-    runs, the admissible points and their dZ check.  Frames and point sets
+    runs, the admissible points and their dZ check.  Frames and points
     outlive the call: ``_frame`` keeps the last four frames and
-    ``_point_set`` the last two point sets for later calls in the same
+    ``_point_set`` the last point set for later calls in the same
     process."""
 
     def __init__(self, cfg):
@@ -196,22 +183,19 @@ class _Stages:
 
     @cached_property
     def point_set(self):
-        """The admissible points, lifted at order 3 when the run reads
-        their Ricci values (ricci-point, all) and at order 1 otherwise:
-        dZ reads no further."""
+        """(points, dZ failures) of the run's seed, count and lambda."""
         cfg = self.cfg
-        order = JET_ORDER if cfg.command in ("ricci-point", "all") else 1
-        return _point_set(cfg.seed, cfg.points, cfg.point_lambdas(), order)
+        return _point_set(cfg.seed, cfg.points, cfg.point_lambdas())
 
     @property
     def points(self):
-        return self.point_set.points
+        return self.point_set[0]
 
     @property
     def dz_failures(self):
         """Echoes of the points whose jet dZ differs from the closed form,
         built afresh for each report."""
-        return [_point_echo(p) for p in self.point_set.dz_failures]
+        return [_point_echo(p) for p in self.point_set[1]]
 
 
 def _check(name, ok, qualified=False, **data):
@@ -345,9 +329,9 @@ def _point_echo(p):
 
 
 def run_inversion(st):
-    # fixed witnesses, including the two Z sheet values; only base values
-    # are read, so each run lifts its own copies at order 0
-    witnesses = [replace(w, order=0) for w in _WITNESSES]
+    # fixed witnesses, including the two Z sheet values; each run lifts
+    # its own copies
+    witnesses = [replace(w) for w in _WITNESSES]
     w, w2 = witnesses[:2]
     X, Y, Z, _ = w.lift
     z = format_rational(Z.base.rational_value())

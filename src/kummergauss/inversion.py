@@ -6,16 +6,14 @@ holds on both sheets (``quartic_identity``).
 Points are evaluated exactly through jets over the quadratic extension
 algebra: ``ChartBPoint.roots`` is the point's ``QuadExtContext`` with its
 signed square roots y1, y2, built once and read by the jets and by the
-closed-form dZ.  A point carries the jet order its checks read: 3 for the
-Ricci values (the metric through order 2, differentiated twice, and its
-inverse one order below the metric, since it meets only first
-derivatives of g), 1 for dZ, 0 for a point whose base values alone are
-read.  It keeps the exact lift and metric it computes first (``lift``,
-``metric``), so the admissible-point filter and every later check share
-them."""
+closed-form dZ.  Every point is lifted at ``JET_ORDER`` = 3, the order the
+Ricci values read (the metric through order 2, differentiated twice); dZ
+and the quartic read the same lift's first and zeroth orders.  A point
+keeps the exact lift and metric it computes first (``lift``, ``metric``),
+so the admissible-point filter and every later check share them."""
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .jets import Jet
@@ -61,8 +59,6 @@ class ChartBPoint:
     lambdas: tuple = (0, 0, 0, 0, 0)
     sign1: int = 1
     sign2: int = 1
-    # jet order of the cached lift; not part of the point's identity
-    order: int = field(default=JET_ORDER, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x1", rat(self.x1)
@@ -100,16 +96,14 @@ class ChartBPoint:
 
     @cached_property
     def lift(self):
-        return xyz_jets(self, order=self.order)
+        return xyz_jets(self)
 
     @cached_property
     def metric(self):
         """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2
         etc. about the base point, one order below the lift, and of its
-        inverse one order below the metric (order 0 for an order-0
-        metric): ``christoffel`` multiplies the inverse only into first
-        derivatives of g.  Raises NonInvertibleError where det g is not
-        invertible."""
+        inverse (``inverse_metric``).  Raises NonInvertibleError where
+        det g is not invertible."""
         _, _, Z, lifted = self.lift
         jx1, jx2 = lifted["x1"], lifted["x2"]
         dz1 = Z.diff(0)
@@ -118,11 +112,8 @@ class ChartBPoint:
         g11 = (jx2 * jx2 + dz1 * dz1).add_scalar(1)
         g12 = (jx1 * jx2 + dz1 * dz2).add_scalar(1)
         g22 = (jx1 * jx1 + dz2 * dz2).add_scalar(1)
-        n = max(g11.order - 1, 0)
-        return (MetricTensor(g11, g12, g22),
-                inverse_metric(MetricTensor(g11.truncated(n),
-                                            g12.truncated(n),
-                                            g22.truncated(n))))
+        g = MetricTensor(g11, g12, g22)
+        return g, inverse_metric(g)
 
 
 def _sqrt_jet(s, y0, ring, slot):
@@ -139,14 +130,15 @@ def _sqrt_jet(s, y0, ring, slot):
     return Jet(ring, s.order, y)
 
 
-def xyz_jets(p, order=JET_ORDER):
+def xyz_jets(p):
     """X = x1 + x2, Y = -x1 x2, Z = (F - 2 y1 y2) / (4 (x1 - x2)^2), and
-    the lifted jets of x1, x2, y1, y2 about the base point; the y-jets
-    satisfy (y-jet)^2 = jet of f5(x_i) through the jet order."""
+    the lifted jets of x1, x2, y1, y2 about the base point at
+    ``JET_ORDER``; the y-jets satisfy (y-jet)^2 = jet of f5(x_i) through
+    that order."""
     p.check_admissible()
     ring, y1, y2 = p.roots
-    jx1 = Jet.coordinate(ring, order, ring.zero + p.x1, 0)
-    jx2 = Jet.coordinate(ring, order, ring.zero + p.x2, 1)
+    jx1 = Jet.coordinate(ring, JET_ORDER, ring.zero + p.x1, 0)
+    jx2 = Jet.coordinate(ring, JET_ORDER, ring.zero + p.x2, 1)
     jy1 = _sqrt_jet(f5_scalar(jx1, p.lambdas), y1, ring, 0)
     jy2 = _sqrt_jet(f5_scalar(jx2, p.lambdas), y2, ring, 1)
     X = jx1 + jx2
@@ -218,9 +210,8 @@ def quartic_identity(variant="wp11"):
 
 def quartic_check(p, variant="wp11"):
     """Value of det K at the point's (X, Y, Z); exactly zero on the surface
-    with the adopted kernel-matrix entry.  Only the base values enter, so
-    this reads the base of the point's own lift, whatever its order; a
-    point built for this check alone is made at order 0."""
+    with the adopted kernel-matrix entry.  Only the base values of the
+    point's lift enter."""
     X, Y, Z, _ = p.lift
     ctx = X.ring
     lam = [ctx.rational(v) for v in p.lambdas]
@@ -230,9 +221,8 @@ def quartic_check(p, variant="wp11"):
 
 def ricci_point(p):
     """Exact Ricci components at the base point via the generic tensor
-    pipeline over the point's jet ring.  The metric is differentiated
-    twice, with its inverse one order below the metric, so a point lifted
-    below order 3 raises ValueError from ``Jet.diff``."""
+    pipeline over the point's jet ring: the order-3 lift gives the metric
+    through order 2, which is differentiated twice."""
     try:
         g, ginv = p.metric
     except NonInvertibleError as e:
@@ -246,19 +236,17 @@ def ricci_point(p):
     }
 
 
-def random_admissible_points(seed, count, lambdas=(0, 0, 0, 0, 0),
-                             order=JET_ORDER):
+def random_admissible_points(seed, count, lambdas=(0, 0, 0, 0, 0)):
     """Deterministic stream of admissible rational points with numerators
-    and denominators bounded by 50, each lifted at jet ``order`` (at least
-    1).  Acceptance reads only the base value of det g, and jet truncation
-    is a ring map, so every order accepts the same points."""
+    and denominators bounded by 50, each lifted and with its metric built:
+    a point is accepted where det g is invertible."""
     rng = random.Random(seed)
 
     def draw():
         return rat(rng.randint(-50, 50), rng.randint(1, 50))
     out = []
     while len(out) < count:
-        p = ChartBPoint(draw(), draw(), tuple(lambdas), order=order)
+        p = ChartBPoint(draw(), draw(), tuple(lambdas))
         # admissible, with an invertible metric on the principal sheet; the
         # point keeps its lift and metric for the checks that follow
         try:

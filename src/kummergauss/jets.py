@@ -76,33 +76,31 @@ class Jet:
         return Jet(self.ring, n, self._through(n))
 
     def __add__(self, other):
-        if not isinstance(other, Jet):
-            return self.add_scalar(other)
-        n = min(self.order, other.order)
-        out = self._through(n)
-        for k, c in other.coeffs.items():
-            if k[0] + k[1] > n:
-                continue
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return Jet(self.ring, n, out)
+        return self._combine(other, 1)
 
     def __neg__(self):
         return Jet(self.ring, self.order,
                    {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        """Subtracts each coefficient of ``other`` in place of adding its
-        negation, which would build one more jet and ring element."""
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other through the lower order.  Each coefficient
+        of ``other`` is added or subtracted in place, so no negation of
+        ``other`` is built."""
         if not isinstance(other, Jet):
-            return self.add_scalar(-other)
+            return self.add_scalar(other if sign > 0 else -other)
         n = min(self.order, other.order)
         out = self._through(n)
         for k, c in other.coeffs.items():
             if k[0] + k[1] > n:
                 continue
             prev = out.get(k)
-            out[k] = -c if prev is None else prev - c
+            if prev is None:
+                out[k] = c if sign > 0 else -c
+            else:
+                out[k] = prev + c if sign > 0 else prev - c
         return Jet(self.ring, n, out)
 
     def __mul__(self, other):

@@ -145,22 +145,7 @@ class QuadExtScalar:
             raise ValueError("mixed quadratic extension contexts")
 
     def __add__(self, other):
-        if not isinstance(other, QuadExtScalar):
-            # an int or Fraction adds into the first numerator
-            n, d = other.numerator, other.denominator
-            return QuadExtScalar(self.ctx, self.na * d + n * self.den,
-                                 self.nb * d, self.nc * d, self.nd * d,
-                                 self.den * d)
-        self._check_ctx(other)
-        e1, e2 = self.den, other.den
-        if e1 == e2:
-            return QuadExtScalar(self.ctx, self.na + other.na,
-                                 self.nb + other.nb, self.nc + other.nc,
-                                 self.nd + other.nd, e1)
-        return QuadExtScalar(self.ctx, self.na * e2 + other.na * e1,
-                             self.nb * e2 + other.nb * e1,
-                             self.nc * e2 + other.nc * e1,
-                             self.nd * e2 + other.nd * e1, e1 * e2)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -169,23 +154,25 @@ class QuadExtScalar:
                              -self.nd, self.den)
 
     def __sub__(self, other):
-        """``__add__`` with the signs of ``other`` flipped, without
-        building its negation first."""
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the common denominator: the numerators
+        of ``other`` enter with ``sign``, so no negation of it is built,
+        and equal denominators are not cross-multiplied."""
         if not isinstance(other, QuadExtScalar):
+            # an int or Fraction adds into the first numerator
             n, d = other.numerator, other.denominator
-            return QuadExtScalar(self.ctx, self.na * d - n * self.den,
+            return QuadExtScalar(self.ctx, self.na * d + sign * n * self.den,
                                  self.nb * d, self.nc * d, self.nd * d,
                                  self.den * d)
         self._check_ctx(other)
         e1, e2 = self.den, other.den
-        if e1 == e2:
-            return QuadExtScalar(self.ctx, self.na - other.na,
-                                 self.nb - other.nb, self.nc - other.nc,
-                                 self.nd - other.nd, e1)
-        return QuadExtScalar(self.ctx, self.na * e2 - other.na * e1,
-                             self.nb * e2 - other.nb * e1,
-                             self.nc * e2 - other.nc * e1,
-                             self.nd * e2 - other.nd * e1, e1 * e2)
+        f1, f2, den = (1, sign, e1) if e1 == e2 else (e2, sign * e1, e1 * e2)
+        return QuadExtScalar(self.ctx, self.na * f1 + other.na * f2,
+                             self.nb * f1 + other.nb * f2,
+                             self.nc * f1 + other.nc * f2,
+                             self.nd * f1 + other.nd * f2, den)
 
     def __mul__(self, other):
         if not isinstance(other, QuadExtScalar):

@@ -80,8 +80,7 @@ class SigmaSeries:
     """Truncated sigma expansion plus the memoised stages shared by every
     quantity built over it (see the module docstring)."""
 
-    def __init__(self, level, lambdas=None, order=DEFAULT_ORDER,
-                 sigma_poly=None):
+    def __init__(self, level, lambdas=None, order=DEFAULT_ORDER):
         if level not in (3, 5, 7):
             raise ValueError("sigma level must be 3, 5 or 7")
         self.level = level
@@ -95,9 +94,7 @@ class SigmaSeries:
             self.ctx = _NUMERIC_CTX
             self.lam = [rat(x) if isinstance(x, int) else x
                         for x in lambdas]
-        poly = sigma_poly if sigma_poly is not None \
-            else _sigma_poly(self.ctx, self.lam, level)
-        self.sigma_poly = poly
+        poly = self.sigma_poly = _sigma_poly(self.ctx, self.lam, level)
         self.sigma = TruncatedSeries(poly, order)
         # sigma's derivatives by sorted curve indices: the exact
         # polynomials, and the series at the frame's order

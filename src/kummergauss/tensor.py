@@ -3,17 +3,18 @@ the 4x4 determinant shared by the kernel-matrix checks of both charts.
 
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
 index i in {0, 1}, and ``.scale(q)`` by a rational q; ``inverse_metric``
-also needs ``.inverse()``.  The same code drives exact series and exact
-point-jets; floats and complex numbers reach it only from the tests.
+takes jets and also needs ``.order``, ``.truncated(n)`` and
+``.inverse()``.  The same code drives exact series and exact point-jets;
+floats and complex numbers reach it only from the tests.
 
 The curvature steps pass plain components: ``christoffel`` returns the
 dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and
 ``ricci`` contracts that block into a ``RicciTensor``.
 
 Over jets each stage forms only the orders the next one reads:
-``riemann`` multiplies Gamma cut to the order of dGamma, and the
-inversion chart hands ``christoffel`` an inverse one order below its
-metric (the inverse meets only first derivatives of g).  The sigma
+``inverse_metric`` inverts one order below the metric (``christoffel``
+multiplies the inverse only into first derivatives of g), and
+``riemann`` multiplies Gamma cut to the order of dGamma.  The sigma
 chart's series are multiplied whole: there a Gamma.Gamma product decides
 the known order of the sum, so a lower cap would lower validated orders.
 """
@@ -74,8 +75,11 @@ def det4(m):
 
 
 def inverse_metric(g):
-    """Inverse metric through the ring's ``inverse()`` of det g; the ring's
-    error propagates when the determinant is not invertible."""
+    """Inverse of a metric of jets, one order below the metric, through the
+    ring's ``inverse()`` of det g; the ring's error propagates when the
+    determinant is not invertible."""
+    n = g.g11.order - 1
+    g = MetricTensor(*(x.truncated(n) for x in (g.g11, g.g12, g.g22)))
     det = g.g11 * g.g22 - g.g12 * g.g12
     det_inv = det.inverse()
     return MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),

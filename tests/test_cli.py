@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 
 import pytest
 
@@ -286,12 +285,11 @@ def test_runs_without_numpy():
 
 # -- shared stages: one frame per level, one draw, one lift per point ---
 
-def _counted(monkeypatch, module, name, calls, keep=lambda *a, **kw: True):
+def _counted(monkeypatch, module, name, calls):
     orig = getattr(module, name)
 
     def counted(*args, **kwargs):
-        if keep(*args, **kwargs):
-            calls.append((args, kwargs))
+        calls.append((args, kwargs))
         return orig(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
 
@@ -485,24 +483,39 @@ def test_inversion_reports_the_quartic_identity(lambdas):
     assert alt["value"] != "(0 + 0*y1 + 0*y2 + 0*y1y2)"
 
 
-@pytest.mark.parametrize("command,lifts", [
-    ("ricci-point", {3: 3}),
-    ("dz-check", {1: 3}),
-    # the points at order 1, the 3 witnesses at order 0
-    ("inversion-verify", {1: 3, 0: 3}),
-    ("all", {3: 3, 0: 3}),
+def _lifts(monkeypatch):
+    """Records (point, order of its Z jet) for every ``xyz_jets`` call."""
+    out, lift = [], inversion.xyz_jets
+
+    def recorded(p):
+        jets = lift(p)
+        out.append((p, jets[2].order))
+        return jets
+    monkeypatch.setattr(inversion, "xyz_jets", recorded)
+    return out
+
+
+def _drawn(lifts):
+    """The recorded lifts of drawn points, not of the witnesses."""
+    return [p for p, _ in lifts if p not in cli._WITNESSES]
+
+
+@pytest.mark.parametrize("command,witnesses", [
+    ("ricci-point", 0), ("dz-check", 0), ("inversion-verify", 3), ("all", 3),
 ], ids=["ricci-point", "dz-check", "inversion-verify", "all"])
 def test_lifts_at_the_order_each_command_reads(monkeypatch, command,
-                                               lifts):
-    """One lift per point, at order 3 only where Ricci values are read."""
-    # an earlier test may have left these point sets, lifted, in the memo
+                                               witnesses):
+    """Every command lifts each drawn point once, at JET_ORDER, the order
+    Ricci reads; inversion-verify also lifts its three witnesses."""
+    # an earlier test may have left this point set, lifted, in the memo
     cli._drawn_points.cache_clear()
-    calls = []
-    _counted(monkeypatch, inversion, "xyz_jets", calls)
+    lifts = _lifts(monkeypatch)
     _, code = run(quick_cfg(command, max_order=9, points=3))
     assert code == 0
-    assert Counter(kw.get("order", inversion.JET_ORDER)
-                   for _, kw in calls) == lifts
+    drawn = _drawn(lifts)
+    assert len(drawn) >= 3 and len(set(drawn)) == len(drawn)
+    assert len(lifts) - len(drawn) == witnesses
+    assert {order for _, order in lifts} == {inversion.JET_ORDER}
 
 
 def test_all_checks_dz_once_per_point(monkeypatch):
@@ -515,45 +528,34 @@ def test_all_checks_dz_once_per_point(monkeypatch):
     assert len(calls) == 3
 
 
-def _point_lift(p, order=inversion.JET_ORDER):
-    """A ``keep`` for ``_counted`` on ``xyz_jets``: the lifts of drawn
-    points, not the order-0 witnesses of inversion-verify."""
-    return order > 0
-
-
 def test_point_sets_outlive_the_run(monkeypatch):
-    """A run repeated at the same (seed, points, lambda, order) draws,
-    lifts and dZ-checks nothing; a changed seed, point count, lambda or
-    lift order draws again."""
-    draws, lifts, dz = [], [], []
+    """Runs of any chart command at the same (seed, points, lambda) draw,
+    lift and dZ-check the points once; inversion-verify lifts its
+    witnesses afresh in each run.  A changed seed, point count or lambda
+    draws again and checks dZ once per point."""
+    draws, dz = [], []
     # a draw function bound here is a new memo key: the test starts cold
     _counted(monkeypatch, cli, "random_admissible_points", draws)
-    _counted(monkeypatch, inversion, "xyz_jets", lifts,
-             keep=_point_lift)
+    lifts = _lifts(monkeypatch)
     _counted(monkeypatch, cli, "dz_closed_form", dz)
     assert run(quick_cfg("dz-check", lambdas=LAM))[1] == 0
     assert (len(draws), len(dz)) == (1, 2)
-    assert lifts
+    assert _drawn(lifts)
     lifts.clear()
-    for command in ("dz-check", "inversion-verify", "dz-check"):
+    for command in ("dz-check", "inversion-verify", "ricci-point", "all",
+                    "inversion-verify"):
         assert run(quick_cfg(command, lambdas=LAM))[1] == 0
-    assert (len(draws), len(lifts), len(dz)) == (1, 0, 2)
-    # a new lift order draws again; ricci-point reads no dZ
-    assert run(quick_cfg("ricci-point", lambdas=LAM))[1] == 0
-    assert (len(draws), len(dz)) == (2, 2)
-    assert lifts
-    lifts.clear()
+    assert (len(draws), len(dz), _drawn(lifts)) == (1, 2, [])
+    assert [p for p, _ in lifts] == list(cli._WITNESSES) * 3
     changed = [dict(seed=12), dict(points=3), dict(lambdas=(1, 0, 0, 0, 0))]
-    for n, kw in enumerate(changed, start=3):
+    for n, kw in enumerate(changed, start=2):
         kw = {"lambdas": LAM, **kw}
+        dz.clear()
         assert run(quick_cfg("dz-check", **kw))[1] == 0
         assert len(draws) == n, kw
-        assert lifts, kw
-        lifts.clear()
-    assert [args[:2] + (kw["lambdas"], kw["order"])
-            for args, kw in draws] == [
-        (11, 2, LAM, 1), (11, 2, LAM, 3), (12, 2, LAM, 1), (11, 3, LAM, 1),
-        (11, 2, (1, 0, 0, 0, 0), 1)]
+        assert len(dz) == kw.get("points", 2), kw
+    assert [args[:2] + (kw["lambdas"],) for args, kw in draws] == [
+        (11, 2, LAM), (12, 2, LAM), (11, 3, LAM), (11, 2, (1, 0, 0, 0, 0))]
 
 
 @pytest.mark.parametrize("lambdas", [ZERO, LAM], ids=["zero", "numeric"])
@@ -576,26 +578,21 @@ def test_point_reports_identical_cold_and_warm(lambdas):
 def test_chart_commands_of_one_invocation_share_points(monkeypatch,
                                                        capsys):
     """inversion-verify, ricci-point and dz-check in one invocation lift
-    each point once per order, check dZ once per point, and report what
-    each reports alone."""
+    each point once, check dZ once per point, and report what each
+    reports alone."""
     argv = ["inversion-verify", "ricci-point", "dz-check",
             "--lambda", "1/2,-3,2/7,5,-1", "--points", "3", "--seed", "11"]
-    lifts, dz = [], []
+    dz = []
     # a new draw function: the points are drawn in this invocation
     _counted(monkeypatch, cli, "random_admissible_points", [])
-    _counted(monkeypatch, inversion, "xyz_jets", lifts,
-             keep=_point_lift)
+    lifts = _lifts(monkeypatch)
     _counted(monkeypatch, cli, "dz_closed_form", dz)
     assert cli.main(argv) == 0
     reports = json.loads(capsys.readouterr().out)
-    per_order = Counter((args[0], kw.get("order", inversion.JET_ORDER))
-                        for args, kw in lifts)
-    assert set(per_order.values()) == {1}
-    assert {order for _, order in per_order} == {1, 3}
-    # the same candidates at both orders (a point's order is not part of
-    # its identity)
-    assert {p for p, order in per_order if order == 1} \
-        == {p for p, order in per_order if order == 3}
+    drawn = _drawn(lifts)
+    assert len(drawn) >= 3 and len(set(drawn)) == len(drawn)
+    assert len(lifts) - len(drawn) == 3
+    assert {order for _, order in lifts} == {inversion.JET_ORDER}
     assert len(dz) == 3
     assert [r["command"] for r in reports] == argv[:3]
     for report in reports:

@@ -211,8 +211,8 @@ def test_random_points_deterministic():
 
 
 def test_lift_point_respects_order():
-    _, _, _, lifted = xyz_jets(W, order=2)
-    assert lifted["y1"].order == 2
+    _, _, _, lifted = xyz_jets(W)
+    assert lifted["y1"].order == inversion.JET_ORDER
     assert lifted["x1"].get(1, 0) == lifted["x1"].ring.one
 
 
@@ -282,33 +282,3 @@ def test_egregium_oracle_catches_a_riemann_sign(monkeypatch):
     for lambdas in ((0, 0, 0, 0, 0), LAM):
         points = random_admissible_points(7, 6, lambdas=lambdas)
         assert not any(_ricci_is_k_times_metric(p)[1] for p in points)
-
-
-# -- lift order -------------------------------------------------------
-
-def _echo(points):
-    return [(p.x1, p.x2, p.sign1, p.sign2) for p in points]
-
-
-@LIFT_LAMBDAS
-def test_admissible_points_do_not_depend_on_the_lift_order(lambdas):
-    """Acceptance reads only the base of det g, so an order-1 lift accepts
-    and rejects the same candidates as an order-3 one."""
-    for seed in range(6):
-        low = random_admissible_points(seed, 5, lambdas=lambdas, order=1)
-        high = random_admissible_points(seed, 5, lambdas=lambdas)
-        assert _echo(low) == _echo(high)
-        assert [p.lift[2].order for p in low] == [1] * 5
-        assert [p.lift[2].order for p in high] == [3] * 5
-
-
-@LIFT_LAMBDAS
-def test_order_one_lift_is_the_truncated_order_three_lift(lambdas):
-    keys = ((0, 0), (1, 0), (0, 1))
-    for p in random_admissible_points(29, 5, lambdas=lambdas, order=1):
-        X1, Y1, Z1, low = p.lift
-        X3, Y3, Z3, high = xyz_jets(p, order=3)
-        for a, b in ((X1, X3), (Y1, Y3), (Z1, Z3), (low["y1"], high["y1"]),
-                     (low["y2"], high["y2"])):
-            assert (a.order, b.order) == (1, 3)
-            assert [a.get(*k) for k in keys] == [b.get(*k) for k in keys]

@@ -205,6 +205,14 @@ def test_two_dimensional_einstein_identity():
 
 # -- truncated jet stages ---------------------------------------------
 
+def whole_inverse(g):
+    """The inverse metric through the metric's own order, as
+    ``inverse_metric`` formed it before it truncated."""
+    det_inv = (g.g11 * g.g22 - g.g12 * g.g12).inverse()
+    return MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),
+                        g.g11 * det_inv)
+
+
 def whole_riemann(gam):
     """The R^a_{b01} block with every Gamma.Gamma product formed through
     the full order of Gamma, as ``riemann`` did before it truncated."""
@@ -233,28 +241,45 @@ def test_truncated_chart_b_pipeline_changes_no_value(lambdas):
     inverse and whole products, exactly."""
     for p in random_admissible_points(1, 5, lambdas=lambdas):
         g, _ = p.metric
-        whole = christoffel(g, inverse_metric(g))
+        whole = christoffel(g, whole_inverse(g))
         want = ricci_bases(whole_riemann(whole))
         assert ricci_bases(riemann(whole)) == want
         rep = ricci_point(p)
         assert [rep[k] for k in ("R11", "R12", "R22", "R21")] == want
 
 
+def _sphere_charts(order=2):
+    return [sphere_metric_jets(t, order=order) for t in _SPHERE_TS[::3]] \
+        + [kahler_metric_jets(u, v, order=order) for u, v in _KAHLER_POINTS]
+
+
 def test_truncated_sphere_pipeline_changes_no_value():
     """The sphere charts at their default order give the Ricci and scalar
-    curvature of order-3 charts through whole products."""
-    charts = [(sphere_metric_jets(t), sphere_metric_jets(t, order=3))
-              for t in _SPHERE_TS[::3]]
-    charts += [(kahler_metric_jets(u, v), kahler_metric_jets(u, v, order=3))
-               for u, v in _KAHLER_POINTS]
-    for g, g3 in charts:
+    curvature of order-3 charts through whole inverses and products."""
+    for g, g3 in zip(_sphere_charts(), _sphere_charts(order=3)):
         assert (g.g11.order, g3.g11.order) == (2, 3)
-        ginv, ginv3 = inverse_metric(g), inverse_metric(g3)
+        ginv, ginv3 = inverse_metric(g), whole_inverse(g3)
         block = riemann(christoffel(g, ginv))
         block3 = whole_riemann(christoffel(g3, ginv3))
         assert ricci_bases(block) == ricci_bases(block3)
         assert scalar_curvature(g, ginv, ricci(block)).base \
             == scalar_curvature(g3, ginv3, ricci(block3)).base
+
+
+def test_sphere_inverse_is_one_order_below_the_metric():
+    """The order-2 sphere and conformal charts are inverted through order
+    1, and their Ricci and scalar curvature equal those from the whole
+    order-2 inverse."""
+    for g in _sphere_charts():
+        ginv, whole = inverse_metric(g), whole_inverse(g)
+        assert [x.order for x in (ginv.g11, ginv.g12, ginv.g22)] == [1] * 3
+        assert [x.order for x in (whole.g11, whole.g12, whole.g22)] \
+            == [2] * 3
+        block = riemann(christoffel(g, ginv))
+        block_whole = riemann(christoffel(g, whole))
+        assert ricci_bases(block) == ricci_bases(block_whole)
+        assert scalar_curvature(g, ginv, ricci(block)).base \
+            == scalar_curvature(g, whole, ricci(block_whole)).base
 
 
 def test_ricci_stages_form_only_the_orders_read(monkeypatch):
