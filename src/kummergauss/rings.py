@@ -9,12 +9,15 @@ variable fields every key carries its grading degree (``key >> ctx.top``),
 which adds under multiplication as the exponents do, so truncation and
 valuation compare keys instead of summing fields.
 
-A ``Poly`` holds integer numerators over one common denominator, in lowest
-terms: ``den > 0``, gcd(den, *numerators) == 1 and no zero numerator.
-Products multiply Python integers and build no rational per term;
-rationals enter only through the ``Poly(ctx, {key: rational})``
-constructor and leave through ``Poly.items()``.  A product whose exponents
-could overflow the 8-bit fields raises ``ContextError``.
+A ``Poly`` holds nonzero integer numerators over one positive common
+denominator.  Only products and the ``Poly(ctx, {key: rational})``
+constructor reduce to lowest terms: other results keep the denominator
+they form, since on small polynomials reducing costs more than they do,
+and products keep the numerators small.  Equality is by value, and every
+rational leaving a ``Poly`` is a ``Fraction``, so it is canonical.
+Products multiply Python integers and build no rational per term.  A
+product whose exponents could overflow the 8-bit fields raises
+``ContextError``.
 """
 
 import functools
@@ -108,14 +111,12 @@ class Context:
 
 
 def _lowest(terms, den):
-    """The one normaliser of every ``Poly``: (terms, den) with den > 0 and
-    gcd(den, *terms.values()) == 1.  ``terms`` maps keys to nonzero ints
-    and ``den`` is a nonzero int."""
+    """(terms, den) in lowest terms, gcd(den, *terms.values()) == 1, for
+    the constructor and products.  ``terms`` maps keys to nonzero ints and
+    ``den`` is a positive int."""
     if den == 1:
         return terms, 1
     g = math.gcd(den, *terms.values())
-    if den < 0:
-        g = -g
     if g == 1:
         return terms, den
     return {k: n // g for k, n in terms.items()}, den // g
@@ -124,10 +125,11 @@ def _lowest(terms, den):
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients:
     ``terms`` maps packed keys to integer numerators over the common
-    denominator ``den``, in lowest terms (see the module docstring).
+    denominator ``den``, in lowest terms after a product (see the module
+    docstring).
 
-    Equality and text output are canonical (graded-lex with the context
-    variable order, earlier variables larger).
+    Equality is by value; text output is canonical (graded-lex with the
+    context variable order, earlier variables larger).
     """
 
     __slots__ = ("ctx", "terms", "den")
@@ -143,10 +145,11 @@ class Poly:
 
     @classmethod
     def _of(cls, ctx, terms, den=1):
-        """The polynomial terms/den, from nonzero integer numerators."""
+        """The polynomial terms/den, from nonzero integer numerators over a
+        positive denominator, taken as they are; zero gets denominator 1."""
         p = object.__new__(cls)
         p.ctx = ctx
-        p.terms, p.den = _lowest(terms, den)
+        p.terms, p.den = terms, den if terms else 1
         return p
 
     # -- construction -------------------------------------------------
@@ -181,7 +184,7 @@ class Poly:
         return ((k, Fraction(n, den)) for k, n in self.terms.items())
 
     def _check(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextError("mixed variable contexts")
 
     # -- ring operations ----------------------------------------------
@@ -228,7 +231,8 @@ class Poly:
         ``other`` (in ascending order) that would pass it.
 
         A constant factor (the single key 0) scales the other factor's
-        numerators; its key adds nothing, so no exponent can overflow."""
+        numerators; its key adds nothing, so no exponent can overflow.
+        Both paths return the product in lowest terms."""
         self._check(other)
         ctx = self.ctx
         den = self.den * other.den
@@ -240,11 +244,11 @@ class Poly:
             c = None
         if c is not None:
             if cap is None:
-                return Poly._of(ctx, {k: n * c for k, n in terms.items()},
-                                den)
-            limit = (cap + 1) << ctx.top
-            return Poly._of(ctx, {k: n * c for k, n in terms.items()
-                                  if k < limit}, den)
+                out = {k: n * c for k, n in terms.items()}
+            else:
+                limit = (cap + 1) << ctx.top
+                out = {k: n * c for k, n in terms.items() if k < limit}
+            return Poly._of(ctx, *_lowest(out, den))
         _check_exponent_sums(ctx, self.terms, other.terms)
         t2 = sorted(other.terms.items())
         if cap is None:
@@ -261,7 +265,8 @@ class Poly:
                     break
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return Poly._of(ctx, {k: n for k, n in out.items() if n}, den)
+        return Poly._of(ctx, *_lowest({k: n for k, n in out.items() if n},
+                                      den))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -292,9 +297,16 @@ class Poly:
         return result
 
     def __eq__(self, other):
+        """Equality of values, cross-multiplied over the denominators."""
         if isinstance(other, Poly):
-            return self.ctx == other.ctx and self.den == other.den \
-                and self.terms == other.terms
+            if self.ctx is not other.ctx and self.ctx != other.ctx:
+                return False
+            d1, d2 = self.den, other.den
+            t1, t2 = self.terms, other.terms
+            if d1 == d2:
+                return t1 == t2
+            return t1.keys() == t2.keys() and all(
+                n * d2 == t2[k] * d1 for k, n in t1.items())
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(self.ctx, other)
         return NotImplemented
@@ -358,8 +370,8 @@ class Poly:
         return min(self.terms) >> self.ctx.top if self.terms else None
 
     def _kept(self, out):
-        """The sub-polynomial of the terms ``out`` kept from self; dropping
-        terms can change the content, so it is renormalised."""
+        """The sub-polynomial of the terms ``out`` kept from self, over
+        self's denominator."""
         if len(out) == len(self.terms):
             return self
         return Poly._of(self.ctx, out, self.den)
@@ -371,6 +383,8 @@ class Poly:
 
     def truncated(self, cap):
         limit = (cap + 1) << self.ctx.top
+        if not self.terms or max(self.terms) < limit:
+            return self
         return self._kept({k: n for k, n in self.terms.items() if k < limit})
 
     def coefficient(self, exps):
@@ -489,7 +503,7 @@ class TruncatedSeries:
         return self.body.ctx
 
     def _check(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextError("mixed variable contexts")
 
     def __add__(self, other):

@@ -8,10 +8,10 @@ signed so products cancel denominator powers symbolically and no series
 division is ever forced.
 
 A ``SigmaSeries`` frame owns every stage over its sigma: the moduli, X/Y/Z
-(wp2), the four wp3, the Gauss metric, Dhat with its powers and
-derivatives, and the cleared Ricci components.  Each is a read-only
-attribute, computed on first use by the module function defining the
-stage; nothing outside the frame writes it.  The frame also forms each
+(wp2), the four wp3, the kernel matrix, the Gauss metric, Dhat with its
+powers and derivatives, and the cleared Ricci components.  Each is a
+read-only attribute, computed on first use by the module function defining
+the stage; nothing outside the frame writes it.  The frame also forms each
 product of two sigma derivatives once (``sd_product``).  Only products
 are shared: a product's known order does not depend on how its factors
 are grouped, while a sum's does.
@@ -122,6 +122,11 @@ class SigmaSeries:
     def wp3s(self):
         """(wp222, wp221, wp211, wp111)."""
         return tuple(wp3(self, k) for k in ("222", "221", "211", "111"))
+
+    @cached_property
+    def kernel_matrix(self):
+        """The adopted ("wp11") kernel matrix at the frame's (X, Y, Z)."""
+        return _frame_kummer_matrix(self)
 
     @cached_property
     def metric(self):
@@ -386,7 +391,9 @@ def _frame_kummer_matrix(s, variant="wp11"):
 
 def kummer_det(s, variant="wp11"):
     """sigma^8 * det K as a series with its validated order."""
-    return det4(_frame_kummer_matrix(s, variant))._raise_to(8, 0).num
+    m = s.kernel_matrix if variant == "wp11" \
+        else _frame_kummer_matrix(s, variant)
+    return det4(m)._raise_to(8, 0).num
 
 
 def kernel_residual(s):
@@ -397,7 +404,7 @@ def kernel_residual(s):
     # as in ``det4``, the zero product's known order caps the row's, and
     # dropping it would claim orders past the frame's level + 1 horizon.
     return [r[0] * w[0] + r[1] * w[1] + r[2] * w[2] + r[3] * w[3]
-            for r in _frame_kummer_matrix(s)]
+            for r in s.kernel_matrix]
 
 
 class GaussMetric:

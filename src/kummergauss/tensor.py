@@ -89,19 +89,21 @@ def inverse_metric(g):
 def christoffel(g, ginv):
     """Levi-Civita connection from metric and verified inverse, as a dict
     keyed (lam, mu, nu); both orders of the lower pair map to one object.
-    Each metric entry is differentiated once per coordinate."""
+    Each metric entry is differentiated once per coordinate, and each
+    first-kind sum is formed once and read for both lam."""
     # dg[m][i + j] = d_m g_ij
     dg = [[x.diff(m) for x in (g.g11, g.g12, g.g22)] for m in range(2)]
+    # first[sig, mu, nu] = d_mu g_{sig nu} + d_nu g_{mu sig} - d_sig g_{mu nu}
+    first = {(sig, mu, nu): dg[mu][sig + nu] + dg[nu][mu + sig]
+             - dg[sig][mu + nu]
+             for sig in range(2) for mu in range(2) for nu in range(mu, 2)}
     gam = {}
     for lam in range(2):
         for mu in range(2):
             for nu in range(mu, 2):
                 acc = None
                 for sig in range(2):
-                    # d_mu g_{sig nu} + d_nu g_{mu sig} - d_sig g_{mu nu}
-                    c = dg[mu][sig + nu] + dg[nu][mu + sig] \
-                        - dg[sig][mu + nu]
-                    term = ginv.comp(lam, sig) * c
+                    term = ginv.comp(lam, sig) * first[sig, mu, nu]
                     acc = term if acc is None else acc + term
                 gam[lam, mu, nu] = gam[lam, nu, mu] = \
                     acc.scale(Fraction(1, 2))

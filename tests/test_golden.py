@@ -12,6 +12,8 @@ from kummergauss.rings import parse_rational
 
 LAM = tuple(parse_rational(x) for x in ("1/2", "-3", "2/7", "5", "-1"))
 ZERO = (0, 0, 0, 0, 0)
+# some moduli zero: constant factors and cancelling sums in the ring layer
+SPARSE = tuple(parse_rational(x) for x in ("0", "-8/7", "0", "5/8", "0"))
 
 GOLDEN = [
     # numeric lambda: validated orders stop at the level + 1 horizon
@@ -62,6 +64,15 @@ GOLDEN = [
      "563e5fafc8f724ed6dcca3b3d584d003f8777f320a86f358aa8c5c1bf8207c20"),
     (dict(command="kernel-verify", sigma_level=7, lambdas=LAM),
      "66f537fdb861fcbf4d094fd90333913935b7a7470652d9db39acf3f3d3794875"),
+    # a zero pattern of the moduli at level 7 (metric-report is qualified)
+    (dict(command="quartic-verify", sigma_level=7, lambdas=SPARSE),
+     "71b6a2973291ab878fea2d413a646266c94a901c4b998ec8537831aaafeff94e"),
+    (dict(command="pde-verify", sigma_level=7, lambdas=SPARSE),
+     "4b06665966a1c25cdb6f7459acbd91b90da9dd78969891f5511a2bcf2cd2be53"),
+    (dict(command="kernel-verify", sigma_level=7, lambdas=SPARSE),
+     "0f3d4a4bc06a73cfd1d0f1b9001ed66f493e3836e31a1a5aec61264836759f9d"),
+    (dict(command="metric-report", sigma_level=7, lambdas=SPARSE),
+     "05183143c0a011cc632a54d69dfdd5b35faf8db550e0fd28eeeb6da117f30fc0"),
 ]
 
 

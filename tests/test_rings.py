@@ -122,11 +122,16 @@ def test_mixed_contexts_rejected():
         Poly.var(CTX, "u") + Poly.var(CTX3, "u")
 
 
-def assert_lowest_terms(poly):
-    """The representation invariant: integer numerators, none zero, over
-    a positive denominator that shares no factor with all of them."""
+def assert_representation(poly):
+    """Integer numerators, none zero, over a positive denominator."""
     assert type(poly.den) is int and poly.den > 0
     assert all(type(n) is int and n != 0 for n in poly.terms.values())
+
+
+def assert_lowest_terms(poly):
+    """The representation of products and constructed polynomials: the
+    denominator also shares no factor with all the numerators."""
+    assert_representation(poly)
     assert math.gcd(poly.den, *poly.terms.values()) == 1
 
 
@@ -268,29 +273,88 @@ def _moduli_values(ctx, rng):
             for name in ctx.names[ctx.grading:]}
 
 
+def _fraction_diff(ctx, terms, i):
+    """d/dx_i of a {key: Fraction} dict, by unpacked exponents."""
+    out = {}
+    for k, c in terms.items():
+        exps = list(ctx.unpack(k))
+        if exps[i]:
+            out[ctx.pack(exps[:i] + [exps[i] - 1] + exps[i + 1:])] = \
+                c * exps[i]
+    return out
+
+
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
 @pytest.mark.parametrize("ctx", [CTX, CTX7], ids=["uv", "uv+moduli"])
-def test_every_result_is_in_lowest_terms(ctx):
+def test_products_are_in_lowest_terms_and_other_results_exact(ctx):
+    """Products (both ``mul`` paths and ``**``) and the constructor reduce
+    to lowest terms; sums, scalings, negations, derivatives and truncations
+    keep the denominator they form.  Each of those has the value of the
+    Fraction reference and equals its lowest-terms rebuild."""
     rng = random.Random(20261019)
     last = ctx.names[-1]
+    reducible = 0  # results that are not in lowest terms
+
+    def gdeg(k):
+        return sum(ctx.unpack(k)[:ctx.grading])
+
     for _ in range(150):
         p = _wide_poly(rng, ctx, 4, 8)
         q = _wide_poly(rng, ctx, 4, 8)
         cap = rng.randint(-1, 10)
+        deg = rng.randint(0, 8)
         c = rat(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 5040))
-        results = [p + q, p - q, -p, p.mul(q), p.mul(q, cap=cap),
-                   p.scale(c), p.scale(rng.randint(-6, 6)), p.diff("u"),
-                   p.diff(last), p.truncated(cap),
-                   p.homogeneous_part(rng.randint(0, 8)),
-                   p.map_context(CTX, _moduli_values(ctx, rng)),
-                   p.map_context(CTX7)]
-        for r in results:
+        m = rng.randint(-6, 6)
+        # sums and differences need not be in lowest terms: w is p over
+        # the common denominator of p and q
+        s, t, w = p + q, p - q, (p + q) - q
+        const = Poly.const(ctx, c)
+        for a, b, k in ((s, t, None), (w, t, cap), (const, w, None),
+                        (w, const, cap)):
+            r = a.mul(b, cap=k)
             assert_lowest_terms(r)
-    # the content of a result can shrink: u/2 + u/2, 2 * (u/2), d(u^2/2)
+            assert dict(r.items()) == _mul_reference(a, b, k)
+        for r in (w ** 2, (w * const) ** 3,
+                  Poly(ctx, dict(w.items())),
+                  p.map_context(CTX, _moduli_values(ctx, rng)),
+                  p.map_context(CTX7)):
+            assert_lowest_terms(r)
+        assert w ** 2 == w * w == p * p
+        P, Q = dict(p.items()), dict(q.items())
+        keys = P.keys() | Q.keys()
+        cases = [
+            (s, {k: P.get(k, 0) + Q.get(k, 0) for k in keys}),
+            (t, {k: P.get(k, 0) - Q.get(k, 0) for k in keys}),
+            (w, P),
+            (-w, {k: -v for k, v in P.items()}),
+            (w.scale(c), {k: c * v for k, v in P.items()}),
+            (p.scale(m * p.den), {k: m * p.den * v for k, v in P.items()}),
+            (w.diff("u"), _fraction_diff(ctx, P, 0)),
+            (w.diff(last), _fraction_diff(ctx, P, ctx.n - 1)),
+            (w.truncated(cap), {k: v for k, v in P.items()
+                                if gdeg(k) <= cap}),
+            (w.homogeneous_part(deg), {k: v for k, v in P.items()
+                                       if gdeg(k) == deg}),
+        ]
+        for r, want in cases:
+            assert_representation(r)
+            assert dict(r.items()) == _nonzero(want)
+            assert r == Poly(ctx, dict(r.items()))
+            reducible += math.gcd(r.den, *r.terms.values()) > 1
+    assert reducible > 500
+    # the content of a result can shrink: u/2 + u/2, 2 * (u/2), d(u^2/2);
+    # the value, and so the text, are those of u
+    u = Poly.var(ctx, "u")
     half = Poly.var(ctx, "u", rat(1, 2))
-    for r in (half + half, half.scale(2),
-              (half * Poly.var(ctx, "u")).diff("u")):
-        assert_lowest_terms(r)
-        assert r.den == 1
+    for r in (half + half, half.scale(2), (half * u).diff("u")):
+        assert_representation(r)
+        assert r == u and u == r and r == Poly(ctx, dict(r.items()))
+        assert str(r) == str(u) == "1/1*u"
+        assert r != u.scale(2) and r != u + 1
+    assert (half + half).den == 2
 
 
 @pytest.mark.parametrize("ctx", [CTX, CTX7], ids=["uv", "uv+moduli"])

@@ -220,6 +220,26 @@ def test_kummer_det_vanishing_order_grows_with_level():
     assert firsts == sorted(firsts)
 
 
+def test_kernel_matrix_is_built_once_per_frame(monkeypatch):
+    """kummer_det and kernel_residual read the frame's one kernel matrix;
+    only the printed wp22 variant builds its own."""
+    calls = []
+    plain = sigma.kummer_matrix
+
+    def counted(*args):
+        calls.append(args[-1])
+        return plain(*args)
+
+    monkeypatch.setattr(sigma, "kummer_matrix", counted)
+    lam = (rat(1, 2), rat(-3), rat(2, 7), rat(5), rat(-1))
+    s = build_sigma(5, lambdas=lam)
+    for stage in (kummer_det, kernel_residual, kummer_det):
+        stage(s)
+    assert calls == ["wp11"]
+    kummer_det(s, variant="wp22")
+    assert calls == ["wp11", "wp22"]
+
+
 def test_kummer_det_alternative_diagonal_fails_in_series():
     """The -l2 - 4 wp22 diagonal variant does not vanish order by order;
     only the adopted wp11 form does."""

@@ -162,6 +162,23 @@ def test_christoffel_differentiates_each_entry_once(monkeypatch):
     assert sorted(calls) == [0, 0, 0, 1, 1, 1]
 
 
+def test_christoffel_forms_each_first_kind_sum_once(monkeypatch):
+    """One subtraction per first-kind sum [sig, mu nu], six in all; the
+    two values of lam read the same sums."""
+    calls = []
+    plain_sub = Jet.__sub__
+
+    def counted_sub(self, other):
+        calls.append(1)
+        return plain_sub(self, other)
+
+    g = skew_metric(Fraction(1, 3), Fraction(-2, 5))
+    ginv = inverse_metric(g)
+    monkeypatch.setattr(Jet, "__sub__", counted_sub)
+    christoffel(g, ginv)
+    assert len(calls) == 6
+
+
 def test_christoffel_lower_pair_is_one_object():
     g = skew_metric(Fraction(1, 3), Fraction(-2, 5))
     gam = christoffel(g, inverse_metric(g))
