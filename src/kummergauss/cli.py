@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import __version__, reference
 from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
@@ -43,8 +43,6 @@ class RunConfig:
     max_order: int = DEFAULT_ORDER
     seed: int = 20260803
     points: int = 20
-    output: str = "-"
-    format: str = "json"
     tolerance: float = 1e-6
 
     def validate(self):
@@ -92,11 +90,6 @@ class RunConfig:
             return self.command in ("metric-report", "ricci-leading", "all")
         return bool(self.levels()) and not self.nonzero_lambda()
 
-    def point_lambdas(self):
-        """Numeric lambda tuple for the inversion-chart commands, which
-        have no symbolic mode."""
-        return (0, 0, 0, 0, 0) if self.lambdas is None else tuple(self.lambdas)
-
     def nonzero_lambda(self):
         """Numeric moduli, not all zero: they fold into every coefficient,
         so the lambda-free regressions do not apply."""
@@ -126,19 +119,14 @@ def _quartic_identity(variant):
     return quartic_identity(variant)
 
 
-def _point_set(seed, count, lambdas):
+@lru_cache(maxsize=1)
+def _drawn_points(draw, seed, count, lambdas):
     """The points of (seed, count, lambda tuple) and those among them whose
     jet dZ differs from the closed form, drawn, lifted and dZ-checked once
     per process by the function bound to ``random_admissible_points``
     here, as ``_frame`` keeps frames.  A point keeps its lift and metric,
-    so a later run reads the same objects."""
-    return _drawn_points(random_admissible_points, seed, count, lambdas)
-
-
-@lru_cache(maxsize=1)
-def _drawn_points(draw, seed, count, lambdas):
-    """One set serves every chart command of one invocation, which reads
-    one (seed, points, lambda)."""
+    so a later run reads the same objects.  One set serves every chart
+    command of one invocation, which reads one (seed, points, lambda)."""
     points = tuple(draw(seed, count, lambdas=lambdas))
     bad = []
     for p in points:
@@ -150,52 +138,35 @@ def _drawn_points(draw, seed, count, lambdas):
     return points, tuple(bad)
 
 
-class _Stages:
-    """What the runners of one ``run`` call share, each built on first
-    use: the exact lambda = 0 chart, a sigma frame per level the command
-    runs, the admissible points and their dZ check.  Frames and points
-    outlive the call: ``_frame`` keeps the last four frames and
-    ``_point_set`` the last point set for later calls in the same
-    process."""
+# The runners share frames and points only through the process memos
+# above: ``_frame`` and ``_drawn_points`` are the one sharing layer.
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+def _zero_chart(cfg):
+    """The lambda = 0 frame at --max-order.  There sigma is exactly
+    u - v^3/3 at every level (by weight), so the chart is exact at any
+    order; every lambda-free regression reads it."""
+    return _frame(3, (0, 0, 0, 0, 0), cfg.max_order)
 
-    @cached_property
-    def zero_chart(self):
-        """The lambda = 0 frame at --max-order.  There sigma is exactly
-        u - v^3/3 at every level (by weight), so the chart is exact at any
-        order; every lambda-free regression reads it."""
-        return _frame(3, (0, 0, 0, 0, 0), self.cfg.max_order)
 
-    @cached_property
-    def frames(self):
-        """A frame per level.  A lambda-dependent sigma truncated at level
-        L matches the true one only through degree L + 1, so its frame
-        stops there and the ledger carries that horizon into every
-        validated order; at lambda = 0 every level is the zero chart."""
-        cfg = self.cfg
-        if cfg.lambdas is not None and not cfg.nonzero_lambda():
-            return {level: self.zero_chart for level in cfg.levels()}
-        lambdas = None if cfg.lambdas is None else tuple(cfg.lambdas)
-        return {level: _frame(level, lambdas, level + 1)
-                for level in cfg.levels()}
+def _frames(cfg):
+    """A frame per level the command runs.  A lambda-dependent sigma
+    truncated at level L matches the true one only through degree L + 1,
+    so its frame stops there and the ledger carries that horizon into
+    every validated order; at lambda = 0 every level is the zero chart."""
+    if cfg.lambdas is not None and not cfg.nonzero_lambda():
+        return {level: _zero_chart(cfg) for level in cfg.levels()}
+    lambdas = None if cfg.lambdas is None else tuple(cfg.lambdas)
+    return {level: _frame(level, lambdas, level + 1)
+            for level in cfg.levels()}
 
-    @cached_property
-    def point_set(self):
-        """(points, dZ failures) of the run's seed, count and lambda."""
-        cfg = self.cfg
-        return _point_set(cfg.seed, cfg.points, cfg.point_lambdas())
 
-    @property
-    def points(self):
-        return self.point_set[0]
-
-    @property
-    def dz_failures(self):
-        """Echoes of the points whose jet dZ differs from the closed form,
-        built afresh for each report."""
-        return [_point_echo(p) for p in self.point_set[1]]
+def _points(cfg):
+    """(points, dZ failures) of the run's seed, count and lambda; the
+    inversion-chart commands have no symbolic mode, so symbolic lambda
+    draws at lambda = 0."""
+    lambdas = (0, 0, 0, 0, 0) if cfg.lambdas is None else tuple(cfg.lambdas)
+    return _drawn_points(random_admissible_points, cfg.seed, cfg.points,
+                         lambdas)
 
 
 def _check(name, ok, qualified=False, **data):
@@ -214,9 +185,9 @@ def _zero_through(series):
 
 # -- sigma-chart commands ---------------------------------------------
 
-def run_quartic(st):
+def run_quartic(cfg):
     out = []
-    for level, s in st.frames.items():
+    for level, s in _frames(cfg).items():
         det = kummer_det(s)
         expected = level + 2
         z = _zero_through(det)
@@ -227,11 +198,11 @@ def run_quartic(st):
     return out
 
 
-def _residual_checks(prefix, residuals, st):
+def _residual_checks(prefix, residuals, cfg):
     """One check per residual at every level: it must vanish through the
     sigma level."""
     out = []
-    for level, s in st.frames.items():
+    for level, s in _frames(cfg).items():
         for i, r in enumerate(residuals(s), start=1):
             num = r.num
             z = _zero_through(num)
@@ -241,17 +212,17 @@ def _residual_checks(prefix, residuals, st):
     return out
 
 
-def run_pde(st):
-    return _residual_checks("pde", pde_residuals, st)
+def run_pde(cfg):
+    return _residual_checks("pde", pde_residuals, cfg)
 
 
-def run_kernel(st):
-    return _residual_checks("kernel-row", kernel_residual, st)
+def run_kernel(cfg):
+    return _residual_checks("kernel-row", kernel_residual, cfg)
 
 
-def run_metric(st):
-    nonzero = st.cfg.nonzero_lambda()
-    s = st.frames[st.cfg.sigma_level] if nonzero else st.zero_chart
+def run_metric(cfg):
+    nonzero = cfg.nonzero_lambda()
+    s = _frames(cfg)[cfg.sigma_level] if nonzero else _zero_chart(cfg)
     m = s.metric
     targets = [("ghat11", m.ghat11, reference.GHAT11_FREE),
                ("ghat12", m.ghat12, reference.GHAT12_FREE),
@@ -307,9 +278,9 @@ def _ricci_checks(level, rep, zero):
     return out
 
 
-def run_ricci_leading(st):
-    zero = None if st.cfg.nonzero_lambda() else st.zero_chart.cleared_ricci
-    return [c for level, s in st.frames.items()
+def run_ricci_leading(cfg):
+    zero = None if cfg.nonzero_lambda() else _zero_chart(cfg).cleared_ricci
+    return [c for level, s in _frames(cfg).items()
             for c in _ricci_checks(level, s.cleared_ricci, zero)]
 
 
@@ -328,7 +299,15 @@ def _point_echo(p):
             "lambdas": [format_rational(x) for x in p.lambdas]}
 
 
-def run_inversion(st):
+def _dz_check(name, cfg):
+    """Whether the jet dZ of every drawn point equals the closed form; the
+    echoes of the points where it does not are built afresh per report."""
+    points, bad = _points(cfg)
+    return _check(name, not bad, points=len(points),
+                  failures=[_point_echo(p) for p in bad])
+
+
+def run_inversion(cfg):
     # fixed witnesses, including the two Z sheet values; each run lifts
     # its own copies
     witnesses = [replace(w) for w in _WITNESSES]
@@ -351,9 +330,7 @@ def run_inversion(st):
     out.append(_check("inversion-quartic-identity", reduced.is_zero(),
                       terms=len(det.terms), reduced_terms=len(reduced.terms),
                       **{"lambda": "symbolic"}))
-    dz_bad = st.dz_failures
-    out.append(_check("inversion-random-dz", not dz_bad,
-                      points=len(st.points), failures=dz_bad))
+    out.append(_dz_check("inversion-random-dz", cfg))
     # the discrepancy resolution: the alternative diagonal entry must fail
     _, alt = _quartic_identity("wp22")
     val = quartic_check(witnesses[0], variant="wp22")
@@ -363,10 +340,11 @@ def run_inversion(st):
     return out
 
 
-def run_ricci_point(st):
+def run_ricci_point(cfg):
+    points = _points(cfg)[0]
     all_nonzero = True
     values = []
-    for p in st.points:
+    for p in points:
         rep = ricci_point(p)
         nz = all(not rep[k].is_zero() for k in ("R11", "R12", "R22"))
         sym = (rep["R12"] - rep["R21"]).is_zero()
@@ -376,13 +354,11 @@ def run_ricci_point(st):
                        "R22": str(rep["R22"]), "nonzero": nz,
                        "symmetric": sym})
     return [_check("ricci-point-nonzero", all_nonzero,
-                   points=len(st.points), values=values)]
+                   points=len(points), values=values)]
 
 
-def run_dz(st):
-    bad = st.dz_failures
-    return [_check("dz-closed-form", not bad, points=len(st.points),
-                   failures=bad)]
+def run_dz(cfg):
+    return [_dz_check("dz-closed-form", cfg)]
 
 
 # -- double-sphere commands -------------------------------------------
@@ -396,16 +372,16 @@ def _exact_zero_checks(prefix, rep):
             for key, dev in rep.items() if key.startswith("max_")]
 
 
-def run_sphere(st):
+def run_sphere(cfg):
     return _exact_zero_checks("sphere", sphere_einstein_check())
 
 
-def run_kahler(st):
+def run_kahler(cfg):
     return _exact_zero_checks("kahler", kahler_conformal_check())
 
 
-def run_chern(st):
-    tol = st.cfg.tolerance
+def run_chern(cfg):
+    tol = cfg.tolerance
     radius, c1, limit = chern_number(tolerance=tol)
     remainder = 2 - c1
     return [_check("chern-number", limit == 2 and remainder <= tol,
@@ -415,7 +391,7 @@ def run_chern(st):
                    limit=None if limit is None else format_rational(limit))]
 
 
-def run_goepel(st):
+def run_goepel(cfg):
     a, b, c, d = goepel_constants(1, 1, 1, -3)
     ok = (a, b, c, d) == (2, 2, 2, 0)
     return [_check("goepel-constants", ok,
@@ -423,17 +399,17 @@ def run_goepel(st):
                    constants=[format_rational(x) for x in (a, b, c, d)])]
 
 
-def run_fresnel(st):
+def run_fresnel(cfg):
     quartic, identity = fresnel_reduce()
     return [_check("fresnel-double-sphere", identity,
                    quartic=str(quartic))]
 
 
-def run_all(st):
-    """Every other command's checks, the sigma ones at levels 3, 5 and 7,
-    all sharing the frames and points of ``st``."""
+def run_all(cfg):
+    """Every other command's checks, the sigma ones at levels 3, 5 and 7;
+    the runners share frames and points through the process memos."""
     return [c for name, runner in _RUNNERS.items() if name != "all"
-            for c in runner(st)]
+            for c in runner(cfg)]
 
 
 _RUNNERS = {
@@ -459,7 +435,7 @@ def run(cfg):
     """Execute the configured command; returns (report dict, exit code)."""
     cfg.validate()
     start = time.monotonic()
-    checks = _RUNNERS[cfg.command](_Stages(cfg))
+    checks = _RUNNERS[cfg.command](cfg)
     checks.sort(key=lambda c: c["name"])
     failed = any(c["status"] == "fail" for c in checks)
     report = {
@@ -551,8 +527,7 @@ def configs_from_args(args):
     return [RunConfig(command=command, lambdas=_parse_lambda(args.lam),
                       sigma_level=args.sigma_level,
                       max_order=args.max_order, seed=args.seed,
-                      points=args.points, output=args.output,
-                      format=args.format, tolerance=args.tol)
+                      points=args.points, tolerance=args.tol)
             for command in args.command]
 
 

@@ -61,13 +61,10 @@ class ChartBPoint:
     sign2: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", rat(self.x1)
-                           if isinstance(self.x1, int) else self.x1)
-        object.__setattr__(self, "x2", rat(self.x2)
-                           if isinstance(self.x2, int) else self.x2)
+        object.__setattr__(self, "x1", rat(self.x1))
+        object.__setattr__(self, "x2", rat(self.x2))
         object.__setattr__(self, "lambdas",
-                           tuple(rat(x) if isinstance(x, int) else x
-                                 for x in self.lambdas))
+                           tuple(rat(x) for x in self.lambdas))
         if self.sign1 not in (1, -1) or self.sign2 not in (1, -1):
             raise ValueError("signs must be +1 or -1")
 

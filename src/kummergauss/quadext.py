@@ -36,8 +36,7 @@ class NonInvertibleError(ArithmeticError):
 
 class QuadExtContext:
     def __init__(self, c1, c2):
-        self.c1 = rat(c1) if isinstance(c1, int) else c1
-        self.c2 = rat(c2) if isinstance(c2, int) else c2
+        self.c1, self.c2 = rat(c1), rat(c2)
         n1, d1 = self.c1.numerator, self.c1.denominator
         n2, d2 = self.c2.numerator, self.c2.denominator
         # the product rule times d1 d2: 1 -> d1 d2, y1^2 -> n1 d2,
@@ -51,7 +50,7 @@ class QuadExtContext:
                 and self.c1 == other.c1 and self.c2 == other.c2)
 
     def element(self, a=0, b=0, c=0, d=0):
-        qs = [rat(q) if isinstance(q, int) else q for q in (a, b, c, d)]
+        qs = [rat(q) for q in (a, b, c, d)]
         den = math.lcm(*[q.denominator for q in qs])
         return QuadExtScalar(self, *[q.numerator * (den // q.denominator)
                                      for q in qs], den)

@@ -503,7 +503,7 @@ class TruncatedSeries:
         return self.body.ctx
 
     def _check(self, other):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self.body.ctx is not other.body.ctx and self.ctx != other.ctx:
             raise ContextError("mixed variable contexts")
 
     def __add__(self, other):

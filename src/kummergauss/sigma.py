@@ -92,8 +92,7 @@ class SigmaSeries:
             if len(lambdas) != 5:
                 raise ValueError("need five lambda values")
             self.ctx = _NUMERIC_CTX
-            self.lam = [rat(x) if isinstance(x, int) else x
-                        for x in lambdas]
+            self.lam = [rat(x) for x in lambdas]
         poly = self.sigma_poly = _sigma_poly(self.ctx, self.lam, level)
         self.sigma = TruncatedSeries(poly, order)
         # sigma's derivatives by sorted curve indices: the exact

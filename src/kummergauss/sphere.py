@@ -22,8 +22,7 @@ def goepel_constants(a2, b2, c2, d2):
     beta^2, gamma^2, delta^2.  D is exact when the (2-A)(2-B)(2-C) product
     vanishes or the tetrad product is a perfect square; otherwise it is
     reported unavailable (None)."""
-    a2, b2, c2, d2 = (rat(x) if isinstance(x, int) else x
-                      for x in (a2, b2, c2, d2))
+    a2, b2, c2, d2 = (rat(x) for x in (a2, b2, c2, d2))
     a4, b4, c4, d4 = a2 * a2, b2 * b2, c2 * c2, d2 * d2
     dens = (a2 * d2 - b2 * c2, b2 * d2 - c2 * a2, c2 * d2 - a2 * b2)
     if any(x == 0 for x in dens):
@@ -53,9 +52,7 @@ def fresnel_quartic(a2, b2, c2):
     x = Poly.var(ctx, "x")
     y = Poly.var(ctx, "y")
     z = Poly.var(ctx, "z")
-    a2 = rat(a2) if isinstance(a2, int) else a2
-    b2 = rat(b2) if isinstance(b2, int) else b2
-    c2 = rat(c2) if isinstance(c2, int) else c2
+    a2, b2, c2 = rat(a2), rat(b2), rat(c2)
     r2 = x * x + y * y + z * z
     weighted = a2 * x * x + b2 * y * y + c2 * z * z
     middle = (a2 * (b2 + c2) * x * x + b2 * (c2 + a2) * y * y

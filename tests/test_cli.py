@@ -402,20 +402,24 @@ def _report_body(cfg):
                          ids=["symbolic", "zero", "numeric"])
 def test_reports_identical_cold_and_warm(lambdas):
     """A report does not depend on what earlier runs left in the memoised
-    frames: each command reports the same from an empty memo as after
-    other commands filled the stages of its frames in another order and
-    runs at other configs came between."""
-    commands = ("quartic-verify", "pde-verify", "kernel-verify",
-                "metric-report")
+    frames and points: each command reports the same from empty memos as
+    after other commands filled the stages of its frames in another order
+    and runs at other configs came between.  The runners of one ``all``
+    share frames and points only through those memos."""
+    inputs = [quick_cfg(command, lambdas=lambdas)
+              for command in ("quartic-verify", "pde-verify",
+                              "kernel-verify", "metric-report",
+                              "ricci-leading")]
+    inputs.append(quick_cfg("all", lambdas=lambdas, max_order=9))
     cold = []
-    for command in commands:
+    for cfg in inputs:
         cli._built_frame.cache_clear()
-        cold.append(_report_body(quick_cfg(command, lambdas=lambdas)))
+        cli._drawn_points.cache_clear()
+        cold.append(_report_body(cfg))
     cli._built_frame.cache_clear()
     run(quick_cfg("ricci-leading", lambdas=lambdas))
     run(quick_cfg("pde-verify", sigma_level=5, lambdas=(1, 0, 0, 0, 0)))
-    warm = [_report_body(quick_cfg(command, lambdas=lambdas))
-            for command in reversed(commands)]
+    warm = [_report_body(cfg) for cfg in reversed(inputs)]
     assert warm[::-1] == cold
 
 
