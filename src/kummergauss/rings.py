@@ -17,7 +17,9 @@ and products keep the numerators small.  Equality is by value, and every
 rational leaving a ``Poly`` is a ``Fraction``, so it is canonical.
 Products multiply Python integers and build no rational per term.  A
 product whose exponents could overflow the 8-bit fields raises
-``ContextError``.
+``ContextError``.  The scan behind that guard runs only where a cap
+cannot bound the fields: in an all-graded context, every key a capped
+product forms has degree, hence every field, at most the cap.
 """
 
 import functools
@@ -111,15 +113,16 @@ class Context:
 
 
 def _lowest(terms, den):
-    """(terms, den) in lowest terms, gcd(den, *terms.values()) == 1, for
-    the constructor and products.  ``terms`` maps keys to nonzero ints and
-    ``den`` is a positive int."""
-    if den == 1:
-        return terms, 1
+    """(terms, den) in lowest terms with the zero numerators dropped, so
+    gcd(den, *terms.values()) == 1, for the constructor and products.
+    ``terms`` maps keys to ints and ``den`` is a positive int; a zero value
+    leaves the gcd as it is, so one pass divides and drops zeros."""
     g = math.gcd(den, *terms.values())
-    if g == 1:
-        return terms, den
-    return {k: n // g for k, n in terms.items()}, den // g
+    if g != 1:
+        return {k: n // g for k, n in terms.items() if n}, den // g
+    if 0 in terms.values():
+        return {k: n for k, n in terms.items() if n}, den
+    return terms, den
 
 
 class Poly:
@@ -141,7 +144,7 @@ class Poly:
         self.ctx = ctx
         self.terms, self.den = _lowest(
             {k: c.numerator * (den // c.denominator)
-             for k, c in terms.items() if c}, den)
+             for k, c in terms.items()}, den)
 
     @classmethod
     def _of(cls, ctx, terms, den=1):
@@ -232,7 +235,14 @@ class Poly:
 
         A constant factor (the single key 0) scales the other factor's
         numerators; its key adds nothing, so no exponent can overflow.
-        Both paths return the product in lowest terms."""
+
+        Otherwise ``_check_exponent_sums`` guards the packed fields, unless
+        the cap is within the field limit and every variable is graded:
+        a kept key's degree, the sum of its fields plus any carry, is then
+        at most the cap, so no kept field can pass the limit.
+
+        Both paths return the product in lowest terms, reduced and cleared
+        of cancelled terms in one pass."""
         self._check(other)
         ctx = self.ctx
         den = self.den * other.den
@@ -249,7 +259,8 @@ class Poly:
                 limit = (cap + 1) << ctx.top
                 out = {k: n * c for k, n in terms.items() if k < limit}
             return Poly._of(ctx, *_lowest(out, den))
-        _check_exponent_sums(ctx, self.terms, other.terms)
+        if cap is None or cap > _EXP_LIMIT or ctx.grading < ctx.n:
+            _check_exponent_sums(ctx, self.terms, other.terms)
         t2 = sorted(other.terms.items())
         if cap is None:
             # one past the largest key of the product
@@ -265,8 +276,7 @@ class Poly:
                     break
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
-        return Poly._of(ctx, *_lowest({k: n for k, n in out.items() if n},
-                                      den))
+        return Poly._of(ctx, *_lowest(out, den))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -463,7 +473,10 @@ def _check_exponent_sums(ctx, terms1, terms2):
     The bitwise OR of a factor's keys bounds every field from above.  Added
     as plain integers, two such bounds carry into the low bit of the next
     field exactly when some field sum passes the limit, so the exact
-    per-variable maxima are only computed after such a carry."""
+    per-variable maxima are only computed after such a carry.
+
+    ``Poly.mul`` skips this scan for a cap within the field limit in an
+    all-graded context, where the cap bounds every field."""
     fields = (1 << ctx.top) - 1
     or1 = functools.reduce(operator.or_, terms1, 0) & fields
     or2 = functools.reduce(operator.or_, terms2, 0) & fields
@@ -516,29 +529,35 @@ class TruncatedSeries:
         return self._combine(other, operator.sub)
 
     def _combine(self, other, op):
+        """op(self, other) at the lower known order: the longer operand is
+        cut to that order before the sum, so no term above it is formed."""
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries(Poly.const(self.ctx, other),
                                     self.known_order)
         self._check(other)
-        if self.known_order == other.known_order:
-            return TruncatedSeries._capped(op(self.body, other.body),
-                                           self.known_order)
-        n = min(self.known_order, other.known_order)
-        return TruncatedSeries(op(self.body, other.body), n)
+        n, m = self.known_order, other.known_order
+        a, b = self.body, other.body
+        if n > m:
+            a, n = a.truncated(m), m
+        elif m > n:
+            b = b.truncated(n)
+        return TruncatedSeries._capped(op(a, b), n)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(self.body * other, self.known_order)
-        self._check(other)
-        # known(st) = min(known(s) + val(t), known(t) + val(s))
-        vs = self.body.valuation()
-        vt = other.body.valuation()
-        if vs is None or vt is None:
+        p, q = self.body, other.body
+        if p.ctx is not q.ctx:
+            self._check(other)
+        if not p.terms or not q.terms:
             # zero factor: product is exactly zero; keep a generous order
             n = max(self.known_order, other.known_order)
-            return TruncatedSeries(Poly.zero(self.ctx), n)
-        n = min(self.known_order + vt, other.known_order + vs)
-        return TruncatedSeries._capped(self.body.mul(other.body, cap=n), n)
+            return TruncatedSeries(Poly.zero(p.ctx), n)
+        # known(st) = min(known(s) + val(t), known(t) + val(s))
+        top = p.ctx.top
+        n = min(self.known_order + (min(q.terms) >> top),
+                other.known_order + (min(p.terms) >> top))
+        return TruncatedSeries._capped(p.mul(q, cap=n), n)
 
     __rmul__ = __mul__
 

@@ -21,6 +21,7 @@ sigma truncated at level L matches the true one through degree L + 1,
 while at lambda = 0 it is exactly u - v^3/3.  The caller picks the order.
 """
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -236,13 +237,17 @@ class SigmaRational:
             num = num * self.frame.dhat_pow(b - self.det_pow)
         return SigmaRational(self.frame, num, a, b)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op(self, other) over the larger of each pair of powers."""
         if not isinstance(other, SigmaRational):
             other = self.frame.scalar(other)
         a = max(self.sig_pow, other.sig_pow)
         b = max(self.det_pow, other.det_pow)
         x, y = self._raise_to(a, b), other._raise_to(a, b)
-        return SigmaRational(self.frame, x.num + y.num, a, b)
+        return SigmaRational(self.frame, op(x.num, y.num), a, b)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -251,7 +256,7 @@ class SigmaRational:
                              self.det_pow)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other):
         if not isinstance(other, SigmaRational):

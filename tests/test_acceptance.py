@@ -10,8 +10,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import pytest
-
 from kummergauss import reference
 from kummergauss.inversion import (ChartBPoint, dz_closed_form,
                                    quartic_check, quartic_identity,
@@ -41,11 +39,6 @@ def report(num, label, ok):
     assert ok, label
 
 
-@pytest.fixture(scope="module")
-def frames():
-    return {level: build_sigma(level) for level in (3, 5, 7)}
-
-
 def test_criterion_1_quartic_vanishing_orders(frames):
     ok = True
     for level in (3, 5, 7):
@@ -73,7 +66,7 @@ def test_criterion_2_metric_display_regression(frames):
 def test_criterion_3_ricci_fingerprints(frames):
     ok = True
     for level in (3, 5, 7):
-        rep = ricci_hat(frames[level])
+        rep = frames[level].cleared_ricci
         for name in ("R11", "R12", "R22"):
             deg, target = reference.RICCI_LOWEST[name]
             free = lambda_free(rep[name])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from kummergauss import rings
 from kummergauss.rings import (Context, ContextError, NotDivisibleError, Poly,
                                TruncatedSeries, exact_divide, format_rational,
                                parse_rational, rat)
@@ -404,6 +405,58 @@ def test_exponent_guard_covers_the_field_below_the_degree():
     assert (v ** 200 * v ** 55).valuation() == 255
 
 
+def _refuse_scan(*args):
+    raise AssertionError("exponent scan ran")
+
+
+def test_capped_product_in_graded_context_is_exact_without_scan(monkeypatch):
+    """In an all-graded context a capped product forms no key of degree
+    above the cap, so no field can pass the limit and the exponent scan
+    never runs.  It still runs uncapped, above the field limit and with
+    weightless variables."""
+    u = Poly.var(CTX, "u")
+    a = Poly.var(CTX3, "a")
+    big, mid, a2 = u ** 200, u ** 100, a * a
+    rng = random.Random(20261026)
+    pairs = [(_wide_poly(rng, CTX, 6, 8), _wide_poly(rng, CTX, 6, 8))
+             for _ in range(80)]
+    monkeypatch.setattr(rings, "_check_exponent_sums", _refuse_scan)
+    assert big.mul(mid, cap=20).is_zero()
+    assert big.mul(mid, cap=255) == Poly.zero(CTX)
+    for p, q in pairs:
+        cap = rng.randint(-1, 14)
+        pq = p.mul(q, cap=cap)
+        assert dict(pq.items()) == _mul_reference(p, q, cap)
+        assert_lowest_terms(pq)
+    for product in (lambda: big.mul(mid), lambda: big.mul(mid, cap=256),
+                    lambda: a2.mul(a, cap=2)):
+        with pytest.raises(AssertionError, match="exponent scan"):
+            product()
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX7], ids=["uv", "uv+moduli"])
+def test_products_with_cancelling_terms_reduce_in_one_pass(ctx):
+    """Capped and uncapped products whose terms cancel, and whose raw
+    numerators share a factor with the denominator, are in lowest terms
+    with no zero numerator."""
+    rng = random.Random(20261027)
+    cancelled = reduced = 0
+    for _ in range(150):
+        p = _wide_poly(rng, ctx, 3, 6)
+        r = _wide_poly(rng, ctx, 3, 6)
+        k = rat(rng.choice((2, 3, 4, 6, 12)), rng.randint(1, 7))
+        for x, y in ((p + r, p - r), ((p + r).scale(k), (p - r).scale(k))):
+            for cap in (None, rng.randint(0, 8)):
+                xy = x.mul(y, cap=cap)
+                assert dict(xy.items()) == _mul_reference(x, y, cap)
+                assert_lowest_terms(xy)
+                formed = {k1 + k2 for k1 in x.terms for k2 in y.terms
+                          if cap is None or (k1 + k2) >> ctx.top <= cap}
+                cancelled += len(xy.terms) < len(formed)
+                reduced += xy.den < x.den * y.den
+    assert cancelled > 200 and reduced > 200
+
+
 # -- seeded small random polynomials ----------------------------------
 
 def small_poly_pairs(seed, count=120):
@@ -494,6 +547,23 @@ def test_series_mul_randomized_agrees_with_poly_product():
                   a + TruncatedSeries(q, n), a - b):
             assert all(CTX.grading_degree(k) <= r.known_order
                        for k in r.body.terms)
+
+
+def test_series_sum_at_unequal_orders_cuts_first():
+    """a +- b at unequal known orders, with the longer operand cut before
+    the sum, equals the full sum truncated at the lower order."""
+    rng = random.Random(20261028)
+    for ctx in (CTX, CTX7):
+        for _ in range(120):
+            n, m = rng.sample(range(0, 9), 2)
+            a = TruncatedSeries(_wide_poly(rng, ctx, 5, 8), n)
+            b = TruncatedSeries(_wide_poly(rng, ctx, 5, 8), m)
+            for got, body in ((a + b, a.body + b.body),
+                              (a - b, a.body - b.body),
+                              (b - a, b.body - a.body)):
+                want = TruncatedSeries(body, min(n, m))
+                assert got == want
+                assert_representation(got.body)
 
 
 def test_lowest_terms_reports_valuation_block():

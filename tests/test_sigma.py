@@ -2,9 +2,11 @@
 derivatives and their differential equations, the quartic kernel and the
 cleared Ricci components."""
 
+import random
+
 import pytest
 
-from kummergauss import reference, sigma
+from kummergauss import reference, rings, sigma
 from kummergauss.rings import Context, Poly, TruncatedSeries, rat
 from kummergauss.sigma import (LAMBDA_NAMES, SigmaRational, SigmaSeries,
                                build_sigma, gauss_metric, kernel_residual,
@@ -306,8 +308,8 @@ def test_dhat_stages_need_no_prior_call():
 
 
 @pytest.mark.parametrize("level", [3, 5, 7])
-def test_ricci_fingerprints_per_level(level):
-    rep = ricci_hat(build_sigma(level))
+def test_ricci_fingerprints_per_level(level, frames):
+    rep = frames[level].cleared_ricci
     for name in ("R11", "R12", "R22"):
         deg, target = reference.RICCI_LOWEST[name]
         free = lambda_free(rep[name])
@@ -323,6 +325,36 @@ def test_ricci_fingerprints_at_zero_moduli():
         lowest_deg, lowest = rep[name].lowest_terms()
         assert lowest_deg == deg
         assert reference.matches(lowest, target)
+
+
+def test_numeric_frame_needs_no_exponent_scan(monkeypatch):
+    """A numeric frame lives in the all-graded (u, v) context and caps
+    every product, so ``kummer_det`` runs with the exponent scan refused
+    and gives the same series."""
+    lam = (rat(1, 2), -3, rat(2, 7), 5, -1)
+    want = kummer_det(build_sigma(7, lambdas=lam))
+
+    def refuse(*args):
+        raise AssertionError("exponent scan ran")
+    monkeypatch.setattr(rings, "_check_exponent_sums", refuse)
+    assert kummer_det(build_sigma(7, lambdas=lam)) == want
+
+
+def test_sigma_rational_sub_equals_add_of_negation():
+    """x - y subtracts directly and equals x + (-y) in powers, numerator
+    value and known order, over seeded pairs with unequal sigma and Dhat
+    powers."""
+    rng = random.Random(20261029)
+    s = build_sigma(3, lambdas=(rat(1, 2), -3, rat(2, 7), 5, -1))
+    ginv = s.metric_inverse[1]
+    pool = [*s.xyz, *s.wp3s, ginv.g11, ginv.g12, ginv.g22,
+            s.xyz[0].diff(1), ginv.g12.diff(0), s.scalar(rat(-5, 3))]
+    for _ in range(40):
+        x, y = (w.scale(rat(rng.randint(-9, 9), rng.randint(1, 9)))
+                for w in rng.sample(pool, 2))
+        got, want = x - y, x + (-y)
+        assert (got.sig_pow, got.det_pow) == (want.sig_pow, want.det_pow)
+        assert got.num == want.num
 
 
 def test_sigma_rational_power_normalization():
