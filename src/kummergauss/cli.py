@@ -22,8 +22,9 @@ from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
                     pde_residuals)
-from .sphere import (chern_number, fresnel_reduce, goepel_constants,
-                     kahler_conformal_check, sphere_einstein_check)
+from .sphere import (MIN_TOLERANCE, chern_number, fresnel_reduce,
+                     goepel_constants, kahler_conformal_check,
+                     sphere_einstein_check)
 
 MAX_ORDER_LIMIT = 20
 # the commands that build a sigma frame, at --sigma-level
@@ -52,6 +53,8 @@ class RunConfig:
             raise ConfigError("sigma level must be 3, 5 or 7")
         if self.max_order > MAX_ORDER_LIMIT:
             raise ConfigError("max order is capped at %d" % MAX_ORDER_LIMIT)
+        if self.max_order < 0:
+            raise ConfigError("max order must be at least 0")
         levels = self.levels()
         if self.reads_zero_chart() and self.max_order < max(levels) + 2:
             raise ConfigError("max order must be at least %d, the highest "
@@ -67,7 +70,8 @@ class RunConfig:
                                   "fractions")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must fit in 64 bits")
-        if not math.isfinite(self.tolerance) or self.tolerance < 1e-10:
+        if not math.isfinite(self.tolerance) \
+                or self.tolerance < MIN_TOLERANCE:
             raise ConfigError("tolerance must be finite and at least 1e-10")
 
     def lambda_echo(self):
@@ -241,7 +245,7 @@ def run_metric(cfg):
             continue
         # only coefficients inside the validated order are comparable
         want = target.truncated(series.known_order)
-        ok = reference.matches(series.body, want)
+        ok = series.body == want
         out.append(_check("metric-%s" % name, ok,
                           lambda_free=str(series.body), expected=str(want),
                           compared_through=series.known_order,
@@ -267,7 +271,7 @@ def _ricci_checks(level, rep, zero):
             continue
         expected_deg, target = reference.RICCI_LOWEST[name]
         degree, lowest = zero[name].lowest_terms()
-        ok = degree == expected_deg and reference.matches(lowest, target)
+        ok = degree == expected_deg and lowest == target
         out.append(_check("ricci-%s-level-%d" % (name, level), ok,
                           expected_degree=expected_deg,
                           lowest_degree=degree, lowest_terms=str(lowest),
@@ -496,9 +500,10 @@ def build_parser():
     ap.add_argument("--lambda", dest="lam", default="symbolic",
                     help="'symbolic' or five comma-separated rationals "
                          "l0,l1,l2,l3,l4 (default symbolic)")
-    ap.add_argument("--sigma-level", type=int, default=7,
-                    help="sigma truncation level: 3, 5 or 7 (default 7)")
-    ap.add_argument("--max-order", type=int, default=DEFAULT_ORDER,
+    ap.add_argument("--sigma-level", type=int, default=RunConfig.sigma_level,
+                    help="sigma truncation level: 3, 5 or 7 (default %d)"
+                         % RunConfig.sigma_level)
+    ap.add_argument("--max-order", type=int, default=RunConfig.max_order,
                     help="order of the exact lambda = 0 chart, which every "
                          "lambda-free regression reads, at most %d "
                          "(default %d); a run that reads it needs at least "
@@ -507,12 +512,12 @@ def build_parser():
                          "sigma-level+1, the last degree the truncated "
                          "sigma shares with the true one, and do not read "
                          "this order"
-                         % (MAX_ORDER_LIMIT, DEFAULT_ORDER))
-    ap.add_argument("--seed", type=int, default=20260803,
+                         % (MAX_ORDER_LIMIT, RunConfig.max_order))
+    ap.add_argument("--seed", type=int, default=RunConfig.seed,
                     help="seed for the random point streams")
-    ap.add_argument("--points", type=int, default=20,
+    ap.add_argument("--points", type=int, default=RunConfig.points,
                     help="random point count for the chart checks")
-    ap.add_argument("--tol", type=float, default=1e-6,
+    ap.add_argument("--tol", type=float, default=RunConfig.tolerance,
                     help="largest remainder 2 - c1(R) the exact Chern "
                          "number may leave (at least 1e-10)")
     ap.add_argument("--output", default="-",

@@ -15,14 +15,6 @@ def _poly(items):
                                   for (i, j, p, q) in items])
 
 
-def matches(poly, target):
-    """Compare a coordinate-only polynomial (from either the symbolic or
-    the specialized context) against a frozen target."""
-    if poly.ctx != _CTX:
-        poly = poly.map_context(_CTX)
-    return poly == target
-
-
 # lambda-free parts of ghat_ij = sigma^6 g_ij  (entries (u-exp, v-exp, p, q))
 GHAT11_FREE = _poly([
     (0, 0, 4, 1), (2, 2, 4, 1), (0, 4, 4, 1), (1, 5, 16, 3), (0, 8, 16, 9),

@@ -59,10 +59,6 @@ class ContextError(ValueError):
 class NotDivisibleError(ArithmeticError):
     """exact_divide found a nonzero remainder."""
 
-    def __init__(self, message, remainder_key=None):
-        super().__init__(message)
-        self.remainder_key = remainder_key
-
 
 class Context:
     """Fixed variable set for a polynomial ring.
@@ -97,12 +93,6 @@ class Context:
 
     def grading_degree(self, key):
         return key >> self.top
-
-    def total_degree(self, key):
-        d = 0
-        for i in range(self.n):
-            d += (key >> (_SHIFT * i)) & _MASK
-        return d
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.names == other.names \
@@ -166,11 +156,11 @@ class Poly:
         return cls(ctx, {0: value})
 
     @classmethod
-    def var(cls, ctx, name, coeff=1):
+    def var(cls, ctx, name):
         i = ctx.index.get(name)
         if i is None:
             raise ContextError("unknown variable %r" % name)
-        return cls(ctx, {ctx.pack(int(j == i) for j in range(ctx.n)): coeff})
+        return cls(ctx, {ctx.pack(int(j == i) for j in range(ctx.n)): 1})
 
     @classmethod
     def from_terms(cls, ctx, items):
@@ -429,7 +419,7 @@ class Poly:
     def _sort_key(self, key):
         # graded lex: total degree first, then earlier variables dominate
         exps = self.ctx.unpack(key)
-        return (self.ctx.total_degree(key), tuple(-e for e in exps))
+        return (sum(exps), tuple(-e for e in exps))
 
     def sorted_terms(self):
         """(key, coefficient) pairs in canonical graded-lex order (low
@@ -545,7 +535,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.body * other, self.known_order)
+            return self.scale(other)
         p, q = self.body, other.body
         if p.ctx is not q.ctx:
             self._check(other)
@@ -573,10 +563,9 @@ class TruncatedSeries:
     def valuation(self):
         return self.body.valuation()
 
-    def is_zero_through(self, order=None):
-        order = self.known_order if order is None else order
+    def is_zero_through(self):
         v = self.body.valuation()
-        return v is None or v > order
+        return v is None or v > self.known_order
 
     def lowest_terms(self):
         """(degree, homogeneous part) of the minimal grading degree, or
@@ -625,8 +614,7 @@ def exact_divide(s, d):
         t_key = min(rem, key=sort_key)
         t_exps = ctx.unpack(t_key)
         if any(te < pe for te, pe in zip(t_exps, pivot_exps)):
-            raise NotDivisibleError(
-                "remainder term not divisible by pivot", t_key)
+            raise NotDivisibleError("remainder term not divisible by pivot")
         m_key = t_key - pivot_key
         c = rem[t_key] / pivot_coeff
         quot[m_key] = c

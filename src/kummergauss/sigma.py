@@ -126,7 +126,8 @@ class SigmaSeries:
     @cached_property
     def kernel_matrix(self):
         """The adopted ("wp11") kernel matrix at the frame's (X, Y, Z)."""
-        return _frame_kummer_matrix(self)
+        return kummer_matrix(self.moduli, *self.xyz, self.scalar(2),
+                             self.scalar(0))
 
     @cached_property
     def metric(self):
@@ -260,8 +261,7 @@ class SigmaRational:
 
     def __mul__(self, other):
         if not isinstance(other, SigmaRational):
-            return SigmaRational(self.frame, self.num.scale(other),
-                                 self.sig_pow, self.det_pow)
+            return self.scale(other)
         return SigmaRational(self.frame, self.num * other.num,
                              self.sig_pow + other.sig_pow,
                              self.det_pow + other.det_pow)
@@ -301,8 +301,8 @@ class SigmaRational:
             num = exact_divide(num, self.frame.dhat_pow(cur.det_pow - b))
         return SigmaRational(self.frame, num, a, b)
 
-    def is_zero_through(self, order=None):
-        return self.num.is_zero_through(order)
+    def is_zero_through(self):
+        return self.num.is_zero_through()
 
     def __str__(self):
         return "(%s) / sigma^%d Dhat^%d" % (self.num, self.sig_pow,
@@ -371,8 +371,9 @@ def kummer_matrix(lam, X, Y, Z, two, zero, variant="wp11"):
     ``zero`` are the five moduli and the constants already in that ring.
 
     ``variant`` selects the second diagonal entry: "wp11" is
-    -l2 - 4 Z (the kernel-matrix form, adopted); "wp22" is the
-    -l2 - 4 X variant printed with the quartic, kept for comparison.
+    -l2 - 4 Z (the kernel-matrix form, adopted, and the only one the sigma
+    chart builds); "wp22" is the -l2 - 4 X variant printed with the
+    quartic, which the inversion chart builds to show that it fails.
     """
     l0, l1, l2, l3, l4 = lam
     half = Fraction(1, 2)
@@ -388,16 +389,9 @@ def kummer_matrix(lam, X, Y, Z, two, zero, variant="wp11"):
     ]
 
 
-def _frame_kummer_matrix(s, variant="wp11"):
-    """The kernel matrix at the frame's (wp22, wp21, wp11)."""
-    return kummer_matrix(s.moduli, *s.xyz, s.scalar(2), s.scalar(0), variant)
-
-
-def kummer_det(s, variant="wp11"):
+def kummer_det(s):
     """sigma^8 * det K as a series with its validated order."""
-    m = s.kernel_matrix if variant == "wp11" \
-        else _frame_kummer_matrix(s, variant)
-    return det4(m)._raise_to(8, 0).num
+    return det4(s.kernel_matrix)._raise_to(8, 0).num
 
 
 def kernel_residual(s):

@@ -127,14 +127,10 @@ def _chart_report(metrics):
             "max_scalar_dev": max_scal_dev}
 
 
-def sphere_einstein_check(ts=None):
-    """Verify R_ij = g_ij and R = 2 exactly at theta = 2 atan t for
-    rational t > 0.  The metric does not depend on phi, so each t is one
-    point."""
-    ts = _SPHERE_TS if ts is None else ts
-    if any(t <= 0 for t in ts):
-        raise ValueError("theta = 2 atan t needs t > 0; t = 0 is the pole")
-    return _chart_report([sphere_metric_jets(t) for t in ts])
+def sphere_einstein_check():
+    """Verify R_ij = g_ij and R = 2 exactly at theta = 2 atan t for each
+    t of ``_SPHERE_TS``, one point per t: the metric does not depend on phi."""
+    return _chart_report([sphere_metric_jets(t) for t in _SPHERE_TS])
 
 
 def kahler_conformal_check():
@@ -150,41 +146,39 @@ def kahler_conformal_check():
     return dict(_chart_report(metrics), max_conformal_dev=max_conf_dev)
 
 
-_PLANE = Context(("u", "v"))
 _AXIS = Context(("u",), grading=1)
-_MIN_TOLERANCE = Fraction(1, 10 ** 10)
+MIN_TOLERANCE = Fraction(1, 10 ** 10)
 
 
-def chern_number(tolerance=Fraction(1, 10 ** 6)):
+def chern_number(tolerance):
     """First Chern number of the double sphere, read from its Kaehler
     metric f |dz|^2.
 
     By Gauss-Bonnet the curvature over the disc |z| <= R integrates to
     2 pi c1(R) with c1(R) = -R f_u / (2f) at (R, 0), taken exactly from
     the metric jets.  R is the least power of two with 2 - c1(R) at most
-    ``tolerance``.  The limit of c1 is the ratio of the leading
-    coefficients of u q_u / q; that ratio must equal the jet value at
-    every radius tried, otherwise the limit is None (the metric is not
-    the chart the limit was derived for).
+    ``tolerance`` (at least ``MIN_TOLERANCE``).  The limit of c1 is the
+    ratio of the leading coefficients of u q_u / q; that ratio must equal
+    the jet value at every radius tried, otherwise the limit is None (the
+    metric is not the chart the limit was derived for).
 
     Returns (R, c1(R), limit).
     """
-    if not tolerance >= _MIN_TOLERANCE:
+    if not tolerance >= MIN_TOLERANCE:
         raise ValueError("tolerance must be >= 1e-10")
     # on the axis v = 0 the chart f = 4/q^2, q = 1 + u^2 + v^2, has
-    # c1 = u q_u / q; u q_u has the degree of q, so the limit is the ratio
-    # of their top coefficients
-    u, v = Poly.var(_PLANE, "u"), Poly.var(_PLANE, "v")
-    q = Poly.const(_PLANE, 1) + u * u + v * v
-    num, den = (p.map_context(_AXIS, {"v": 0})
-                for p in (u * q.diff("u"), q))
-    top = [den.grading_degree_max()]
-    limit = num.coefficient(top) / den.coefficient(top)
+    # q = 1 + u^2 and c1 = u q_u / q; u q_u has the degree of q, so the
+    # limit is the ratio of their top coefficients
+    u = Poly.var(_AXIS, "u")
+    q = Poly.const(_AXIS, 1) + u * u
+    num = u * q.diff("u")
+    top = [q.grading_degree_max()]
+    limit = num.coefficient(top) / q.coefficient(top)
     radius = 1
     while True:
         f = kahler_metric_jets(radius, 0, order=1).g11
         c1 = -radius * f.get(1, 0) / (2 * f.base)
-        if c1 != num.eval({"u": radius}) / den.eval({"u": radius}):
+        if c1 != num.eval({"u": radius}) / q.eval({"u": radius}):
             return radius, c1, None
         if 2 - c1 <= tolerance:
             return radius, c1, limit

@@ -89,6 +89,13 @@ def test_order_cap_enforced():
         quick_cfg("quartic-verify", max_order=24).validate()
 
 
+def test_negative_order_rejected():
+    """No command reads a negative order, even one that builds no frame."""
+    with pytest.raises(ConfigError):
+        quick_cfg("chern", max_order=-1).validate()
+    assert cli.main(["chern", "--max-order", "-1"]) == 2
+
+
 def test_non_finite_tolerance_rejected():
     for tol in (float("inf"), float("nan")):
         with pytest.raises(ConfigError):
@@ -142,6 +149,13 @@ def test_lambda_parsing():
         cli._parse_lambda("1,2,3")
     with pytest.raises(ConfigError):
         cli._parse_lambda("a,b,c,d,e")
+
+
+def test_parser_defaults_are_the_config_defaults():
+    """A command given alone runs the RunConfig defaults."""
+    for command in cli.COMMANDS:
+        args = cli.build_parser().parse_args([command])
+        assert configs_from_args(args)[0] == RunConfig(command)
 
 
 def test_environment_does_not_set_max_order(monkeypatch):

@@ -349,7 +349,7 @@ def test_products_are_in_lowest_terms_and_other_results_exact(ctx):
     # the content of a result can shrink: u/2 + u/2, 2 * (u/2), d(u^2/2);
     # the value, and so the text, are those of u
     u = Poly.var(ctx, "u")
-    half = Poly.var(ctx, "u", rat(1, 2))
+    half = Poly.var(ctx, "u").scale(rat(1, 2))
     for r in (half + half, half.scale(2), (half * u).diff("u")):
         assert_representation(r)
         assert r == u and u == r and r == Poly(ctx, dict(r.items()))

@@ -10,8 +10,9 @@ from kummergauss import reference, rings, sigma
 from kummergauss.rings import Context, Poly, TruncatedSeries, rat
 from kummergauss.sigma import (LAMBDA_NAMES, SigmaRational, SigmaSeries,
                                build_sigma, gauss_metric, kernel_residual,
-                               kummer_det, metric_det_inverse, pde_residuals,
-                               ricci_hat, wp2, wp3)
+                               kummer_det, kummer_matrix, metric_det_inverse,
+                               pde_residuals, ricci_hat, wp2, wp3)
+from kummergauss.tensor import det4
 
 UV = Context(("u", "v"))
 LAMBDA_ZERO = dict.fromkeys(LAMBDA_NAMES, 0)
@@ -20,6 +21,12 @@ LAMBDA_ZERO = dict.fromkeys(LAMBDA_NAMES, 0)
 def lambda_free(series):
     """The lambda = 0 part of a symbolic series, in (u, v)."""
     return series.body.map_context(UV, LAMBDA_ZERO)
+
+
+def wp22_det(s):
+    """sigma^8 det K with the printed -l2 - 4 wp22 diagonal entry."""
+    m = kummer_matrix(s.moduli, *s.xyz, s.scalar(2), s.scalar(0), "wp22")
+    return det4(m).to_powers(8, 0).num
 
 
 def coeff(poly, u, v, **lams):
@@ -115,7 +122,7 @@ def test_stage_weights(level, order):
     assert [weights(r.num.body) for r in pde_residuals(s)] \
         == [{8}, {6}, {4}, {2}, {0}]
     assert weights(kummer_det(s).body) == {8}
-    assert weights(kummer_det(s, variant="wp22").body) == {8, 12}
+    assert weights(wp22_det(s).body) == {8, 12}
 
 
 def test_sigma_parity():
@@ -147,7 +154,7 @@ def test_wp3_matches_derivative_of_wp2():
              ("211", wp2(s, 21).diff(0)), ("111", wp2(s, 11).diff(0))]
     for key, via_diff in pairs:
         delta = wp3(s, key) - via_diff
-        assert delta.is_zero_through(s.level + 1), key
+        assert delta.is_zero_through(), key
 
 
 def test_wp3_rejects_unknown_index():
@@ -223,13 +230,12 @@ def test_kummer_det_vanishing_order_grows_with_level():
 
 
 def test_kernel_matrix_is_built_once_per_frame(monkeypatch):
-    """kummer_det and kernel_residual read the frame's one kernel matrix;
-    only the printed wp22 variant builds its own."""
+    """kummer_det and kernel_residual read the frame's one kernel matrix."""
     calls = []
     plain = sigma.kummer_matrix
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.append(args)
         return plain(*args)
 
     monkeypatch.setattr(sigma, "kummer_matrix", counted)
@@ -237,15 +243,13 @@ def test_kernel_matrix_is_built_once_per_frame(monkeypatch):
     s = build_sigma(5, lambdas=lam)
     for stage in (kummer_det, kernel_residual, kummer_det):
         stage(s)
-    assert calls == ["wp11"]
-    kummer_det(s, variant="wp22")
-    assert calls == ["wp11", "wp22"]
+    assert len(calls) == 1
 
 
 def test_kummer_det_alternative_diagonal_fails_in_series():
     """The -l2 - 4 wp22 diagonal variant does not vanish order by order;
     only the adopted wp11 form does."""
-    det = kummer_det(build_sigma(5), variant="wp22")
+    det = wp22_det(build_sigma(5))
     assert det.valuation() == 4  # stuck at low degree, far below level + 2
     assert lambda_free(det).valuation() == 4
 
@@ -255,14 +259,11 @@ def test_kummer_det_alternative_diagonal_fails_in_series():
 def test_metric_displays_match_reference():
     s = build_sigma(7)
     m = gauss_metric(s)
-    assert reference.matches(lambda_free(m.ghat11),
-                             reference.GHAT11_FREE)
-    assert reference.matches(lambda_free(m.ghat12),
-                             reference.GHAT12_FREE)
-    assert reference.matches(lambda_free(m.ghat22),
-                             reference.GHAT22_FREE)
+    assert lambda_free(m.ghat11) == reference.GHAT11_FREE
+    assert lambda_free(m.ghat12) == reference.GHAT12_FREE
+    assert lambda_free(m.ghat22) == reference.GHAT22_FREE
     dhat, _ = metric_det_inverse(m)
-    assert reference.matches(lambda_free(dhat), reference.DHAT_FREE)
+    assert lambda_free(dhat) == reference.DHAT_FREE
 
 
 def test_metric_inverse_is_inverse():
@@ -314,7 +315,7 @@ def test_ricci_fingerprints_per_level(level, frames):
         deg, target = reference.RICCI_LOWEST[name]
         free = lambda_free(rep[name])
         assert free.valuation() == deg
-        assert reference.matches(free.homogeneous_part(deg), target)
+        assert free.homogeneous_part(deg) == target
     assert rep["ricci_symmetry_ok"]
 
 
@@ -324,7 +325,7 @@ def test_ricci_fingerprints_at_zero_moduli():
         deg, target = reference.RICCI_LOWEST[name]
         lowest_deg, lowest = rep[name].lowest_terms()
         assert lowest_deg == deg
-        assert reference.matches(lowest, target)
+        assert lowest == target
 
 
 def test_numeric_frame_needs_no_exponent_scan(monkeypatch):
