@@ -3,14 +3,17 @@ y_i^2 = f5(x_i).  ``chart_F`` is the one F, for rationals, jets and
 ``Poly``s.  The quartic is one ``Poly`` identity in symbolic lambda, which
 holds on both sheets (``quartic_identity``).
 
-Points are evaluated exactly through jets over the quadratic extension
-algebra: ``ChartBPoint.roots`` is the point's ``QuadExtContext`` with its
-signed square roots y1, y2, built once and read by the jets and by the
-closed-form dZ.  Every point is lifted at ``JET_ORDER`` = 3, the order the
-Ricci values read (the metric through order 2, differentiated twice); dZ
-and the quartic read the same lift's first and zeroth orders.  A point
-keeps the exact lift and metric it computes first (``lift``, ``metric``),
-so the admissible-point filter and every later check share them."""
+Points are evaluated exactly through jets over Q(w), w = y1 y2 with
+w^2 = c1 c2, c_i = f5(x_i) at the base point: along the lift
+y_i(x_i) = y_i r_i(x_i), where r_i = sqrt(f5(x_i) / c_i) has rational
+Taylor coefficients, so Z = (F - 2 w r1 r2) / D and everything built from
+it stays in Q(w).  ``ChartBPoint.roots`` is the point's ``QuadExtContext``
+with its signed w, built once and read by the jets and by the closed-form
+dZ.  Every point is lifted at ``JET_ORDER`` = 3, the order the Ricci
+values read (the metric through order 2, differentiated twice); dZ and
+the quartic read the same lift's first and zeroth orders.  A point keeps
+the exact lift and metric it computes first (``lift``, ``metric``), so
+the admissible-point filter and every later check share them."""
 
 import random
 from dataclasses import dataclass
@@ -86,10 +89,10 @@ class ChartBPoint:
 
     @cached_property
     def roots(self):
-        """(ring, y1, y2): the point's extension with y_i^2 = f5(x_i) and
-        the square roots on its sheet."""
+        """(ring, w): the point's ring Q(w), w^2 = c1 c2, and w = y1 y2 on
+        its sheet.  The sheet enters only through sign1 sign2."""
         ctx = QuadExtContext(self.c1, self.c2)
-        return ctx, ctx.y1.scale(self.sign1), ctx.y2.scale(self.sign2)
+        return ctx, ctx.w.scale(self.sign1 * self.sign2)
 
     @cached_property
     def lift(self):
@@ -113,38 +116,39 @@ class ChartBPoint:
         return g, inverse_metric(g)
 
 
-def _sqrt_jet(s, y0, ring, slot):
-    """Jet square root of s along displacement ``slot`` with chosen base
-    branch y0 (y0^2 = s base)."""
-    inv2y0 = ring.inv(y0 + y0)
+def _sqrt_jet(s, slot):
+    """Jet square root of s along displacement ``slot``, where s has
+    constant term 1: the root with constant term 1."""
+    ring, half = s.ring, rat(1, 2)
     ix = (lambda k: (k, 0)) if slot == 0 else (lambda k: (0, k))
-    y = {(0, 0): y0}
+    y = {(0, 0): ring.one}
     for k in range(1, s.order + 1):
         acc = s.coeffs.get(ix(k), ring.zero)
         for j in range(1, k):
             acc = acc - y[ix(j)] * y[ix(k - j)]
-        y[ix(k)] = acc * inv2y0
+        y[ix(k)] = acc.scale(half)
     return Jet(ring, s.order, y)
 
 
 def xyz_jets(p):
     """X = x1 + x2, Y = -x1 x2, Z = (F - 2 y1 y2) / (4 (x1 - x2)^2), and
-    the lifted jets of x1, x2, y1, y2 about the base point at
-    ``JET_ORDER``; the y-jets satisfy (y-jet)^2 = jet of f5(x_i) through
-    that order."""
+    the lifted jets of x1, x2 and y1 y2 about the base point at
+    ``JET_ORDER``.  The y1 y2 jet is w r1 r2 with r_i the rational jet of
+    sqrt(f5(x_i) / c_i), r_i = 1 at the base, so its square is the jet of
+    f5(x1) f5(x2) through that order."""
     p.check_admissible()
-    ring, y1, y2 = p.roots
+    ring, w = p.roots
     jx1 = Jet.coordinate(ring, JET_ORDER, ring.zero + p.x1, 0)
     jx2 = Jet.coordinate(ring, JET_ORDER, ring.zero + p.x2, 1)
-    jy1 = _sqrt_jet(f5_scalar(jx1, p.lambdas), y1, ring, 0)
-    jy2 = _sqrt_jet(f5_scalar(jx2, p.lambdas), y2, ring, 1)
+    r1 = _sqrt_jet(f5_scalar(jx1, p.lambdas).scale(1 / p.c1), 0)
+    r2 = _sqrt_jet(f5_scalar(jx2, p.lambdas).scale(1 / p.c2), 1)
+    jw = (r1 * r2).scale(w)
     X = jx1 + jx2
     Y = -(jx1 * jx2)
     diffj = jx1 - jx2
     denom = (diffj * diffj).scale(4)
-    Z = (chart_F(jx1, jx2, p.lambdas) - (jy1 * jy2).scale(2)) \
-        * denom.inverse()
-    return X, Y, Z, {"x1": jx1, "x2": jx2, "y1": jy1, "y2": jy2}
+    Z = (chart_F(jx1, jx2, p.lambdas) - jw.scale(2)) * denom.inverse()
+    return X, Y, Z, {"x1": jx1, "x2": jx2, "y1y2": jw}
 
 
 @lru_cache(maxsize=4)
@@ -160,20 +164,19 @@ def _chart_derivatives(lambdas):
 def dz_closed_form(p):
     """dZ/dx_i at the base point by the quotient rule, with dF/dx_i and
     f5'(x_i) the formal derivatives of F and f5 over the chart ring at the
-    point's moduli (independent of the jet path)."""
+    point's moduli (independent of the jet path).  y_j / y_i is
+    y1 y2 / y_i^2 = w / c_i."""
     p.check_admissible()
-    ctx, y1, y2 = p.roots
+    ctx, w = p.roots
     dF1, dF2, df5 = _chart_derivatives(p.lambdas)
     at = {"x1": p.x1, "x2": p.x2}
     d = p.x1 - p.x2
-    N = ctx.rational(chart_F(p.x1, p.x2, p.lambdas)) - (y1 * y2).scale(2)
+    N = ctx.rational(chart_F(p.x1, p.x2, p.lambdas)) - w.scale(2)
     # dZ/dx_i = (dF/dx_i - f5'(x_i) y_j / y_i) / (4 d^2) -+ N / (2 d^3);
     # f5' is one polynomial in x1, read at each x_i
     out = []
-    for dF, xi, yi, yj, sign in ((dF1, p.x1, y1, y2, -1),
-                                 (dF2, p.x2, y2, y1, 1)):
-        dN = ctx.rational(dF.eval(at)) \
-            - (yj * yi.inv()).scale(df5.eval({"x1": xi}))
+    for dF, xi, ci, sign in ((dF1, p.x1, p.c1, -1), (dF2, p.x2, p.c2, 1)):
+        dN = ctx.rational(dF.eval(at)) - w.scale(df5.eval({"x1": xi}) / ci)
         out.append(N.scale(sign / (2 * d ** 3)) + dN.scale(1 / (4 * d * d)))
     return tuple(out)
 

@@ -3,8 +3,9 @@
 A jet of order n stores the Taylor coefficients (not scaled derivatives)
 in two displacements through total degree n.  The charts use exact
 coefficients: the jet ring of the inversion chart is the
-``QuadExtContext`` itself, the sphere charts use ``NumericRing(Fraction)``;
-floats and complex numbers remain only in the tests.  The ring supplies
+``QuadExtContext`` itself, the rank-2 ring Q(y1 y2) of the point; the
+sphere charts use ``NumericRing(Fraction)``; floats and complex numbers
+remain only in the tests.  The ring supplies
 ``zero``, ``one``, ``inv`` and ``product``, the truncated product of two
 coefficient dicts, so each ring multiplies jets in its own arithmetic; it
 embeds nothing, since rationals are added to and multiplied into its

@@ -23,7 +23,7 @@ from kummergauss.sigma import (LAMBDA_NAMES, build_sigma, gauss_metric,
 from kummergauss.sphere import (chern_number, fresnel_reduce,
                                 goepel_constants, kahler_conformal_check,
                                 sphere_einstein_check)
-from kummergauss.tensor import MetricTensor, christoffel, ricci, riemann
+from kummergauss.tensor import MetricTensor, christoffel, riemann
 
 UV = Context(("u", "v"))
 LAMBDA_ZERO = dict.fromkeys(LAMBDA_NAMES, 0)

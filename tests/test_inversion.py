@@ -75,9 +75,22 @@ def test_witness_xyz():
     assert X.base.rational_value() == 5
     assert Y.base.rational_value() == -4
     assert Z.base.rational_value() == rat(16, 9)
-    # the y-jets really are square roots of f5 along the lift
-    jy1 = lifted["y1"]
-    assert (jy1 * jy1).base.rational_value() == 4
+    assert lifted["y1y2"].base.rational_value() == 2 * 64
+    # the y1 y2 jet really is a square root of f5(x1) f5(x2) along the
+    # lift, through JET_ORDER, on both sheets and with nonzero moduli
+    n = inversion.JET_ORDER
+    for lambdas in ((0, 0, 0, 0, 0), LAM):
+        points = [replace(W, lambdas=lambdas)] \
+            + random_admissible_points(11, 4, lambdas=lambdas)
+        for p in points + [replace(q, sign2=-1) for q in points]:
+            _, _, _, lifted = xyz_jets(p)
+            jw = lifted["y1y2"]
+            want = f5_scalar(lifted["x1"], lambdas) \
+                * f5_scalar(lifted["x2"], lambdas)
+            square = jw * jw
+            assert square.order == want.order == n
+            assert all(square.get(i, j) == want.get(i, j)
+                       for i in range(n + 1) for j in range(n + 1 - i)), p
 
 
 def test_witness_other_sheet():
@@ -171,9 +184,10 @@ def test_dz_closed_form_matches_jets_with_moduli():
 
 def _swap_eq(a, b):
     """Equality across the coordinate swap: the swapped point lives in the
-    extension with c1 and c2 exchanged, so the y1/y2 parts trade places."""
+    ring with c1 and c2 exchanged, and w = y1 y2 is symmetric under the
+    swap, so both parts agree."""
     return (a.ctx.c1 == b.ctx.c2 and a.ctx.c2 == b.ctx.c1
-            and a.a == b.a and a.b == b.c and a.c == b.b and a.d == b.d)
+            and a.a == b.a and a.d == b.d)
 
 
 def test_metric_swap_covariance():
@@ -212,7 +226,7 @@ def test_random_points_deterministic():
 
 def test_lift_point_respects_order():
     _, _, _, lifted = xyz_jets(W)
-    assert lifted["y1"].order == inversion.JET_ORDER
+    assert lifted["y1y2"].order == inversion.JET_ORDER
     assert lifted["x1"].get(1, 0) == lifted["x1"].ring.one
 
 

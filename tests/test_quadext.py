@@ -1,4 +1,5 @@
-"""Tests for the two-square-root extension algebra and the jet layer."""
+"""Tests for the rank-2 ring Q(w), w^2 = c1 c2 (w = y1 y2 of the
+inversion chart), and the jet layer."""
 
 import math
 import random
@@ -8,13 +9,13 @@ import pytest
 
 from kummergauss.jets import Jet, NumericRing
 from kummergauss.quadext import (NonInvertibleError, QuadExtContext,
-                                 QuadExtScalar, rational_sqrt)
+                                 rational_sqrt)
 from kummergauss.rings import rat
 
 
 def random_elem(rng, ctx, span=9):
     return ctx.element(*[rat(rng.randint(-span, span), rng.randint(1, 4))
-                         for _ in range(4)])
+                         for _ in range(2)])
 
 
 # -- square roots -----------------------------------------------------
@@ -29,33 +30,34 @@ def test_rational_sqrt():
 
 # -- worked inverses --------------------------------------------------
 
-def test_inverse_of_y1():
+def test_inverse_of_w():
     ctx = QuadExtContext(4, 3)
-    inv = ctx.y1.inv()
-    assert inv == ctx.element(b=rat(1, 4))
-    assert (ctx.y1 * inv) == ctx.one
+    inv = ctx.w.inv()
+    assert inv == ctx.element(d=rat(1, 12))
+    assert (ctx.w * inv) == ctx.one
 
 
 def test_product_of_conjugate_pair():
     ctx = QuadExtContext(4, 3)
-    left = ctx.one + ctx.y1
-    right = ctx.one - ctx.y1
-    assert left * right == ctx.rational(rat(-3))  # 1 - c1
+    left = ctx.one + ctx.w
+    right = ctx.one - ctx.w
+    assert left * right == ctx.rational(rat(-11))  # 1 - c1 c2
 
 
-def test_inverse_of_one_plus_y1():
+def test_inverse_of_one_plus_w():
     ctx = QuadExtContext(4, 3)
-    e = ctx.one + ctx.y1
+    e = ctx.one + ctx.w
     inv = e.inv()
-    assert inv == ctx.element(a=rat(-1, 3), b=rat(1, 3))
+    assert inv == ctx.element(a=rat(-1, 11), d=rat(1, 11))
     assert e * inv == ctx.one
 
 
 def test_zero_norm_rejected():
     ctx = QuadExtContext(4, 9)
-    # 2 + y1 has norm (4 - 4)^2 = 0
-    with pytest.raises(NonInvertibleError):
-        (ctx.rational(rat(2)) + ctx.y1).inv()
+    # 6 -+ w has norm 36 - 36 = 0
+    for e in (ctx.rational(6) + ctx.w, ctx.rational(6) - ctx.w):
+        with pytest.raises(NonInvertibleError):
+            e.inv()
 
 
 # -- algebra laws, randomized -----------------------------------------
@@ -87,10 +89,12 @@ def test_inverse_round_trip_randomized():
 
 
 def test_mixed_contexts_rejected():
-    a = QuadExtContext(2, 3).y1
-    b = QuadExtContext(2, 5).y1
+    a = QuadExtContext(2, 3).w
+    b = QuadExtContext(2, 5).w
     with pytest.raises(ValueError):
         a + b
+    with pytest.raises(ValueError):
+        a - b
     with pytest.raises(ValueError):
         a * b
 
@@ -98,15 +102,18 @@ def test_mixed_contexts_rejected():
 # -- integer kernel against the Fraction formulas ---------------------
 
 def _mul_reference(ctx, x, y):
-    """The product rule on Fraction parts, as computed before the integer
-    kernel."""
-    k1, k2 = ctx.c1, ctx.c2
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (a1 * a2 + k1 * b1 * b2 + k2 * c1 * c2 + k1 * k2 * d1 * d2,
-            a1 * b2 + b1 * a2 + k2 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + k1 * (b1 * d2 + d1 * b2),
-            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2)
+    """The product rule on Fraction parts."""
+    k = ctx.c1 * ctx.c2
+    a1, d1 = x
+    a2, d2 = y
+    return (a1 * a2 + k * d1 * d2, a1 * d2 + d1 * a2)
+
+
+def _inv_reference(ctx, x):
+    """The conjugate over the norm, on Fraction parts; None at norm 0."""
+    a, d = x
+    norm = a * a - ctx.c1 * ctx.c2 * d * d
+    return (a / norm, -d / norm) if norm else None
 
 
 def _add_reference(x, y):
@@ -114,12 +121,12 @@ def _add_reference(x, y):
 
 
 def parts(x):
-    return (x.a, x.b, x.c, x.d)
+    return (x.a, x.d)
 
 
 def assert_canonical(x):
     assert x.den > 0
-    assert math.gcd(x.na, x.nb, x.nc, x.nd, x.den) == 1
+    assert math.gcd(x.na, x.nd, x.den) == 1
     if x.is_zero():
         assert (x.na, x.den) == (0, 1)
     assert all(type(q) is Fraction for q in parts(x))
@@ -136,9 +143,9 @@ def random_parts(rng):
     5040."""
     kind = rng.random()
     if kind < 0.05:
-        return (rat(0),) * 4
+        return (rat(0),) * 2
     out = []
-    for i in range(4):
+    for i in range(2):
         if (kind < 0.2 and i > 0) or rng.random() < 0.2:
             out.append(rat(0))
         else:
@@ -153,13 +160,14 @@ def random_parts(rng):
 def test_kernel_matches_fraction_reference(c1, c2):
     rng = random.Random(20261018 + KERNEL_CONTEXTS.index((c1, c2)))
     ctx = QuadExtContext(c1, c2)
+    inverted = 0
     for _ in range(120):
         xp, yp = random_parts(rng), random_parts(rng)
         pairs = [(xp, yp),
                  # cross terms cancel: (p + r)(p - r) and x conj(x)
                  (_add_reference(xp, yp),
                   _add_reference(xp, tuple(-q for q in yp))),
-                 (xp, (xp[0], -xp[1], xp[2], -xp[3])),
+                 (xp, (xp[0], -xp[1])),
                  (xp, tuple(-q for q in xp))]
         for u, v in pairs:
             x, y = ctx.element(*u), ctx.element(*v)
@@ -174,13 +182,20 @@ def test_kernel_matches_fraction_reference(c1, c2):
                 for z in (x.scale(r), x * r, r * x):
                     assert parts(z) == tuple(p * r for p in u)
                     assert_canonical(z)
-            assert parts(x.conj1()) == (u[0], -u[1], u[2], -u[3])
-            for z in (x, y, prod, total, x.scale(q), -x, x.conj2()):
+            for z in (x, y, prod, total, x.scale(q), -x):
                 assert_canonical(z)
-            if u[0] * u[1] != 0:  # mostly invertible; norms of both signs
-                inv = x.inv()
-                assert x * inv == ctx.one
-                assert_canonical(inv)
+            want = _inv_reference(ctx, u)
+            if want is None:
+                with pytest.raises(NonInvertibleError):
+                    x.inv()
+                continue
+            # norms of both signs
+            inv = x.inv()
+            assert parts(inv) == want
+            assert x * inv == ctx.one
+            assert_canonical(inv)
+            inverted += 1
+    assert inverted > 400
 
 
 def test_rational_addition_matches_element_addition():
@@ -204,14 +219,13 @@ def test_difference_is_sum_with_negation():
     for _ in range(100):
         x = ctx.element(*random_parts(rng))
         y = ctx.element(*random_parts(rng))
-        # adding an integer and conjugating keep the denominator, so
-        # these take the shared-denominator path
-        same_den = (x + rng.randint(-9, 9)).conj1()
+        # adding an integer and negating keep the denominator, so these
+        # take the shared-denominator path
+        same_den = -(x + rng.randint(-9, 9))
         assert same_den.den == x.den
         for z in (y, same_den, x):
             for value, want in ((x - z, x + (-z)), (z - x, z + (-x)),
-                                (x + z, ctx.element(x.a + z.a, x.b + z.b,
-                                                    x.c + z.c, x.d + z.d))):
+                                (x + z, ctx.element(x.a + z.a, x.d + z.d))):
                 assert value == want
                 assert_canonical(value)
         assert_canonical(x - x)
@@ -270,20 +284,20 @@ def test_jet_product_matches_schoolbook(c1, c2):
 
 def test_jet_product_over_two_contexts_rejected():
     a, b = QuadExtContext(2, 3), QuadExtContext(2, 5)
-    ja = Jet.coordinate(a, 2, a.y1, 0)
-    jb = Jet.coordinate(b, 2, b.y1, 1)
+    ja = Jet.coordinate(a, 2, a.w, 0)
+    jb = Jet.coordinate(b, 2, b.w, 1)
     for x, y in ((ja, jb), (jb, ja)):
         with pytest.raises(ValueError):
             x * y
     # equal contexts built apart are one ring
     c = QuadExtContext(2, 3)
-    assert (ja * Jet.coordinate(c, 2, c.y1, 1)).base == 2
+    assert (ja * Jet.coordinate(c, 2, c.w, 1)).base == 6
 
 
 def test_equal_values_have_equal_fields_and_hash():
     rng = random.Random(20261018)
     ctx = QuadExtContext(rat(-3, 7), rat(5, 2))
-    zeros = [ctx.zero, ctx.element(0, 0, 0, 0)]
+    zeros = [ctx.zero, ctx.element(0, 0)]
     done = 0
     while done < 60:
         x = ctx.element(*random_parts(rng))
@@ -300,8 +314,7 @@ def test_equal_values_have_equal_fields_and_hash():
                  x + ctx.zero, -(-x)]
         for p in paths:
             assert p == x and hash(p) == hash(x)
-            assert (p.na, p.nb, p.nc, p.nd, p.den) == (x.na, x.nb, x.nc,
-                                                       x.nd, x.den)
+            assert (p.na, p.nd, p.den) == (x.na, x.nd, x.den)
             assert_canonical(p)
         assert_canonical(xinv)
         zeros += [x - x, x.scale(0), x * ctx.zero, x + (-x)]
@@ -320,7 +333,7 @@ def test_rational_elements_equal_their_rationals():
     assert hash(half) == hash(rat(1, 2))
     assert ctx.rational(3) == 3 and hash(ctx.rational(3)) == hash(3)
     assert half != rat(1, 3) and half != 0
-    assert ctx.y1 != rat(1, 2) and (ctx.y1 + rat(1, 2)) != rat(1, 2)
+    assert ctx.w != rat(1, 2) and (ctx.w + rat(1, 2)) != rat(1, 2)
     assert {half: "x"}[rat(1, 2)] == "x"
 
 
@@ -328,19 +341,32 @@ def test_rational_elements_equal_their_rationals():
 
 def test_rational_value_with_square_roots():
     ctx = QuadExtContext(4, 9)
-    e = ctx.element(a=rat(1), b=rat(2), c=rat(-1), d=rat(1, 2))
-    # 1 + 2*2 - 3 + (1/2)*6 = 5
-    assert e.rational_value() == 5
+    assert ctx.w.rational_value() == 6
+    e = ctx.element(a=rat(1), d=rat(1, 2))
+    # 1 + (1/2)*6 = 4
+    assert e.rational_value() == 4
 
 
 def test_rational_value_requires_perfect_squares():
-    with pytest.raises(ValueError):
-        QuadExtContext(2, 9).y1.rational_value()
+    """Each c_i must be a square: w -> sqrt(c1) sqrt(c2), which is not
+    sqrt(c1 c2) when both c_i are negative."""
+    for c1, c2 in ((2, 9), (2, 8), (-1, -4)):
+        with pytest.raises(ValueError):
+            QuadExtContext(c1, c2).w.rational_value()
+
+
+def test_report_text_keeps_the_four_slot_form():
+    """Reports print elements as points of Q(y1, y2); the y1 and y2 slots
+    are zero."""
+    ctx = QuadExtContext(rat(-3, 7), rat(5, 2))
+    assert str(ctx.element(a=rat(1, 2), d=-3)) \
+        == "(1/2 + 0*y1 + 0*y2 + -3*y1y2)"
+    assert repr(ctx.zero) == "(0 + 0*y1 + 0*y2 + 0*y1y2)"
 
 
 def test_rational_value_is_a_ring_map():
-    """With both c_i perfect squares, y_i -> sqrt(c_i) is an exact ring
-    map to Q: it respects +, * and inv (the algebra is then split, so an
+    """With both c_i perfect squares, w -> sqrt(c1) sqrt(c2) is an exact
+    ring map to Q: it respects +, * and inv (the ring is then split, so an
     element with a nonzero value may still be non-invertible)."""
     rng = random.Random(20260823)
     ctx = QuadExtContext(rat(4, 9), rat(25))
@@ -362,7 +388,7 @@ def test_rational_value_is_a_ring_map():
 # -- jets -------------------------------------------------------------
 
 def rational_jet_ring():
-    """Jets whose coefficients stay in Q inside the extension algebra."""
+    """Jets whose coefficients stay in Q inside the extension ring."""
     ctx = QuadExtContext(2, 3)
     return ctx, ctx
 
@@ -402,7 +428,7 @@ def test_jet_diff_matches_polynomial_rule():
 
 def test_jet_inverse_over_quadext():
     ctx = QuadExtContext(4, 3)
-    f = Jet.coordinate(ctx, 3, ctx.one + ctx.y1, 0)
+    f = Jet.coordinate(ctx, 3, ctx.one + ctx.w, 0)
     prod = f * f.inverse()
     assert prod.base == ctx.one
     assert prod.get(1, 0).is_zero()
@@ -412,7 +438,7 @@ def test_jet_inverse_over_quadext():
 # an element of its own type
 _JET_CTX = QuadExtContext(rat(-3, 7), rat(5, 2))
 JET_RINGS = pytest.mark.parametrize("ring,e", [
-    (_JET_CTX, _JET_CTX.y1.scale(3)),
+    (_JET_CTX, _JET_CTX.w.scale(3)),
     (NumericRing(Fraction), Fraction(5, 3)),
     (NumericRing(complex), complex(2, -1)),
 ], ids=["quadext", "fraction", "complex"])

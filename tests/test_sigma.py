@@ -7,7 +7,7 @@ import random
 import pytest
 
 from kummergauss import reference, rings, sigma
-from kummergauss.rings import Context, Poly, TruncatedSeries, rat
+from kummergauss.rings import Context, Poly, rat
 from kummergauss.sigma import (LAMBDA_NAMES, SigmaRational, SigmaSeries,
                                build_sigma, gauss_metric, kernel_residual,
                                kummer_det, kummer_matrix, metric_det_inverse,
