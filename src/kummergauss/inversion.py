@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .jets import Jet
-from .quadext import NonInvertibleError, QuadExtContext
+from .quadext import NonInvertibleError, QuadExtContext, graded_index
 from .rings import Context, Poly, rat
 from .sigma import LAMBDA_NAMES, kummer_matrix
 from .tensor import (MetricTensor, christoffel, det4, inverse_metric, ricci,
@@ -117,17 +117,25 @@ class ChartBPoint:
 
 
 def _sqrt_jet(s, slot):
-    """Jet square root of s along displacement ``slot``, where s has
-    constant term 1: the root with constant term 1."""
-    ring, half = s.ring, rat(1, 2)
-    ix = (lambda k: (k, 0)) if slot == 0 else (lambda k: (0, k))
-    y = {(0, 0): ring.one}
-    for k in range(1, s.order + 1):
-        acc = s.coeffs.get(ix(k), ring.zero)
-        for j in range(1, k):
-            acc = acc - y[ix(j)] * y[ix(k - j)]
-        y[ix(k)] = acc.scale(half)
-    return Jet(ring, s.order, y)
+    """Jet square root of s, where s has constant term 1 and rational
+    coefficients along displacement ``slot`` only: the root with constant
+    term 1, on the numerators of s.  With s_k = S_k / d (S_0 = d) and
+    q = 4d, the root has y_k = Y_k / (2^(2k-1) d^k) for k > 0, where
+    Y_k = q^(k-1) S_k - sum_{0<j<k} Y_j Y_(k-j); over q^n its numerators
+    are q^n and 2 Y_k q^(n-k)."""
+    n = s.order
+    S, _, d = s.data
+    q = 4 * d
+    at = [graded_index(k, 0) if slot == 0 else graded_index(0, k)
+          for k in range(n + 1)]
+    Y = [0] * (n + 1)
+    A = [0] * len(S)
+    A[0] = q ** n
+    for k in range(1, n + 1):
+        Y[k] = q ** (k - 1) * S[at[k]] \
+            - sum(Y[j] * Y[k - j] for j in range(1, k))
+        A[at[k]] = 2 * Y[k] * q ** (n - k)
+    return Jet(s.ring, n, (A, [0] * len(S), A[0]))
 
 
 def xyz_jets(p):

@@ -253,6 +253,27 @@ def _random_coeffs(rng, ctx, order):
             if rng.random() < 0.8}
 
 
+def _nonzero(coeffs):
+    return {k: x for k, x in coeffs.items() if not x.is_zero()}
+
+
+def assert_jet_data(jet, reduced=False):
+    """A Q(w) jet stores two numerator lists of its order's length over a
+    positive denominator, in lowest terms where ``reduced``, and hands out
+    canonical elements from ``get``, ``base`` and ``coeffs``."""
+    A, D, den = jet.data
+    size = (jet.order + 1) * (jet.order + 2) // 2
+    assert len(A) == len(D) == size and den > 0
+    if reduced:
+        assert math.gcd(den, *A, *D) == 1
+    assert_canonical(jet.base)
+    for x in jet.coeffs.values():
+        assert_canonical(x)
+    for i in range(jet.order + 2):
+        for j in range(jet.order + 2 - i):
+            assert_canonical(jet.get(i, j))
+
+
 @pytest.mark.parametrize("c1,c2", KERNEL_CONTEXTS,
                          ids=["%s,%s" % c for c in KERNEL_CONTEXTS])
 def test_jet_product_matches_schoolbook(c1, c2):
@@ -269,17 +290,91 @@ def test_jet_product_matches_schoolbook(c1, c2):
                 r = {(i, j): -x if i % 2 else x for (i, j), x in p.items()}
                 n = min(op, oq)
                 for a, b, m, bo in ((p, q, n, oq), (p, r, op, op)):
-                    want = _schoolbook(a, b, m)
-                    assert ctx.product(a, b, m) == want
-                    got = Jet(ctx, op, a) * Jet(ctx, bo, b)
-                    assert (got.order, got.coeffs) == (m, want)
-                    for x in got.coeffs.values():
-                        assert_canonical(x)
-                odd = [x for (i, j), x in ctx.product(p, r, op).items()
-                       if i % 2]
-                assert all(x.is_zero() for x in odd)
+                    got = Jet.from_coeffs(ctx, op, a) \
+                        * Jet.from_coeffs(ctx, bo, b)
+                    assert got.order == m
+                    assert got.coeffs == _nonzero(_schoolbook(a, b, m))
+                    assert_jet_data(got, reduced=True)
+                odd = [k for k in _schoolbook(p, r, op) if k[0] % 2]
+                even = Jet.from_coeffs(ctx, op, p) \
+                    * Jet.from_coeffs(ctx, op, r)
+                assert all(even.get(*k).is_zero() for k in odd)
                 cancelled += len(odd)
     assert cancelled > 0
+
+
+class _ElementRing(NumericRing):
+    """The element-by-element reference for Q(w) jets: a jet's data is
+    the dict of its ``QuadExtScalar`` coefficients, and every operation
+    runs on those elements through ``NumericRing``'s dict code."""
+
+    def __init__(self, ctx):
+        self.zero, self.one = ctx.zero, ctx.one
+
+    def inv(self, x):
+        return x.inv()
+
+
+@pytest.mark.parametrize("c1,c2", KERNEL_CONTEXTS,
+                         ids=["%s,%s" % c for c in KERNEL_CONTEXTS])
+def test_jet_operations_match_element_reference(c1, c2):
+    """Every operation on the numerator form equals the same operation on
+    the coefficient elements, at equal and unequal orders, and leaves data
+    of the result's order; products end in lowest terms."""
+    rng = random.Random(20261029 + KERNEL_CONTEXTS.index((c1, c2)))
+    ctx = QuadExtContext(c1, c2)
+    ref = _ElementRing(ctx)
+    inverted = 0
+    for _ in range(4):
+        for op in range(4):
+            for oq in range(4):
+                p = _random_coeffs(rng, ctx, op)
+                q = _random_coeffs(rng, ctx, oq)
+                x = Jet.from_coeffs(ctx, op, p)
+                y = Jet.from_coeffs(ctx, oq, q)
+                rx, ry = Jet(ref, op, p), Jet(ref, oq, q)
+                e = ctx.element(*random_parts(rng))
+                f = rat(rng.randint(-50, 50), rng.randint(1, 5040))
+                cases = [(x + y, rx + ry, False), (y - x, ry - rx, False),
+                         (x - x, rx - rx, False), (-x, -rx, False),
+                         (x * y, rx * ry, True)]
+                for s in (f, f.numerator, e):
+                    cases += [(x.scale(s), rx.scale(s), False),
+                              (x * s, rx * s, False),
+                              (x.add_scalar(s), rx.add_scalar(s), False),
+                              (x + s, rx + s, False), (x - s, rx - s, False)]
+                cases += [(x.truncated(n), rx.truncated(n), False)
+                          for n in range(op + 2)]
+                if op:
+                    cases += [(x.diff(0), rx.diff(0), False),
+                              (x.diff(1), rx.diff(1), False)]
+                try:
+                    want = rx.inverse()
+                except NonInvertibleError:
+                    with pytest.raises(NonInvertibleError):
+                        x.inverse()
+                else:
+                    cases.append((x.inverse(), want, False))
+                    inverted += 1
+                for got, want, reduced in cases:
+                    assert got.order == want.order
+                    assert got.coeffs == _nonzero(want.coeffs)
+                    assert_jet_data(got, reduced)
+    assert inverted > 30
+
+
+def test_element_times_jet_is_jet_times_element():
+    """An element on the left of a jet leaves the product to the jet; an
+    element plus a jet is no operation of either."""
+    ctx = QuadExtContext(2, 3)
+    jet = Jet.coordinate(ctx, 2, ctx.one + ctx.w, 0) \
+        * Jet.coordinate(ctx, 2, ctx.w.scale(rat(-2, 7)), 1)
+    for e in (ctx.w, ctx.rational(rat(-2, 7)) + ctx.w):
+        assert (e * jet).coeffs == (jet * e).coeffs
+    with pytest.raises(TypeError):
+        ctx.w + jet
+    with pytest.raises(TypeError):
+        ctx.w - jet
 
 
 def test_jet_product_over_two_contexts_rejected():
@@ -446,8 +541,8 @@ JET_RINGS = pytest.mark.parametrize("ring,e", [
 
 @JET_RINGS
 def test_jet_truncation_keeps_the_coefficients_through_n(ring, e):
-    jet = Jet(ring, 3, {(0, 0): e, (1, 0): ring.one, (1, 1): e,
-                        (0, 3): e * e})
+    jet = Jet.from_coeffs(ring, 3, {(0, 0): e, (1, 0): ring.one, (1, 1): e,
+                                    (0, 3): e * e})
     kept = dict(jet.coeffs)
     for n, keys in ((0, [(0, 0)]), (1, [(0, 0), (1, 0)]),
                     (2, [(0, 0), (1, 0), (1, 1)])):
@@ -469,7 +564,7 @@ def test_jet_plus_scalar_is_add_scalar(ring, e):
     x = Jet.coordinate(ring, 3, ring.one, 0)
     jet = x * x + Jet.coordinate(ring, 3, ring.zero, 1)
     # the second jet has no constant term until the scalar gives it one
-    for j in (jet, Jet(ring, 2, {(1, 0): ring.one})):
+    for j in (jet, Jet.from_coeffs(ring, 2, {(1, 0): ring.one})):
         for q in (rat(-2, 9), e):
             total = j + q
             assert total.order == j.order
@@ -481,22 +576,24 @@ def test_jet_plus_scalar_is_add_scalar(ring, e):
 
 @JET_RINGS
 def test_sum_of_disjoint_jets_is_their_union(ring, e):
-    a = Jet(ring, 3, {(0, 0): e, (2, 1): ring.one})
-    b = Jet(ring, 3, {(1, 0): e * e, (0, 3): ring.one + ring.one})
+    a = Jet.from_coeffs(ring, 3, {(0, 0): e, (2, 1): ring.one})
+    b = Jet.from_coeffs(ring, 3, {(1, 0): e * e,
+                                  (0, 3): ring.one + ring.one})
     for total in (a + b, b + a):
         assert total.order == 3
         assert total.coeffs == {**a.coeffs, **b.coeffs}
     # the lower order truncates the other operand's terms
-    c = Jet(ring, 1, {(0, 1): e})
+    c = Jet.from_coeffs(ring, 1, {(0, 1): e})
     assert (a + c).coeffs == {(0, 0): e, (0, 1): e}
     assert (c + a).coeffs == {(0, 0): e, (0, 1): e}
 
 
 @JET_RINGS
 def test_jet_difference_is_sum_with_negation(ring, e):
-    a = Jet(ring, 3, {(0, 0): e, (2, 1): ring.one, (1, 0): e})
-    b = Jet(ring, 3, {(1, 0): e * e, (0, 3): ring.one + ring.one})
-    c = Jet(ring, 1, {(0, 1): e, (1, 0): ring.one})
+    a = Jet.from_coeffs(ring, 3, {(0, 0): e, (2, 1): ring.one, (1, 0): e})
+    b = Jet.from_coeffs(ring, 3, {(1, 0): e * e,
+                                  (0, 3): ring.one + ring.one})
+    c = Jet.from_coeffs(ring, 1, {(0, 1): e, (1, 0): ring.one})
     for x, y in ((a, b), (b, a), (a, c), (c, a), (a, a)):
         diff = x - y
         assert diff.order == min(x.order, y.order)
