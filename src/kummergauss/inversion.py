@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .jets import Jet
-from .quadext import NonInvertibleError, QuadExtContext, graded_index
+from .jets import Jet, graded_index
+from .quadext import NonInvertibleError, QuadExtContext
 from .rings import Context, Poly, rat
 from .sigma import LAMBDA_NAMES, kummer_matrix
 from .tensor import (MetricTensor, christoffel, det4, inverse_metric, ricci,
@@ -146,8 +146,8 @@ def xyz_jets(p):
     f5(x1) f5(x2) through that order."""
     p.check_admissible()
     ring, w = p.roots
-    jx1 = Jet.coordinate(ring, JET_ORDER, ring.zero + p.x1, 0)
-    jx2 = Jet.coordinate(ring, JET_ORDER, ring.zero + p.x2, 1)
+    jx1 = Jet.coordinate(ring, JET_ORDER, p.x1, 0)
+    jx2 = Jet.coordinate(ring, JET_ORDER, p.x2, 1)
     r1 = _sqrt_jet(f5_scalar(jx1, p.lambdas).scale(1 / p.c1), 0)
     r2 = _sqrt_jet(f5_scalar(jx2, p.lambdas).scale(1 / p.c2), 1)
     jw = (r1 * r2).scale(w)

@@ -1,108 +1,90 @@
-"""Bivariate Taylor jets at a point, generic over the coefficient ring.
+"""Bivariate Taylor jets at a point over the rank-2 ring Q(w) of a
+``QuadExtContext``.
 
 A jet of order n holds the Taylor coefficients (not scaled derivatives)
-in two displacements through total degree n.  The charts use exact
-coefficients: the jet ring of the inversion chart is the
-``QuadExtContext`` itself, the rank-2 ring Q(y1 y2) of the point; the
-sphere charts use ``NumericRing(Fraction)``; floats and complex numbers
-remain only in the tests.
+in two displacements through total degree n.  Every chart's jets are
+exact: the inversion chart works over the point's Q(w), w = y1 y2, and
+the sphere charts over one fixed ``QuadExtContext(1, 1)``, whose jets
+keep a zero w-part, so their values are read through ``.a``.
 
-The ring owns the layout of a jet's ``data`` and runs every operation on
-it, so each ring works in its own arithmetic: a ``NumericRing`` keeps the
-dict of coefficients, and a ``QuadExtContext`` keeps integer numerators
-over one denominator per jet.  Besides ``zero``, ``one`` and ``inv``, a
-ring supplies ``pack`` (a coefficient dict to data), ``coeffs`` and
-``get`` (data back to elements), ``through`` (truncation), ``combine``
-(sum or difference), ``product`` (truncated product), ``scale`` (by a
-ring element or a rational), ``add_scalar`` and ``diff``.  Rationals are
-added to and multiplied into the data directly, so a ring embeds nothing.
+A jet's ``data`` holds its coefficients the way ``rings.Poly`` holds
+terms, as integer numerators over one positive denominator per jet:
+``(A, D, den)``, where A and D carry the 1-part and the w-part of the
+coefficient of e1^i e2^j at ``graded_index(i, j)``, through the jet's
+order.  Every jet operation runs on those integers.  As in ``Poly``,
+only products reduce: each divides out the gcd of the whole jet once,
+and other results keep the denominator they form.  An element is built
+only when a coefficient leaves the jet (``get``, ``base``, ``coeffs``),
+so every reader sees canonical elements.  Elements of the ring, ints and
+``Fraction``s are added to and multiplied into the data directly.
 """
 
+import functools
+import math
 
-class NumericRing:
-    """Jet ring of Fraction, float or complex coefficients; a jet's data
-    is the dict {(i, j): coefficient}."""
+from .quadext import QuadExtScalar
 
-    def __init__(self, dtype=float):
-        self.zero = dtype(0)
-        self.one = dtype(1)
 
-    def inv(self, x):
-        return self.one / x
+def graded_index(i, j):
+    """Position of the coefficient of e1^i e2^j in a jet's numerator
+    lists: by total degree, then by the power of e2, so a jet through
+    order n fills the first (n + 1)(n + 2) / 2 slots and truncation keeps
+    a prefix."""
+    e = i + j
+    return e * (e + 1) // 2 + j
 
-    def pack(self, coeffs, n):
-        return coeffs
 
-    def coeffs(self, data, n):
-        return data
+@functools.lru_cache(maxsize=None)
+def _keys(n):
+    """The keys (i, j) through total degree n, in ``graded_index`` order."""
+    return tuple((e - j, j) for e in range(n + 1) for j in range(e + 1))
 
-    def get(self, data, i, j):
-        return data.get((i, j), self.zero)
 
-    def through(self, data, n):
-        return {k: c for k, c in data.items() if k[0] + k[1] <= n}
+@functools.lru_cache(maxsize=None)
+def _product_rows(n):
+    """For each slot s of a factor through order n, the pairs (t, out) of
+    the other factor's slots t that s meets through order n and the slot
+    of their product."""
+    keys = _keys(n)
+    return tuple((s, tuple((t, graded_index(i + k, j + l))
+                           for t, (k, l) in enumerate(keys)
+                           if i + j + k + l <= n))
+                 for s, (i, j) in enumerate(keys))
 
-    def combine(self, p, q, sign, n):
-        """p + sign * q through total degree n, for p through that degree.
-        Each coefficient of q is added or subtracted in place, so no
-        negation of q is built."""
-        out = dict(p)
-        for k, c in q.items():
-            if k[0] + k[1] > n:
-                continue
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c if sign > 0 else -c
-            else:
-                out[k] = prev + c if sign > 0 else prev - c
-        return out
 
-    def product(self, p, q, n):
-        """Coefficients of the product of the jets with coefficients p and
-        q, through total degree n."""
-        out = {}
-        for (i1, j1), c1 in p.items():
-            for (i2, j2), c2 in q.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > n:
-                    continue
-                k = (i, j)
-                prev = out.get(k)
-                out[k] = c1 * c2 if prev is None else prev + c1 * c2
-        return out
-
-    def scale(self, data, e):
-        return {k: v * e for k, v in data.items()}
-
-    def add_scalar(self, data, q):
-        out = dict(data)
-        out[(0, 0)] = self.get(data, 0, 0) + q
-        return out
-
-    def diff(self, data, which, n):
-        out = {}
-        for (i, j), c in data.items():
-            if which == 0 and i > 0:
-                out[(i - 1, j)] = c * i
-            elif which == 1 and j > 0:
-                out[(i, j - 1)] = c * j
-        return out
+@functools.lru_cache(maxsize=None)
+def _diff_sources(n, which):
+    """For each slot of the derivative through order n - 1 in slot
+    ``which``, the slot it comes from and the exponent that multiplies
+    it."""
+    return tuple((graded_index(i + 1, j), i + 1) if which == 0
+                 else (graded_index(i, j + 1), j + 1)
+                 for i, j in _keys(n - 1))
 
 
 class Jet:
     __slots__ = ("ring", "order", "data")
 
     def __init__(self, ring, order, data):
-        """The jet of ``order`` whose data, in the ring's own layout, is
-        ``data``; for a ``NumericRing`` that is the coefficient dict."""
+        """The jet of ``order`` over the ``QuadExtContext`` ``ring`` whose
+        data is ``(A, D, den)`` (see the module docstring)."""
         self.ring = ring
         self.order = order
         self.data = data
 
     @classmethod
     def from_coeffs(cls, ring, order, coeffs):
-        """The jet of ``order`` with coefficients {(i, j): ring element}."""
-        return cls(ring, order, ring.pack(coeffs, order))
+        """The jet of ``order`` with coefficients {(i, j): x}, each x an
+        element of ``ring``, an int or a ``Fraction``; keys above
+        ``order`` are dropped."""
+        parts = [(graded_index(i, j), ring._parts(x))
+                 for (i, j), x in coeffs.items() if i + j <= order]
+        den = math.lcm(*[p[2] for _, p in parts])
+        m = len(_keys(order))
+        A, D = [0] * m, [0] * m
+        for s, (a, d, e) in parts:
+            A[s], D[s] = a * (den // e), d * (den // e)
+        return cls(ring, order, (A, D, den))
 
     @classmethod
     def constant(cls, ring, order, value):
@@ -116,11 +98,16 @@ class Jet:
 
     @property
     def coeffs(self):
-        """The coefficients as {(i, j): ring element}."""
-        return self.ring.coeffs(self.data, self.order)
+        """The nonzero coefficients as {(i, j): element}."""
+        A, D, den = self.data
+        return {key: QuadExtScalar(self.ring, a, d, den)
+                for key, a, d in zip(_keys(self.order), A, D) if a or d}
 
     def get(self, i, j):
-        return self.ring.get(self.data, i, j)
+        A, D, den = self.data
+        s = graded_index(i, j)
+        return QuadExtScalar(self.ring, A[s], D[s], den) if s < len(A) \
+            else self.ring.zero
 
     @property
     def base(self):
@@ -131,7 +118,9 @@ class Jet:
         order."""
         if n >= self.order:
             return self
-        return Jet(self.ring, n, self.ring.through(self.data, n))
+        A, D, den = self.data
+        m = len(_keys(n))
+        return Jet(self.ring, n, (A[:m], D[:m], den))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -143,44 +132,96 @@ class Jet:
         return self._combine(other, -1)
 
     def _combine(self, other, sign):
-        """self + sign * other through the lower order."""
+        """self + sign * other through the lower order, over the lcm of
+        the two denominators; ``zip`` stops at the last slot of the lower
+        order, so the other operand is not truncated first."""
         if not isinstance(other, Jet):
             return self.add_scalar(other if sign > 0 else -other)
-        ring, n = self.ring, min(self.order, other.order)
+        ring = self.ring
         if other.ring is not ring and other.ring != ring:
             raise ValueError("jets over different rings")
-        p = self.data if self.order == n else ring.through(self.data, n)
-        return Jet(ring, n, ring.combine(p, other.data, sign, n))
+        A1, D1, e1 = self.data
+        A2, D2, e2 = other.data
+        den = e1 if e1 == e2 else math.lcm(e1, e2)
+        f1, f2 = den // e1, sign * (den // e2)
+        return Jet(ring, min(self.order, other.order),
+                   ([a1 * f1 + a2 * f2 for a1, a2 in zip(A1, A2)],
+                    [d1 * f1 + d2 * f2 for d1, d2 in zip(D1, D2)], den))
 
     def __mul__(self, other):
+        """The product through the lower order, or every coefficient times
+        an element, an int or a ``Fraction``.  The two numerators of every
+        output slot accumulate as ints under the ring's ``rule`` over
+        den(p) den(q) den(c1 c2), and the gcd of the result is divided
+        out once."""
         if not isinstance(other, Jet):
             return self.scale(other)
-        ring, n = self.ring, min(self.order, other.order)
+        ring = self.ring
         if other.ring is not ring and other.ring != ring:
             raise ValueError("jets over different rings")
-        return Jet(ring, n, ring.product(self.data, other.data, n))
+        n = min(self.order, other.order)
+        A1, D1, e1 = self.data
+        A2, D2, e2 = other.data
+        r, k = ring.rule
+        m = len(_keys(n))
+        A, D = [0] * m, [0] * m
+        for s, row in _product_rows(n):
+            a1, d1 = A1[s], D1[s]
+            if not (a1 or d1):
+                continue
+            ra, rd, kd = r * a1, r * d1, k * d1
+            for t, out in row:
+                a2, d2 = A2[t], D2[t]
+                A[out] += ra * a2 + kd * d2
+                D[out] += ra * d2 + rd * a2
+        den = r * e1 * e2
+        g = math.gcd(den, *A, *D)
+        if g != 1:
+            A, D, den = [a // g for a in A], [d // g for d in D], den // g
+        return Jet(ring, n, (A, D, den))
 
     __rmul__ = __mul__
 
-    def scale(self, e):
-        """Multiply every coefficient by a ring element or a rational."""
-        return Jet(self.ring, self.order, self.ring.scale(self.data, e))
+    def scale(self, x):
+        """Multiply every coefficient by an element, an int or a
+        ``Fraction``."""
+        A, D, den = self.data
+        xa, xd, xden = self.ring._parts(x)
+        if not xd:
+            data = [a * xa for a in A], [d * xa for d in D], den * xden
+        else:
+            r, k = self.ring.rule
+            ra, rd, kd = r * xa, r * xd, k * xd
+            data = ([ra * a + kd * d for a, d in zip(A, D)],
+                    [ra * d + rd * a for a, d in zip(A, D)], r * den * xden)
+        return Jet(self.ring, self.order, data)
 
-    def add_scalar(self, q):
-        """Add a ring element or a rational to the constant term."""
-        return Jet(self.ring, self.order, self.ring.add_scalar(self.data, q))
+    def add_scalar(self, x):
+        """Add an element, an int or a ``Fraction`` to the constant
+        term."""
+        A, D, den = self.data
+        xa, xd, xden = self.ring._parts(x)
+        out = den if xden == den else math.lcm(den, xden)
+        f, g = out // den, out // xden
+        A, D = [a * f for a in A], [d * f for d in D]
+        A[0] += xa * g
+        D[0] += xd * g
+        return Jet(self.ring, self.order, (A, D, out))
 
     def diff(self, which):
         """Formal partial derivative in displacement slot 0 or 1; the jet
         order drops by one."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
+        A, D, den = self.data
+        src = _diff_sources(self.order, which)
         return Jet(self.ring, self.order - 1,
-                   self.ring.diff(self.data, which, self.order))
+                   ([A[s] * e for s, e in src], [D[s] * e for s, e in src],
+                    den))
 
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
-        ic0 = self.ring.inv(self.base)
+        ic0 = self.base.inv()
         # 1 - self / c0, of valuation >= 1; the inverse is c0^-1 times the
         # sum of its powers
         neg = self.scale(-ic0).add_scalar(1)
@@ -189,10 +230,3 @@ class Jet:
             power = power * neg
             acc = acc + power
         return acc.scale(ic0)
-
-    def __str__(self):
-        items = sorted(self.coeffs.items())
-        return " + ".join("%s*e1^%d*e2^%d" % (v, k[0], k[1])
-                          for k, v in items) or "0"
-
-    __repr__ = __str__

@@ -12,19 +12,11 @@ denominator in canonical form (the gcd of the three integers is 1, zero is
 0/1), so every operation runs on Python ints and equal values have equal
 fields.  ``.a`` and ``.d`` read the parts as lowest-terms ``Fraction``s.
 
-A ``QuadExtContext`` fixes (c1, c2) and is also the coefficient ring of
-the inversion-chart jets (see ``jets``).  A jet's data holds its
-coefficients the way ``rings.Poly`` holds terms, as integer numerators
-over one positive denominator per jet: ``(A, D, den)``, where A and D
-carry the 1-part and the w-part of the coefficient of e1^i e2^j at
-``graded_index(i, j)``, through the jet's order.  Every jet operation
-runs on those integers.  As in ``Poly``, only products reduce: each
-divides out the gcd of the whole jet once, and other results keep the
-denominator they form.  An element is built only when a coefficient
-leaves the jet (``get``, ``coeffs``), so every reader sees canonical
-elements."""
+A ``QuadExtContext`` fixes (c1, c2); it holds the element arithmetic
+only, and ``jets.Jet`` runs its jets over it: the inversion chart over
+the point's context, the sphere charts over ``QuadExtContext(1, 1)``
+with rational coefficients."""
 
-import functools
 import math
 from fractions import Fraction
 
@@ -44,43 +36,6 @@ def rational_sqrt(q):
 
 class NonInvertibleError(ArithmeticError):
     """Element has zero norm in the quadratic extension ring."""
-
-
-def graded_index(i, j):
-    """Position of the coefficient of e1^i e2^j in a jet's numerator
-    lists: by total degree, then by the power of e2, so a jet through
-    order n fills the first (n + 1)(n + 2) / 2 slots and truncation keeps
-    a prefix."""
-    e = i + j
-    return e * (e + 1) // 2 + j
-
-
-@functools.lru_cache(maxsize=None)
-def _keys(n):
-    """The keys (i, j) through total degree n, in ``graded_index`` order."""
-    return tuple((e - j, j) for e in range(n + 1) for j in range(e + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _product_rows(n):
-    """For each slot s of a factor through order n, the pairs (t, out) of
-    the other factor's slots t that s meets through order n and the slot
-    of their product."""
-    keys = _keys(n)
-    return tuple((s, tuple((t, graded_index(i + k, j + l))
-                           for t, (k, l) in enumerate(keys)
-                           if i + j + k + l <= n))
-                 for s, (i, j) in enumerate(keys))
-
-
-@functools.lru_cache(maxsize=None)
-def _diff_sources(n, which):
-    """For each slot of the derivative through order n - 1 in slot
-    ``which``, the slot it comes from and the exponent that multiplies
-    it."""
-    return tuple((graded_index(i + 1, j), i + 1) if which == 0
-                 else (graded_index(i, j + 1), j + 1)
-                 for i, j in _keys(n - 1))
 
 
 class QuadExtContext:
@@ -109,9 +64,6 @@ class QuadExtContext:
     def w(self):
         return self.element(d=1)
 
-    def inv(self, x):
-        return x.inv()
-
     def _parts(self, x):
         """(na, nd, den) of an element of this ring, an int or a
         ``Fraction``."""
@@ -120,103 +72,6 @@ class QuadExtContext:
                 raise ValueError("mixed quadratic extension contexts")
             return x.na, x.nd, x.den
         return x.numerator, 0, x.denominator
-
-    # -- jet data (A, D, den); see the module docstring -----------------
-
-    def pack(self, coeffs, n):
-        """The data of the jet through order n with coefficients
-        ``coeffs``, {(i, j): element}; keys above order n are dropped."""
-        parts = [(graded_index(i, j), self._parts(x))
-                 for (i, j), x in coeffs.items() if i + j <= n]
-        den = math.lcm(*[p[2] for _, p in parts])
-        m = len(_keys(n))
-        A, D = [0] * m, [0] * m
-        for s, (a, d, e) in parts:
-            A[s], D[s] = a * (den // e), d * (den // e)
-        return A, D, den
-
-    def coeffs(self, data, n):
-        """The nonzero coefficients as {(i, j): element}."""
-        A, D, den = data
-        return {key: QuadExtScalar(self, a, d, den)
-                for key, a, d in zip(_keys(n), A, D) if a or d}
-
-    def get(self, data, i, j):
-        A, D, den = data
-        s = graded_index(i, j)
-        return QuadExtScalar(self, A[s], D[s], den) if s < len(A) \
-            else self.zero
-
-    def through(self, data, n):
-        A, D, den = data
-        m = len(_keys(n))
-        return A[:m], D[:m], den
-
-    def combine(self, p, q, sign, n):
-        """p + sign * q through order n, for p through that order, over the
-        lcm of the two denominators; ``zip`` stops at the last slot of
-        p."""
-        A1, D1, e1 = p
-        A2, D2, e2 = q
-        den = e1 if e1 == e2 else math.lcm(e1, e2)
-        f1, f2 = den // e1, sign * (den // e2)
-        return ([a1 * f1 + a2 * f2 for a1, a2 in zip(A1, A2)],
-                [d1 * f1 + d2 * f2 for d1, d2 in zip(D1, D2)], den)
-
-    def product(self, p, q, n):
-        """The data of the product of two jets through order n: the two
-        numerators of every output slot accumulate as ints under ``rule``
-        over den(p) den(q) den(c1 c2), and the gcd of the result is
-        divided out once."""
-        A1, D1, e1 = p
-        A2, D2, e2 = q
-        r, k = self.rule
-        m = len(_keys(n))
-        A, D = [0] * m, [0] * m
-        for s, row in _product_rows(n):
-            a1, d1 = A1[s], D1[s]
-            if not (a1 or d1):
-                continue
-            ra, rd, kd = r * a1, r * d1, k * d1
-            for t, out in row:
-                a2, d2 = A2[t], D2[t]
-                A[out] += ra * a2 + kd * d2
-                D[out] += ra * d2 + rd * a2
-        den = r * e1 * e2
-        g = math.gcd(den, *A, *D)
-        if g == 1:
-            return A, D, den
-        return [a // g for a in A], [d // g for d in D], den // g
-
-    def scale(self, data, x):
-        """Every coefficient times an element, an int or a ``Fraction``."""
-        A, D, den = data
-        xa, xd, xden = self._parts(x)
-        if not xd:
-            return [a * xa for a in A], [d * xa for d in D], den * xden
-        r, k = self.rule
-        ra, rd, kd = r * xa, r * xd, k * xd
-        return ([ra * a + kd * d for a, d in zip(A, D)],
-                [ra * d + rd * a for a, d in zip(A, D)], r * den * xden)
-
-    def add_scalar(self, data, x):
-        """An element, an int or a ``Fraction`` added to the constant
-        term."""
-        A, D, den = data
-        xa, xd, xden = self._parts(x)
-        out = den if xden == den else math.lcm(den, xden)
-        f, g = out // den, out // xden
-        A, D = [a * f for a in A], [d * f for d in D]
-        A[0] += xa * g
-        D[0] += xd * g
-        return A, D, out
-
-    def diff(self, data, which, n):
-        """The partial derivative in displacement slot ``which`` of the jet
-        through order n."""
-        A, D, den = data
-        src = _diff_sources(n, which)
-        return [A[s] * e for s, e in src], [D[s] * e for s, e in src], den
 
 
 class QuadExtScalar:

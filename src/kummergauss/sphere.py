@@ -1,13 +1,18 @@
 """Double-sphere specialization: Goepel tetrad constants, the Fresnel
 quartic reduction, exact Einstein-metric verification on the round sphere
 and the conformal plane chart, and the first Chern number read exactly
-from that chart's metric."""
+from that chart's metric.
+
+The chart jets are the rational jets of one fixed ring,
+``QuadExtContext(1, 1)``: their w-parts stay zero (a rational element
+has norm a^2, so every inverse exists), and each value leaves the chart
+as a ``Fraction`` through ``.a``."""
 
 import math
 from fractions import Fraction
 
-from .jets import Jet, NumericRing
-from .quadext import rational_sqrt
+from .jets import Jet
+from .quadext import QuadExtContext, rational_sqrt
 from .rings import Context, Poly, rat
 from .tensor import (MetricTensor, christoffel, inverse_metric, ricci,
                      riemann, scalar_curvature)
@@ -74,7 +79,7 @@ def fresnel_reduce():
 
 # -- exact jet charts -------------------------------------------------
 
-_RING = NumericRing(Fraction)
+_RING = QuadExtContext(1, 1)
 # the checks read Ricci at the base point only: the metric through order 2
 _JET_ORDER = 2
 # theta = 2 atan t runs from about 1e-3 (t = 1/2000) through the equator
@@ -94,21 +99,21 @@ def sphere_metric_jets(t, order=_JET_ORDER):
     t = Fraction(t)
     s, c = 2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)
     derivs = [s, c, -s, -c]
-    sj = Jet(_RING, order, {(k, 0): derivs[k % 4] / math.factorial(k)
-                            for k in range(order + 1)})
-    one = Jet.constant(_RING, order, Fraction(1))
-    return MetricTensor(one, Jet(_RING, order, {}), sj * sj)
+    sj = Jet.from_coeffs(_RING, order,
+                         {(k, 0): derivs[k % 4] / math.factorial(k)
+                          for k in range(order + 1)})
+    return MetricTensor(Jet.constant(_RING, order, 1),
+                        Jet.constant(_RING, order, 0), sj * sj)
 
 
 def kahler_metric_jets(u, v, order=_JET_ORDER):
     """Conformal plane chart 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2 as jets."""
-    ju = Jet.coordinate(_RING, order, Fraction(u), 0)
-    jv = Jet.coordinate(_RING, order, Fraction(v), 1)
+    ju = Jet.coordinate(_RING, order, u, 0)
+    jv = Jet.coordinate(_RING, order, v, 1)
     f = (ju * ju + jv * jv).add_scalar(1)
     finv = f.inverse()
     conf = (finv * finv).scale(4)
-    zero = Jet(_RING, order, {})
-    return MetricTensor(conf, zero, conf)
+    return MetricTensor(conf, Jet.constant(_RING, order, 0), conf)
 
 
 def _chart_report(metrics):
@@ -118,11 +123,11 @@ def _chart_report(metrics):
     for g in metrics:
         ginv = inverse_metric(g)
         ric = ricci(riemann(christoffel(g, ginv)))
-        max_dev = max(max_dev, abs(ric.r11.base - g.g11.base),
-                      abs(ric.r12.base - g.g12.base),
-                      abs(ric.r22.base - g.g22.base))
+        max_dev = max(max_dev, abs(ric.r11.base.a - g.g11.base.a),
+                      abs(ric.r12.base.a - g.g12.base.a),
+                      abs(ric.r22.base.a - g.g22.base.a))
         scal = scalar_curvature(g, ginv, ric)
-        max_scal_dev = max(max_scal_dev, abs(scal.base - 2))
+        max_scal_dev = max(max_scal_dev, abs(scal.base.a - 2))
     return {"points": len(metrics), "max_einstein_dev": max_dev,
             "max_scalar_dev": max_scal_dev}
 
@@ -141,8 +146,8 @@ def kahler_conformal_check():
     max_conf_dev = Fraction(0)
     for (u, v), g in zip(_KAHLER_POINTS, metrics):
         conf = 4 / (1 + Fraction(u) ** 2 + Fraction(v) ** 2) ** 2
-        max_conf_dev = max(max_conf_dev, abs(g.g11.base - conf),
-                           abs(g.g22.base - conf), abs(g.g12.base))
+        max_conf_dev = max(max_conf_dev, abs(g.g11.base.a - conf),
+                           abs(g.g22.base.a - conf), abs(g.g12.base.a))
     return dict(_chart_report(metrics), max_conformal_dev=max_conf_dev)
 
 
@@ -177,7 +182,7 @@ def chern_number(tolerance):
     radius = 1
     while True:
         f = kahler_metric_jets(radius, 0, order=1).g11
-        c1 = -radius * f.get(1, 0) / (2 * f.base)
+        c1 = -radius * f.get(1, 0).a / (2 * f.base.a)
         if c1 != num.eval({"u": radius}) / q.eval({"u": radius}):
             return radius, c1, None
         if 2 - c1 <= tolerance:

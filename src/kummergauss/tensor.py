@@ -4,8 +4,8 @@ the 4x4 determinant shared by the kernel-matrix checks of both charts.
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
 index i in {0, 1}, and ``.scale(q)`` by a rational q; ``inverse_metric``
 takes jets and also needs ``.order``, ``.truncated(n)`` and
-``.inverse()``.  The same code drives exact series and exact point-jets;
-floats and complex numbers reach it only from the tests.
+``.inverse()``.  The same code drives the sigma chart's exact series
+and the exact point-jets of the inversion and sphere charts.
 
 The curvature steps pass plain components: ``christoffel`` returns the
 dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and

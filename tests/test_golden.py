@@ -73,6 +73,11 @@ GOLDEN = [
      "0f3d4a4bc06a73cfd1d0f1b9001ed66f493e3836e31a1a5aec61264836759f9d"),
     (dict(command="metric-report", sigma_level=7, lambdas=SPARSE),
      "05183143c0a011cc632a54d69dfdd5b35faf8db550e0fd28eeeb6da117f30fc0"),
+    # every check of one `all` call, at symbolic and at numeric lambda
+    (dict(command="all", max_order=9, points=3),
+     "829c5a283d698d3c65dcd67e78c2c7046a2a302861142a943542e1793d716569"),
+    (dict(command="all", max_order=9, points=3, lambdas=LAM),
+     "379d6901d9073cfd48c7afe1fc24add3ac1ec67b835b0097c821608b45d94037"),
 ]
 
 

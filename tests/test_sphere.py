@@ -13,9 +13,11 @@ from kummergauss.rings import Poly, rat
 from kummergauss.sphere import (DegenerateTetradError, chern_number,
                                 fresnel_quartic, fresnel_reduce,
                                 goepel_constants, kahler_conformal_check,
-                                kahler_metric_jets, sphere_einstein_check)
-from kummergauss.sphere import _SPHERE_TS
-from kummergauss.tensor import MetricTensor
+                                kahler_metric_jets, sphere_einstein_check,
+                                sphere_metric_jets)
+from kummergauss.sphere import _KAHLER_POINTS, _SPHERE_TS
+from kummergauss.tensor import (MetricTensor, christoffel, inverse_metric,
+                                ricci, riemann, scalar_curvature)
 
 
 # -- tetrad constants -------------------------------------------------
@@ -91,12 +93,31 @@ def test_kahler_einstein_and_conformal_within_tolerance():
     assert rep["max_conformal_dev"] == 0
 
 
+def test_sphere_chart_jets_have_zero_w_part():
+    """The sphere charts read every value through ``.a``, which is the
+    value only where the w-part is zero: so it is in the metric jets of
+    both charts (the Chern radii included), their inverses, and the
+    Ricci and scalar-curvature jets."""
+    metrics = [sphere_metric_jets(t) for t in _SPHERE_TS] \
+        + [kahler_metric_jets(u, v) for u, v in _KAHLER_POINTS] \
+        + [kahler_metric_jets(r, 0, order=1) for r in (1, 2, 2048)]
+    for g in metrics:
+        jets = [g.g11, g.g12, g.g22]
+        if g.g11.order > 1:
+            ginv = inverse_metric(g)
+            ric = ricci(riemann(christoffel(g, ginv)))
+            jets += [ginv.g11, ginv.g12, ginv.g22, ric.r11, ric.r12,
+                     ric.r22, ric.r21, scalar_curvature(g, ginv, ric)]
+        for jet in jets:
+            assert not any(jet.data[1])
+
+
 # -- Chern number -----------------------------------------------------
 
 def c1_from_jets(radius):
     """-R f_u / (2f) at (R, 0) for the conformal factor f of the chart."""
     f = kahler_metric_jets(radius, 0, order=1).g11
-    return -radius * f.get(1, 0) / (2 * f.base)
+    return -radius * f.get(1, 0).a / (2 * f.base.a)
 
 
 def test_chern_density_from_metric_jets():
@@ -134,7 +155,7 @@ def test_chern_fails_on_a_metric_off_the_chart(monkeypatch):
 
     def squared(u, v, order):
         f = chart(u, v, order).g11
-        return MetricTensor(f * f, Jet(f.ring, f.order, (0, 0, 0)), f * f)
+        return MetricTensor(f * f, Jet.constant(f.ring, f.order, 0), f * f)
 
     monkeypatch.setattr(sphere, "kahler_metric_jets", squared)
     assert chern_number(tolerance=1e-6) == (1, 2, None)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from kummergauss.inversion import random_admissible_points, ricci_point
-from kummergauss.jets import Jet, NumericRing
+from kummergauss.jets import Jet
 from kummergauss.quadext import QuadExtContext
 from kummergauss.rings import rat
 from kummergauss.sphere import (_KAHLER_POINTS, _SPHERE_TS,
@@ -18,39 +18,16 @@ from kummergauss.tensor import (MetricTensor, christoffel, det4,
                                 inverse_metric, ricci, riemann,
                                 scalar_curvature)
 
-RING = NumericRing(float)
-EXACT = NumericRing(Fraction)
+# rational jets inside Q(w), as the sphere charts use
+EXACT = QuadExtContext(1, 1)
 ORDER = 3
-
-
-def jc(value):
-    return Jet.constant(RING, ORDER, float(value))
-
-
-def coord(base, which):
-    return Jet.coordinate(RING, ORDER, float(base), which)
-
-
-def sphere_metric(theta):
-    t = coord(theta, 0)
-    # sin as a jet via its Taylor coefficients at theta
-    s, c = math.sin(theta), math.cos(theta)
-    sin_jet = Jet(RING, ORDER, {(0, 0): s, (1, 0): c, (2, 0): -s / 2,
-                                (3, 0): -c / 6})
-    del t
-    return MetricTensor(jc(1), Jet(RING, ORDER, {}), sin_jet * sin_jet)
-
-
-def conformal_metric(u, v):
-    ju = coord(u, 0)
-    jv = coord(v, 1)
-    f = (ju * ju + jv * jv).add_scalar(1)
-    conf = (f * f).inverse().scale(4)
-    return MetricTensor(conf, Jet(RING, ORDER, {}), conf)
+# theta = 2 atan t: sin theta = 4/5, cos theta = 3/5 at t = 1/2
+HALF = Fraction(1, 2)
+SIN, COS = Fraction(4, 5), Fraction(3, 5)
 
 
 def skew_metric(u, v):
-    """A metric with three distinct entries over exact Fraction jets."""
+    """A metric with three distinct entries over exact rational jets."""
     ju = Jet.coordinate(EXACT, ORDER, Fraction(u), 0)
     jv = Jet.coordinate(EXACT, ORDER, Fraction(v), 1)
     return MetricTensor((ju * ju).add_scalar(2),
@@ -62,35 +39,34 @@ def skew_metric(u, v):
 # -- flat space -------------------------------------------------------
 
 def test_flat_metric_has_zero_curvature():
-    g = MetricTensor(jc(1), Jet(RING, ORDER, {}), jc(1))
+    one = Jet.constant(EXACT, ORDER, 1)
+    g = MetricTensor(one, Jet.constant(EXACT, ORDER, 0), one)
     gam = christoffel(g, inverse_metric(g))
     for lam in range(2):
         for mu in range(2):
             for nu in range(2):
-                assert gam[lam, mu, nu].base == 0.0
+                assert gam[lam, mu, nu].coeffs == {}
     ric = ricci(riemann(gam))
-    assert ric.r11.base == 0.0 and ric.r12.base == 0.0
-    assert ric.r22.base == 0.0
+    assert ric.r11.base == 0 and ric.r12.base == 0
+    assert ric.r22.base == 0
 
 
 # -- round sphere -----------------------------------------------------
 
 def test_sphere_christoffels_closed_form():
-    theta = 0.9
-    g = sphere_metric(theta)
+    g = sphere_metric_jets(HALF)
     gam = christoffel(g, inverse_metric(g))
     # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} = cot
-    assert abs(gam[0, 1, 1].base
-               + math.sin(theta) * math.cos(theta)) < 1e-12
-    assert abs(gam[1, 0, 1].base - 1.0 / math.tan(theta)) < 1e-12
-    assert gam[0, 0, 0].base == 0.0
-    assert gam[1, 0, 0].base == 0.0
+    assert gam[0, 1, 1].base == -SIN * COS
+    assert gam[1, 0, 1].base == COS / SIN
+    assert gam[0, 0, 0].base == 0
+    assert gam[1, 0, 0].base == 0
 
 
 def test_sphere_christoffels_against_finite_differences():
-    """Central differences of the metric entries reproduce the jet-based
+    """Central differences of the metric entries reproduce the exact
     connection within 1e-6 at step 1e-5."""
-    theta = 1.1
+    theta = 2 * math.atan(HALF)
     h = 1e-5
 
     def g_at(t):
@@ -116,33 +92,32 @@ def test_sphere_christoffels_against_finite_differences():
                     acc += ginv[lam][sig] * (dg[mu][sig][nu] + dg[nu][mu][sig]
                                              - dg[sig][mu][nu])
                 expected[(lam, mu, nu)] = acc / 2.0
-    gam = christoffel(sphere_metric(theta),
-                      inverse_metric(sphere_metric(theta)))
+    g = sphere_metric_jets(HALF)
+    gam = christoffel(g, inverse_metric(g))
     for key, want in expected.items():
-        assert abs(gam[key].base - want) < 1e-6, key
+        assert abs(float(gam[key].base.a) - want) < 1e-6, key
 
 
 def test_sphere_is_einstein_with_scalar_two():
-    g = sphere_metric(0.7)
+    g = sphere_metric_jets(Fraction(3, 7))
     ginv = inverse_metric(g)
     ric = ricci(riemann(christoffel(g, ginv)))
-    assert abs(ric.r11.base - g.g11.base) < 1e-12
-    assert abs(ric.r22.base - g.g22.base) < 1e-12
-    scal = scalar_curvature(g, ginv, ric)
-    assert abs(scal.base - 2.0) < 1e-12
+    assert ric.r11.base == g.g11.base
+    assert ric.r22.base == g.g22.base
+    assert scalar_curvature(g, ginv, ric).base == 2
 
 
 # -- conformal plane chart --------------------------------------------
 
 def test_conformal_chart_christoffel_closed_form():
-    u, v = 0.4, -0.3
-    g = conformal_metric(u, v)
+    u, v = Fraction(2, 5), Fraction(-3, 10)
+    g = kahler_metric_jets(u, v)
     gam = christoffel(g, inverse_metric(g))
-    f = 1.0 + u * u + v * v
-    assert abs(gam[0, 0, 0].base + 2 * u / f) < 1e-12
-    assert abs(gam[0, 0, 1].base + 2 * v / f) < 1e-12
-    assert abs(gam[0, 1, 1].base - 2 * u / f) < 1e-12
-    assert abs(gam[1, 0, 0].base - 2 * v / f) < 1e-12
+    f = 1 + u * u + v * v
+    assert gam[0, 0, 0].base == -2 * u / f
+    assert gam[0, 0, 1].base == -2 * v / f
+    assert gam[0, 1, 1].base == 2 * u / f
+    assert gam[1, 0, 0].base == 2 * v / f
 
 
 # -- structural identities --------------------------------------------
@@ -197,27 +172,30 @@ def test_lowered_riemann_block_is_antisymmetric():
         low = {(a, b): g.comp(a, 0) * block[0, b] + g.comp(a, 1) * block[1, b]
                for a in range(2) for b in range(2)}
         for jet in (low[0, 0], low[1, 1], low[0, 1] + low[1, 0]):
-            assert all(c == 0 for c in jet.coeffs.values())
+            assert jet.coeffs == {}
         assert low[0, 1].base != 0
 
 
 def test_ricci_contractions_are_symmetric():
-    g = conformal_metric(-0.8, 0.1)
-    ric = ricci(riemann(christoffel(g, inverse_metric(g))))
-    assert abs(ric.r12.base - ric.r21.base) < 1e-14
+    for g in (kahler_metric_jets(Fraction(-4, 5), Fraction(1, 10)),
+              skew_metric(Fraction(1, 3), Fraction(-2, 5))):
+        ric = ricci(riemann(christoffel(g, inverse_metric(g))))
+        assert ric.r12.base == ric.r21.base
 
 
 def test_two_dimensional_einstein_identity():
     """R_{mu nu} - (R/2) g_{mu nu} vanishes identically in 2d."""
-    for u, v in ((0.0, 0.0), (0.6, -0.2), (1.5, 2.0)):
-        g = conformal_metric(u, v)
+    for g in (kahler_metric_jets(0, 0),
+              kahler_metric_jets(Fraction(3, 5), Fraction(-1, 5)),
+              kahler_metric_jets(Fraction(3, 2), 2),
+              skew_metric(Fraction(-3, 2), 2)):
         ginv = inverse_metric(g)
         ric = ricci(riemann(christoffel(g, ginv)))
         half_r = scalar_curvature(g, ginv, ric).scale(Fraction(1, 2))
         for i in range(2):
             for j in range(2):
                 comp = ric.comp(i, j) - half_r * g.comp(i, j)
-                assert abs(comp.base) < 1e-13
+                assert comp.base == 0
 
 
 # -- truncated jet stages ---------------------------------------------
@@ -308,16 +286,15 @@ def test_ricci_stages_form_only_the_orders_read(monkeypatch):
     assert [x.order for x in (g.g11, g.g12, g.g22)] == [2, 2, 2]
     assert [x.order for x in (ginv.g11, ginv.g12, ginv.g22)] == [1, 1, 1]
     gam = christoffel(g, ginv)
-    ring = p.roots[0]
-    product, orders = ring.product, []
+    product, orders = Jet.__mul__, []
 
-    def recorded(a, b, n):
-        orders.append(n)
-        return product(a, b, n)
+    def recorded(a, b):
+        orders.append((a.order, b.order))
+        return product(a, b)
 
-    monkeypatch.setattr(ring, "product", recorded)
+    monkeypatch.setattr(Jet, "__mul__", recorded)
     block = riemann(gam)
-    assert len(orders) == 16 and set(orders) == {0}
+    assert len(orders) == 16 and set(orders) == {(0, 0)}
     assert {x.order for x in block.values()} == {0}
 
 
