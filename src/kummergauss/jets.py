@@ -2,10 +2,8 @@
 ``QuadExtContext``.
 
 A jet of order n holds the Taylor coefficients (not scaled derivatives)
-in two displacements through total degree n.  Every chart's jets are
-exact: the inversion chart works over the point's Q(w), w = y1 y2, and
-the sphere charts over one fixed ``QuadExtContext(1, 1)``, whose jets
-keep a zero w-part, so their values are read through ``.a``.
+in two displacements through total degree n.  They serve the inversion
+chart, exact over the point's Q(w), w = y1 y2.
 
 A jet's ``data`` holds its coefficients the way ``rings.Poly`` holds
 terms, as integer numerators over one positive denominator per jet:
@@ -85,10 +83,6 @@ class Jet:
         for s, (a, d, e) in parts:
             A[s], D[s] = a * (den // e), d * (den // e)
         return cls(ring, order, (A, D, den))
-
-    @classmethod
-    def constant(cls, ring, order, value):
-        return cls.from_coeffs(ring, order, {(0, 0): value})
 
     @classmethod
     def coordinate(cls, ring, order, base, which):
@@ -225,7 +219,7 @@ class Jet:
         # 1 - self / c0, of valuation >= 1; the inverse is c0^-1 times the
         # sum of its powers
         neg = self.scale(-ic0).add_scalar(1)
-        acc = power = Jet.constant(self.ring, self.order, self.ring.one)
+        acc = power = Jet.from_coeffs(self.ring, self.order, {(0, 0): 1})
         for _ in range(self.order):
             power = power * neg
             acc = acc + power

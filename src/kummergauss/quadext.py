@@ -13,9 +13,7 @@ denominator in canonical form (the gcd of the three integers is 1, zero is
 fields.  ``.a`` and ``.d`` read the parts as lowest-terms ``Fraction``s.
 
 A ``QuadExtContext`` fixes (c1, c2); it holds the element arithmetic
-only, and ``jets.Jet`` runs its jets over it: the inversion chart over
-the point's context, the sphere charts over ``QuadExtContext(1, 1)``
-with rational coefficients."""
+only, and ``jets.Jet`` runs the inversion chart's jets over it."""
 
 import math
 from fractions import Fraction

@@ -3,9 +3,11 @@ derivatives, the quartic kernel matrix, the induced surface metric and the
 cleared-denominator Ricci components.
 
 Coordinates are (u, v); indices follow the curve convention 1 -> u, 2 -> v.
-Quantities are carried as num / (sigma^a * Dhat^b); the power ledger is
-signed so products cancel denominator powers symbolically and no series
-division is ever forced.
+Quantities are carried as ``SigmaRational`` num / (sigma^a * Dhat^b) over
+a ``QuotientFrame``; the power ledger is signed so products cancel
+denominator powers symbolically and no division is ever forced.  The
+numerators are series here; the sphere charts (``sphere``) build frames
+over one polynomial denominator with exact ``Poly`` numerators.
 
 A ``SigmaSeries`` frame owns every stage over its sigma: the moduli, X/Y/Z
 (wp2), the four wp3, the kernel matrix, the Gauss metric, Dhat with its
@@ -77,7 +79,53 @@ def _sigma_poly(ctx, lam, level):
     return s
 
 
-class SigmaSeries:
+class QuotientFrame:
+    """The bookkeeping of ``SigmaRational`` quotients over two fixed
+    denominators, sigma and Dhat: their powers, the quotient-rule products
+    and the constructors.  ``one`` and ``sigma`` are ``Poly``s or
+    ``TruncatedSeries``; ``sd(k)`` is sigma's derivative by curve index k
+    (1 -> u, 2 -> v); ``self.dhat`` is read only for a power of Dhat."""
+
+    def __init__(self, one, sigma):
+        self.sigma = sigma
+        self._sigma_pows = {0: one, 1: sigma}
+
+    def sd(self, k):
+        return self.sigma.diff(k - 1)
+
+    @cached_property
+    def _quotient_pairs(self):
+        """Per coordinate: (sigma_i Dhat, sigma Dhat_i), the two products
+        the quotient rule needs under a Dhat denominator."""
+        return [(self.sd(k) * self.dhat, self.sigma * self.dhat.diff(k - 1))
+                for k in (1, 2)]
+
+    @cached_property
+    def _sigD(self):
+        return self.sigma * self.dhat
+
+    @cached_property
+    def _dhat_pows(self):
+        return {0: self._sigma_pows[0], 1: self.dhat}
+
+    def sigma_pow(self, k):
+        if k not in self._sigma_pows:
+            self._sigma_pows[k] = self.sigma_pow(k - 1) * self.sigma
+        return self._sigma_pows[k]
+
+    def dhat_pow(self, k):
+        if k not in self._dhat_pows:
+            self._dhat_pows[k] = self.dhat_pow(k - 1) * self.dhat
+        return self._dhat_pows[k]
+
+    def rational(self, num, sig_pow=0, det_pow=0):
+        return SigmaRational(self, num, sig_pow, det_pow)
+
+    def scalar(self, value):
+        return self.rational(self._sigma_pows[0].scale(value))
+
+
+class SigmaSeries(QuotientFrame):
     """Truncated sigma expansion plus the memoised stages shared by every
     quantity built over it (see the module docstring)."""
 
@@ -95,13 +143,12 @@ class SigmaSeries:
             self.ctx = _NUMERIC_CTX
             self.lam = [rat(x) for x in lambdas]
         poly = self.sigma_poly = _sigma_poly(self.ctx, self.lam, level)
-        self.sigma = TruncatedSeries(poly, order)
+        super().__init__(TruncatedSeries(Poly.const(self.ctx, 1), order),
+                         TruncatedSeries(poly, order))
         # sigma's derivatives by sorted curve indices: the exact
         # polynomials, and the series at the frame's order
         self._d = {(): poly}
         self._sd = {(): self.sigma}
-        self._sigma_pows = {0: TruncatedSeries(Poly.const(self.ctx, 1), order),
-                            1: self.sigma}
         # sd(*a) * sd(*b) by the sorted pair of sorted index tuples
         self._sd_products = {}
 
@@ -147,21 +194,6 @@ class SigmaSeries:
     def dhat(self):
         return self.metric_inverse[0]
 
-    @cached_property
-    def _quotient_pairs(self):
-        """Per coordinate: (sigma_i Dhat, sigma Dhat_i), the two products
-        the quotient rule needs under a Dhat denominator."""
-        return [(self.sd(k) * self.dhat, self.sigma * self.dhat.diff(var))
-                for k, var in ((1, "u"), (2, "v"))]
-
-    @cached_property
-    def _sigD(self):
-        return self.sigma * self.dhat
-
-    @cached_property
-    def _dhat_pows(self):
-        return {0: self._sigma_pows[0], 1: self.dhat}
-
     # -- sigma derivatives --------------------------------------------
 
     def sigma_deriv(self, indices):
@@ -190,35 +222,13 @@ class SigmaSeries:
             self._sd_products[key] = self.sd(*key[0]) * self.sd(*key[1])
         return self._sd_products[key]
 
-    # -- denominator bookkeeping --------------------------------------
-
-    def sigma_pow(self, k):
-        if k not in self._sigma_pows:
-            self._sigma_pows[k] = self.sigma_pow(k - 1) * self.sigma
-        return self._sigma_pows[k]
-
-    def dhat_pow(self, k):
-        if k not in self._dhat_pows:
-            self._dhat_pows[k] = self.dhat_pow(k - 1) * self.dhat
-        return self._dhat_pows[k]
-
-    # -- element constructors -----------------------------------------
-
-    def rational(self, num, sig_pow=0, det_pow=0):
-        return SigmaRational(self, num, sig_pow, det_pow)
-
-    def scalar(self, value):
-        return self.rational(TruncatedSeries(Poly.const(self.ctx, value),
-                                             self.order))
-
 
 class SigmaRational:
-    """num / (sigma^a * Dhat^b) with a validity ledger on the numerator.
-
-    ``sig_pow``/``det_pow`` may run negative during intermediate products
-    (a negative power is an uncancelled numerator factor); reported
-    quantities are normalized back to non-negative powers.
-    """
+    """num / (sigma^a * Dhat^b) over a ``QuotientFrame``, num a series
+    (with its validity ledger) or an exact ``Poly``.  ``sig_pow`` and
+    ``det_pow`` may run negative (a negative power is an uncancelled
+    numerator factor); the sigma chart normalizes the quantities it
+    reports back to non-negative powers."""
 
     __slots__ = ("frame", "num", "sig_pow", "det_pow")
 
@@ -277,8 +287,7 @@ class SigmaRational:
         d(N/(s^a D^b)) = (N' s D - N (a s' D + b s D')) / (s^(a+1) D^(b+1)).
         """
         frame = self.frame
-        var = "u" if i == 0 else "v"
-        nd = self.num.diff(var)
+        nd = self.num.diff(i)
         a, b = self.sig_pow, self.det_pow
         if b == 0:
             num = nd * frame.sigma
@@ -303,12 +312,6 @@ class SigmaRational:
 
     def is_zero_through(self):
         return self.num.is_zero_through()
-
-    def __str__(self):
-        return "(%s) / sigma^%d Dhat^%d" % (self.num, self.sig_pow,
-                                            self.det_pow)
-
-    __repr__ = __str__
 
 
 def build_sigma(level, lambdas=None, order=DEFAULT_ORDER):

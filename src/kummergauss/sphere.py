@@ -3,19 +3,17 @@ quartic reduction, exact Einstein-metric verification on the round sphere
 and the conformal plane chart, and the first Chern number read exactly
 from that chart's metric.
 
-The chart jets are the rational jets of one fixed ring,
-``QuadExtContext(1, 1)``: their w-parts stay zero (a rational element
-has norm a^2, so every inverse exists), and each value leaves the chart
-as a ``Fraction`` through ``.a``."""
+Both charts are exact rational functions with one denominator each, built
+once per check as ``sigma.SigmaRational`` quotients with ``Poly``
+numerators: the curvature pipeline of ``tensor`` runs on them whole, and
+each report reads its values off them at rational points."""
 
-import math
 from fractions import Fraction
 
-from .jets import Jet
-from .quadext import QuadExtContext, rational_sqrt
+from .quadext import rational_sqrt
 from .rings import Context, Poly, rat
-from .tensor import (MetricTensor, christoffel, inverse_metric, ricci,
-                     riemann, scalar_curvature)
+from .sigma import QuotientFrame
+from .tensor import MetricTensor, christoffel, ricci, riemann, scalar_curvature
 
 
 class DegenerateTetradError(ArithmeticError):
@@ -53,37 +51,30 @@ _FRESNEL_CTX = Context(("x", "y", "z"), grading=3)
 def fresnel_quartic(a2, b2, c2):
     """Expansion of the Fresnel wave-surface quartic as a polynomial in
     (x, y, z) with the squared axis constants as parameters."""
-    ctx = _FRESNEL_CTX
-    x = Poly.var(ctx, "x")
-    y = Poly.var(ctx, "y")
-    z = Poly.var(ctx, "z")
+    x, y, z = (Poly.var(_FRESNEL_CTX, n) for n in "xyz")
     a2, b2, c2 = rat(a2), rat(b2), rat(c2)
     r2 = x * x + y * y + z * z
     weighted = a2 * x * x + b2 * y * y + c2 * z * z
     middle = (a2 * (b2 + c2) * x * x + b2 * (c2 + a2) * y * y
               + c2 * (a2 + b2) * z * z)
-    return r2 * weighted - middle + Poly.const(ctx, a2 * b2 * c2)
+    return r2 * weighted - middle + Poly.const(_FRESNEL_CTX, a2 * b2 * c2)
 
 
 def fresnel_reduce():
     """Expanded quartic at unit axes plus the double-sphere identity check:
     there the quartic equals (x^2 + y^2 + z^2 - 1)^2 exactly."""
     quartic = fresnel_quartic(1, 1, 1)
-    ctx = _FRESNEL_CTX
-    x = Poly.var(ctx, "x")
-    y = Poly.var(ctx, "y")
-    z = Poly.var(ctx, "z")
-    sphere = x * x + y * y + z * z - Poly.const(ctx, 1)
+    x, y, z = (Poly.var(_FRESNEL_CTX, n) for n in "xyz")
+    sphere = x * x + y * y + z * z - Poly.const(_FRESNEL_CTX, 1)
     return quartic, quartic == sphere * sphere
 
 
-# -- exact jet charts -------------------------------------------------
+# -- exact rational charts --------------------------------------------
 
-_RING = QuadExtContext(1, 1)
-# the checks read Ricci at the base point only: the metric through order 2
-_JET_ORDER = 2
+_Z_CTX = Context(("z", "phi"))
+_UV_CTX = Context(("u", "v"))
 # theta = 2 atan t runs from about 1e-3 (t = 1/2000) through the equator
-# (t = 1) to about pi - 1e-3 (t = 2000)
+# (t = 1) to about pi - 1e-3 (t = 2000); z = cos theta
 _SPHERE_TS = tuple(Fraction(t) for t in (
     "1/2000 1/200 1/50 1/10 1/5 1/3 1/2 2/3 4/5 1 "
     "5/4 3/2 2 3 5 10 50 200 1000 2000").split())
@@ -92,63 +83,72 @@ _KAHLER_POINTS = ((0, 0), (Fraction(1, 2), Fraction(1, 3)), (1, 0),
                   (Fraction(5, 2), Fraction(-5, 4)))
 
 
-def sphere_metric_jets(t, order=_JET_ORDER):
-    """Round-sphere metric diag(1, sin^2 theta) as analytic jets in
-    (theta, phi) at theta = 2 atan t.  The Taylor jet of sin is rational:
-    sin theta = 2t/(1+t^2) and cos theta = (1-t^2)/(1+t^2)."""
-    t = Fraction(t)
-    s, c = 2 * t / (1 + t * t), (1 - t * t) / (1 + t * t)
-    derivs = [s, c, -s, -c]
-    sj = Jet.from_coeffs(_RING, order,
-                         {(k, 0): derivs[k % 4] / math.factorial(k)
-                          for k in range(order + 1)})
-    return MetricTensor(Jet.constant(_RING, order, 1),
-                        Jet.constant(_RING, order, 0), sj * sj)
+def sphere_chart():
+    """The round sphere in the chart z = cos theta, as the exact rational
+    pair (metric, inverse) in (z, phi): dz^2 / p + p dphi^2 with the one
+    denominator p = 1 - z^2."""
+    one, z = Poly.const(_Z_CTX, 1), Poly.var(_Z_CTX, "z")
+    frame = QuotientFrame(one, one - z * z)
+    p, p_inv, zero = (frame.rational(one, sig_pow=-1),
+                      frame.rational(one, sig_pow=1), frame.scalar(0))
+    return MetricTensor(p_inv, zero, p), MetricTensor(p, zero, p_inv)
 
 
-def kahler_metric_jets(u, v, order=_JET_ORDER):
-    """Conformal plane chart 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2 as jets."""
-    ju = Jet.coordinate(_RING, order, u, 0)
-    jv = Jet.coordinate(_RING, order, v, 1)
-    f = (ju * ju + jv * jv).add_scalar(1)
-    finv = f.inverse()
-    conf = (finv * finv).scale(4)
-    return MetricTensor(conf, Jet.constant(_RING, order, 0), conf)
+def conformal_chart():
+    """The conformal plane chart 4 (du^2 + dv^2) / q^2, q = 1 + u^2 + v^2,
+    as the exact rational pair (metric, inverse) in (u, v); the inverse
+    q^2 / 4 is q at the signed power -2."""
+    one = Poly.const(_UV_CTX, 1)
+    u, v = Poly.var(_UV_CTX, "u"), Poly.var(_UV_CTX, "v")
+    frame = QuotientFrame(one, one + u * u + v * v)
+    conf = frame.rational(one.scale(4), sig_pow=2)
+    inv = frame.rational(one.scale(Fraction(1, 4)), sig_pow=-2)
+    zero = frame.scalar(0)
+    return MetricTensor(conf, zero, conf), MetricTensor(inv, zero, inv)
 
 
-def _chart_report(metrics):
-    """Largest |R_ij - g_ij| and |R - 2| over the base points of the metric
-    jets: both vanish exactly on an Einstein chart with scalar curvature 2."""
+def _value(x, point):
+    """Exact value of a chart quotient at a rational point."""
+    return x.num.eval(point) / x.frame.sigma.eval(point) ** x.sig_pow
+
+
+def _chart_report(g, ginv, points):
+    """Largest |R_ij - g_ij| and |R - 2| at the points of a chart with
+    metric g and inverse ginv: both vanish exactly on an Einstein chart
+    with scalar curvature 2."""
+    ric = ricci(riemann(christoffel(g, ginv)))
+    scal = scalar_curvature(g, ginv, ric)
+    devs = (ric.r11 - g.g11, ric.r12 - g.g12, ric.r22 - g.g22)
     max_dev = max_scal_dev = Fraction(0)
-    for g in metrics:
-        ginv = inverse_metric(g)
-        ric = ricci(riemann(christoffel(g, ginv)))
-        max_dev = max(max_dev, abs(ric.r11.base.a - g.g11.base.a),
-                      abs(ric.r12.base.a - g.g12.base.a),
-                      abs(ric.r22.base.a - g.g22.base.a))
-        scal = scalar_curvature(g, ginv, ric)
-        max_scal_dev = max(max_scal_dev, abs(scal.base.a - 2))
-    return {"points": len(metrics), "max_einstein_dev": max_dev,
+    for pt in points:
+        max_dev = max(max_dev, *(abs(_value(d, pt)) for d in devs))
+        max_scal_dev = max(max_scal_dev, abs(_value(scal, pt) - 2))
+    return {"points": len(points), "max_einstein_dev": max_dev,
             "max_scalar_dev": max_scal_dev}
 
 
 def sphere_einstein_check():
     """Verify R_ij = g_ij and R = 2 exactly at theta = 2 atan t for each
-    t of ``_SPHERE_TS``, one point per t: the metric does not depend on phi."""
-    return _chart_report([sphere_metric_jets(t) for t in _SPHERE_TS])
+    t of ``_SPHERE_TS``, that is at z = (1 - t^2) / (1 + t^2), one point
+    per t: the metric does not depend on phi."""
+    return _chart_report(*sphere_chart(), [{"z": (1 - t * t) / (1 + t * t)}
+                                           for t in _SPHERE_TS])
 
 
 def kahler_conformal_check():
     """Check exactly that the conformal chart is Einstein with R = 2 at
     rational sample points and that the metric really is the conformal
     factor times identity."""
-    metrics = [kahler_metric_jets(u, v) for u, v in _KAHLER_POINTS]
+    g, ginv = conformal_chart()
+    points = [{"u": Fraction(u), "v": Fraction(v)} for u, v in _KAHLER_POINTS]
     max_conf_dev = Fraction(0)
-    for (u, v), g in zip(_KAHLER_POINTS, metrics):
-        conf = 4 / (1 + Fraction(u) ** 2 + Fraction(v) ** 2) ** 2
-        max_conf_dev = max(max_conf_dev, abs(g.g11.base.a - conf),
-                           abs(g.g22.base.a - conf), abs(g.g12.base.a))
-    return dict(_chart_report(metrics), max_conformal_dev=max_conf_dev)
+    for pt in points:
+        conf = 4 / (1 + pt["u"] ** 2 + pt["v"] ** 2) ** 2
+        max_conf_dev = max(max_conf_dev, abs(_value(g.g11, pt) - conf),
+                           abs(_value(g.g22, pt) - conf),
+                           abs(_value(g.g12, pt)))
+    return dict(_chart_report(g, ginv, points),
+                max_conformal_dev=max_conf_dev)
 
 
 _AXIS = Context(("u",), grading=1)
@@ -160,12 +160,12 @@ def chern_number(tolerance):
     metric f |dz|^2.
 
     By Gauss-Bonnet the curvature over the disc |z| <= R integrates to
-    2 pi c1(R) with c1(R) = -R f_u / (2f) at (R, 0), taken exactly from
-    the metric jets.  R is the least power of two with 2 - c1(R) at most
-    ``tolerance`` (at least ``MIN_TOLERANCE``).  The limit of c1 is the
-    ratio of the leading coefficients of u q_u / q; that ratio must equal
-    the jet value at every radius tried, otherwise the limit is None (the
-    metric is not the chart the limit was derived for).
+    2 pi c1(R) with c1(R) = -R f_u / (2f) at (R, 0), read exactly off f =
+    g11 of ``conformal_chart``.  R is the least power of two with 2 - c1(R)
+    at most ``tolerance`` (at least ``MIN_TOLERANCE``).  The limit of c1 is
+    the ratio of the leading coefficients of u q_u / q; that ratio must
+    equal the chart's value at every radius tried, otherwise the limit is
+    None (the metric is not the chart the limit was derived for).
 
     Returns (R, c1(R), limit).
     """
@@ -179,10 +179,12 @@ def chern_number(tolerance):
     num = u * q.diff("u")
     top = [q.grading_degree_max()]
     limit = num.coefficient(top) / q.coefficient(top)
+    f = conformal_chart()[0].g11
+    f_u = f.diff(0)
     radius = 1
     while True:
-        f = kahler_metric_jets(radius, 0, order=1).g11
-        c1 = -radius * f.get(1, 0).a / (2 * f.base.a)
+        pt = {"u": radius, "v": 0}
+        c1 = -radius * _value(f_u, pt) / (2 * _value(f, pt))
         if c1 != num.eval({"u": radius}) / q.eval({"u": radius}):
             return radius, c1, None
         if 2 - c1 <= tolerance:

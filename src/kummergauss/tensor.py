@@ -4,8 +4,9 @@ the 4x4 determinant shared by the kernel-matrix checks of both charts.
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
 index i in {0, 1}, and ``.scale(q)`` by a rational q; ``inverse_metric``
 takes jets and also needs ``.order``, ``.truncated(n)`` and
-``.inverse()``.  The same code drives the sigma chart's exact series
-and the exact point-jets of the inversion and sphere charts.
+``.inverse()``.  The same code drives the ``sigma.SigmaRational``
+quotients of the sigma chart (series numerators) and of the sphere charts
+(``Poly`` numerators), and the inversion chart's exact point jets.
 
 The curvature steps pass plain components: ``christoffel`` returns the
 dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and
@@ -119,7 +120,8 @@ def riemann(gam):
     # The one dispatch on the ring: a jet carries its order, and a jet sum
     # keeps the lower order of its terms, so Gamma cut to the highest order
     # of dGamma forms no product term the sum would drop.  Elements without
-    # an order (the sigma chart's series) are multiplied whole.
+    # an order (the quotients of the sigma and sphere charts) are
+    # multiplied whole.
     if hasattr(dgam[0, 0], "order"):
         n = max(d.order for d in dgam.values())
         gam = {k: x.truncated(n) for k, x in gam.items()}

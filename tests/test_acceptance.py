@@ -5,7 +5,6 @@ given a tolerance is checked in exact arithmetic.
 Run standalone with: pytest tests/test_acceptance.py -v -s
 """
 
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -21,9 +20,9 @@ from kummergauss.rings import Context, Poly, TruncatedSeries, rat
 from kummergauss.sigma import (LAMBDA_NAMES, build_sigma, gauss_metric,
                                kernel_residual, kummer_det, metric_det_inverse,
                                pde_residuals, ricci_hat)
-from kummergauss.sphere import (chern_number, fresnel_reduce,
+from kummergauss.sphere import (_value, chern_number, fresnel_reduce,
                                 goepel_constants, kahler_conformal_check,
-                                sphere_einstein_check, sphere_metric_jets)
+                                sphere_chart, sphere_einstein_check)
 from kummergauss.tensor import MetricTensor, christoffel, riemann
 
 UV = Context(("u", "v"))
@@ -205,19 +204,17 @@ def test_criterion_8_property_suites():
     for jet in (low[0, 0], low[1, 1], low[0, 1] + low[1, 0]):
         ok = ok and jet.coeffs == {}
 
-    # the exact sphere Christoffel symbols at theta = 2 atan(1/2) against
-    # finite differences, step 1e-5
-    gsph = sphere_metric_jets(Fraction(1, 2))
-    dets = (gsph.g11 * gsph.g22 - gsph.g12 * gsph.g12).inverse()
-    gsinv = MetricTensor(gsph.g22 * dets, -(gsph.g12 * dets),
-                         gsph.g11 * dets)
-    gam = christoffel(gsph, gsinv)
-    theta, h = 2 * math.atan(0.5), 1e-5
-    fd = (math.sin(theta + h) ** 2 - math.sin(theta - h) ** 2) / (2 * h)
-    # Gamma^phi_{theta phi} = g^{phi phi} (d_theta g_{phi phi}) / 2
-    ok = ok and abs(float(gam[1, 0, 1].base.a)
-                    - fd / (2 * math.sin(theta) ** 2)) < 1e-6
-    # Gamma^theta_{phi phi} = -(d_theta g_{phi phi}) / 2
-    ok = ok and abs(float(gam[0, 1, 1].base.a) + fd / 2) < 1e-6
+    # the exact sphere Christoffel symbols at z = cos(2 atan(1/2)) = 3/5
+    # against finite differences, step 1e-5
+    gam = christoffel(*sphere_chart())
+    z, h = Fraction(3, 5), 1e-5
+    fd = ((1 - (z + h) ** 2) - (1 - (z - h) ** 2)) / (2 * h)
+    p = float(1 - z * z)
+    # Gamma^phi_{z phi} = g^{phi phi} (d_z g_{phi phi}) / 2
+    ok = ok and abs(float(_value(gam[1, 0, 1], {"z": z})) - fd / (2 * p)) \
+        < 1e-6
+    # Gamma^z_{phi phi} = -g^{zz} (d_z g_{phi phi}) / 2
+    ok = ok and abs(float(_value(gam[0, 1, 1], {"z": z})) + p * fd / 2) \
+        < 1e-6
 
     report(8, "property suites: ring laws, parity, symmetry, curvature", ok)

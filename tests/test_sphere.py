@@ -2,22 +2,25 @@
 Fresnel reduction, the Einstein checks and the exact Chern number."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import kummergauss
 from kummergauss import sphere
 from kummergauss.cli import RunConfig, run
-from kummergauss.jets import Jet
 from kummergauss.rings import Poly, rat
 from kummergauss.sphere import (DegenerateTetradError, chern_number,
-                                fresnel_quartic, fresnel_reduce,
-                                goepel_constants, kahler_conformal_check,
-                                kahler_metric_jets, sphere_einstein_check,
-                                sphere_metric_jets)
-from kummergauss.sphere import _KAHLER_POINTS, _SPHERE_TS
-from kummergauss.tensor import (MetricTensor, christoffel, inverse_metric,
-                                ricci, riemann, scalar_curvature)
+                                conformal_chart, fresnel_quartic,
+                                fresnel_reduce, goepel_constants,
+                                kahler_conformal_check, sphere_chart,
+                                sphere_einstein_check)
+from kummergauss.sphere import _SPHERE_TS, _value
+from kummergauss.tensor import (MetricTensor, christoffel, ricci, riemann,
+                                scalar_curvature)
 
 
 # -- tetrad constants -------------------------------------------------
@@ -93,47 +96,103 @@ def test_kahler_einstein_and_conformal_within_tolerance():
     assert rep["max_conformal_dev"] == 0
 
 
-def test_sphere_chart_jets_have_zero_w_part():
-    """The sphere charts read every value through ``.a``, which is the
-    value only where the w-part is zero: so it is in the metric jets of
-    both charts (the Chern radii included), their inverses, and the
-    Ricci and scalar-curvature jets."""
-    metrics = [sphere_metric_jets(t) for t in _SPHERE_TS] \
-        + [kahler_metric_jets(u, v) for u, v in _KAHLER_POINTS] \
-        + [kahler_metric_jets(r, 0, order=1) for r in (1, 2, 2048)]
-    for g in metrics:
-        jets = [g.g11, g.g12, g.g22]
-        if g.g11.order > 1:
-            ginv = inverse_metric(g)
-            ric = ricci(riemann(christoffel(g, ginv)))
-            jets += [ginv.g11, ginv.g12, ginv.g22, ric.r11, ric.r12,
-                     ric.r22, ric.r21, scalar_curvature(g, ginv, ric)]
-        for jet in jets:
-            assert not any(jet.data[1])
+@pytest.mark.parametrize("chart", [sphere_chart, conformal_chart])
+def test_charts_are_einstein_as_rational_functions(chart):
+    """R_ij - g_ij and R - 2 have the zero polynomial as numerator on the
+    whole chart, not only at the sample points."""
+    g, ginv = chart()
+    ric = ricci(riemann(christoffel(g, ginv)))
+    scal = scalar_curvature(g, ginv, ric)
+    for dev in (ric.r11 - g.g11, ric.r12 - g.g12, ric.r22 - g.g22,
+                scal - 2):
+        assert dev.num == Poly.zero(dev.num.ctx)
+
+
+def _rescaled(chart, entry, sig_pow, factor):
+    """A mutant of a diagonal chart: metric entry ``entry`` (0 or 1) times
+    factor * (denominator)^-sig_pow, and the inverse entry to match."""
+    def mutant():
+        g, ginv = chart()
+        frame = g.g11.frame
+        one = frame.sigma_pow(0)
+        diag, inv = [g.g11, g.g22], [ginv.g11, ginv.g22]
+        diag[entry] *= frame.rational(one.scale(factor), sig_pow=sig_pow)
+        inv[entry] *= frame.rational(one.scale(1 / Fraction(factor)),
+                                     sig_pow=-sig_pow)
+        return (MetricTensor(diag[0], g.g12, diag[1]),
+                MetricTensor(inv[0], ginv.g12, inv[1]))
+    return mutant
+
+
+def test_kahler_verify_fails_on_a_wrong_conformal_factor(monkeypatch):
+    # g11 = 3/q^2 in place of 4/q^2, with its inverse q^2/3
+    monkeypatch.setattr(sphere, "conformal_chart", _rescaled(
+        conformal_chart, 0, 0, Fraction(3, 4)))
+    rep = kahler_conformal_check()
+    assert rep["max_einstein_dev"] == Fraction(2, 3)
+    assert rep["max_scalar_dev"] == Fraction(59, 48)
+    assert rep["max_conformal_dev"] == 1
+    report, code = run(RunConfig("kahler-verify"))
+    assert code == 1
+    assert [c["status"] for c in report["checks"]] == ["fail"] * 3
+
+
+def test_sphere_verify_fails_on_a_wrong_power_in_g_zz(monkeypatch):
+    # g_zz = 1/(1 - z^2)^2 in place of 1/(1 - z^2)
+    monkeypatch.setattr(sphere, "sphere_chart", _rescaled(
+        sphere_chart, 0, 1, 1))
+    rep = sphere_einstein_check()
+    assert rep["max_einstein_dev"] > 1 and rep["max_scalar_dev"] > 1
+    report, code = run(RunConfig("sphere-verify"))
+    assert code == 1
+    assert [c["status"] for c in report["checks"]] == ["fail"] * 2
+
+
+def test_constant_factor_on_g_phiphi_is_no_mutant(monkeypatch):
+    """3 (1 - z^2) dphi^2 is the round sphere again, with phi rescaled: a
+    local isometry, which the Einstein checks rightly pass."""
+    monkeypatch.setattr(sphere, "sphere_chart", _rescaled(
+        sphere_chart, 1, 0, 3))
+    rep = sphere_einstein_check()
+    assert rep["max_einstein_dev"] == 0 and rep["max_scalar_dev"] == 0
+
+
+def test_sphere_module_does_not_import_jets():
+    """The double-sphere charts are rational functions; the jets of the
+    inversion chart stay out of a fresh interpreter that imports them."""
+    src = os.path.dirname(os.path.dirname(kummergauss.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, kummergauss.sphere; "
+            "print('kummergauss.jets' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # -- Chern number -----------------------------------------------------
 
-def c1_from_jets(radius):
-    """-R f_u / (2f) at (R, 0) for the conformal factor f of the chart."""
-    f = kahler_metric_jets(radius, 0, order=1).g11
-    return -radius * f.get(1, 0).a / (2 * f.base.a)
+def c1_from_chart(radius):
+    """-R f_u / (2f) at (R, 0) for the conformal factor f = g11 of the
+    chart."""
+    f = conformal_chart()[0].g11
+    pt = {"u": Fraction(radius), "v": Fraction(0)}
+    return -radius * _value(f.diff(0), pt) / (2 * _value(f, pt))
 
 
 def test_chern_density_from_metric_jets():
     # closed form c1(R) = 2R^2 / (1 + R^2)
-    assert c1_from_jets(1) == 1
-    assert c1_from_jets(3) == Fraction(9, 5)
-    assert c1_from_jets(1000) == Fraction(2000000, 1000001)
+    assert c1_from_chart(1) == 1
+    assert c1_from_chart(3) == Fraction(9, 5)
+    assert c1_from_chart(1000) == Fraction(2000000, 1000001)
 
 
 def test_chern_number_is_two():
     radius, c1, limit = chern_number(tolerance=1e-6)
     assert limit == 2 and type(limit) is Fraction
     assert 0 < 2 - c1 <= 1e-6
-    assert c1 == c1_from_jets(radius)
+    assert c1 == c1_from_chart(radius)
     # the least power of two: half the radius misses the tolerance
-    assert 2 - c1_from_jets(radius // 2) > 1e-6
+    assert 2 - c1_from_chart(radius // 2) > 1e-6
     assert (radius, c1) == (2048, Fraction(8388608, 4194305))
 
 
@@ -148,16 +207,28 @@ def test_chern_meets_tightest_tolerance():
     assert radius == 262144
 
 
+def test_chern_density_is_the_axis_closed_form():
+    """-u f_u / (2f) = u q_u / q as rational functions on the whole chart,
+    cross-multiplied: -u f_u q - 2 f u q_u has the zero numerator."""
+    f = conformal_chart()[0].g11
+    frame = f.frame
+    u = frame.rational(Poly.var(frame.sigma.ctx, "u"))
+    q, q_u = frame.rational(frame.sigma), frame.rational(frame.sd(1))
+    dev = -(u * f.diff(0) * q) - (f * u * q_u).scale(2)
+    assert dev.num == Poly.zero(frame.sigma.ctx)
+
+
 def test_chern_fails_on_a_metric_off_the_chart(monkeypatch):
     # f = 16/q^4 in place of 4/q^2: c1(R) = 4R^2/(1+R^2) no longer equals
     # u q_u / q, although its remainder at R = 1 is exactly zero
-    chart = sphere.kahler_metric_jets
+    chart = sphere.conformal_chart
 
-    def squared(u, v, order):
-        f = chart(u, v, order).g11
-        return MetricTensor(f * f, Jet.constant(f.ring, f.order, 0), f * f)
+    def squared():
+        g, ginv = chart()
+        f = g.g11
+        return MetricTensor(f * f, g.g12, f * f), ginv
 
-    monkeypatch.setattr(sphere, "kahler_metric_jets", squared)
+    monkeypatch.setattr(sphere, "conformal_chart", squared)
     assert chern_number(tolerance=1e-6) == (1, 2, None)
     report, code = run(RunConfig("chern"))
     assert code == 1

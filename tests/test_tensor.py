@@ -1,8 +1,8 @@
 """Tests for the generic two-coordinate tensor pipeline, driven through
-jets so the same code paths the charts use are exercised."""
+jets and the sphere charts' exact quotients, so the same code paths the
+charts use are exercised."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -11,19 +11,32 @@ import pytest
 from kummergauss.inversion import random_admissible_points, ricci_point
 from kummergauss.jets import Jet
 from kummergauss.quadext import QuadExtContext
-from kummergauss.rings import rat
-from kummergauss.sphere import (_KAHLER_POINTS, _SPHERE_TS,
-                                kahler_metric_jets, sphere_metric_jets)
+from kummergauss.rings import Poly, rat
+from kummergauss.sphere import (_KAHLER_POINTS, _value, conformal_chart,
+                                sphere_chart)
 from kummergauss.tensor import (MetricTensor, christoffel, det4,
                                 inverse_metric, ricci, riemann,
                                 scalar_curvature)
 
-# rational jets inside Q(w), as the sphere charts use
+# rational jets inside Q(w)
 EXACT = QuadExtContext(1, 1)
 ORDER = 3
-# theta = 2 atan t: sin theta = 4/5, cos theta = 3/5 at t = 1/2
-HALF = Fraction(1, 2)
-SIN, COS = Fraction(4, 5), Fraction(3, 5)
+# theta = 2 atan(1/2): z = cos theta = 3/5 on the sphere chart
+Z = {"z": Fraction(3, 5)}
+
+
+def conformal_jets(u, v, order=2):
+    """The conformal chart 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2 as jets."""
+    ju = Jet.coordinate(EXACT, order, Fraction(u), 0)
+    jv = Jet.coordinate(EXACT, order, Fraction(v), 1)
+    f = (ju * ju + jv * jv).add_scalar(1).inverse()
+    conf = (f * f).scale(4)
+    return MetricTensor(conf, Jet.from_coeffs(EXACT, order, {}), conf)
+
+
+def is_zero(x):
+    """A chart quotient whose numerator is the zero polynomial."""
+    return x.num == Poly.zero(x.num.ctx)
 
 
 def skew_metric(u, v):
@@ -39,8 +52,8 @@ def skew_metric(u, v):
 # -- flat space -------------------------------------------------------
 
 def test_flat_metric_has_zero_curvature():
-    one = Jet.constant(EXACT, ORDER, 1)
-    g = MetricTensor(one, Jet.constant(EXACT, ORDER, 0), one)
+    one = Jet.from_coeffs(EXACT, ORDER, {(0, 0): 1})
+    g = MetricTensor(one, Jet.from_coeffs(EXACT, ORDER, {}), one)
     gam = christoffel(g, inverse_metric(g))
     for lam in range(2):
         for mu in range(2):
@@ -54,31 +67,36 @@ def test_flat_metric_has_zero_curvature():
 # -- round sphere -----------------------------------------------------
 
 def test_sphere_christoffels_closed_form():
-    g = sphere_metric_jets(HALF)
-    gam = christoffel(g, inverse_metric(g))
-    # Gamma^theta_{phi phi} = -sin cos, Gamma^phi_{theta phi} = cot
-    assert gam[0, 1, 1].base == -SIN * COS
-    assert gam[1, 0, 1].base == COS / SIN
-    assert gam[0, 0, 0].base == 0
-    assert gam[1, 0, 0].base == 0
+    """On dz^2 / p + p dphi^2, p = 1 - z^2: Gamma^z_zz = z / p,
+    Gamma^z_phiphi = z p and Gamma^phi_zphi = -z / p, the rest zero, as
+    rational functions."""
+    g, ginv = sphere_chart()
+    gam = christoffel(g, ginv)
+    frame = g.g11.frame
+    z = Poly.var(frame.sigma.ctx, "z")
+    assert is_zero(gam[0, 0, 0] - frame.rational(z, sig_pow=1))
+    assert is_zero(gam[0, 1, 1] - frame.rational(z, sig_pow=-1))
+    assert is_zero(gam[1, 0, 1] + frame.rational(z, sig_pow=1))
+    for key in ((0, 0, 1), (1, 0, 0), (1, 1, 1)):
+        assert is_zero(gam[key])
 
 
 def test_sphere_christoffels_against_finite_differences():
     """Central differences of the metric entries reproduce the exact
     connection within 1e-6 at step 1e-5."""
-    theta = 2 * math.atan(HALF)
+    z0 = float(Z["z"])
     h = 1e-5
 
-    def g_at(t):
-        s = math.sin(t)
-        return [[1.0, 0.0], [0.0, s * s]]
+    def g_at(z):
+        p = 1 - z * z
+        return [[1 / p, 0.0], [0.0, p]]
 
-    g0 = g_at(theta)
+    g0 = g_at(z0)
     dg = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    gp, gm = g_at(theta + h), g_at(theta - h)
+    gp, gm = g_at(z0 + h), g_at(z0 - h)
     for i in range(2):
         for j in range(2):
-            dg[0][i][j] = (gp[i][j] - gm[i][j]) / (2 * h)  # d/dtheta
+            dg[0][i][j] = (gp[i][j] - gm[i][j]) / (2 * h)  # d/dz
             # d/dphi is zero for this chart
     det = g0[0][0] * g0[1][1] - g0[0][1] ** 2
     ginv = [[g0[1][1] / det, -g0[0][1] / det],
@@ -92,32 +110,35 @@ def test_sphere_christoffels_against_finite_differences():
                     acc += ginv[lam][sig] * (dg[mu][sig][nu] + dg[nu][mu][sig]
                                              - dg[sig][mu][nu])
                 expected[(lam, mu, nu)] = acc / 2.0
-    g = sphere_metric_jets(HALF)
-    gam = christoffel(g, inverse_metric(g))
+    gam = christoffel(*sphere_chart())
     for key, want in expected.items():
-        assert abs(float(gam[key].base.a) - want) < 1e-6, key
+        assert abs(float(_value(gam[key], Z)) - want) < 1e-6, key
 
 
 def test_sphere_is_einstein_with_scalar_two():
-    g = sphere_metric_jets(Fraction(3, 7))
-    ginv = inverse_metric(g)
+    # theta = 2 atan(3/7): z = (1 - 9/49) / (1 + 9/49)
+    pt = {"z": Fraction(20, 29)}
+    g, ginv = sphere_chart()
     ric = ricci(riemann(christoffel(g, ginv)))
-    assert ric.r11.base == g.g11.base
-    assert ric.r22.base == g.g22.base
-    assert scalar_curvature(g, ginv, ric).base == 2
+    assert _value(ric.r11, pt) == _value(g.g11, pt)
+    assert _value(ric.r22, pt) == _value(g.g22, pt)
+    assert _value(scalar_curvature(g, ginv, ric), pt) == 2
 
 
 # -- conformal plane chart --------------------------------------------
 
 def test_conformal_chart_christoffel_closed_form():
-    u, v = Fraction(2, 5), Fraction(-3, 10)
-    g = kahler_metric_jets(u, v)
-    gam = christoffel(g, inverse_metric(g))
-    f = 1 + u * u + v * v
-    assert gam[0, 0, 0].base == -2 * u / f
-    assert gam[0, 0, 1].base == -2 * v / f
-    assert gam[0, 1, 1].base == 2 * u / f
-    assert gam[1, 0, 0].base == 2 * v / f
+    """With q = 1 + u^2 + v^2: Gamma^u_uu = -2u/q, Gamma^u_uv = -2v/q,
+    Gamma^u_vv = 2u/q and Gamma^v_uu = 2v/q, as rational functions."""
+    g, ginv = conformal_chart()
+    gam = christoffel(g, ginv)
+    frame = g.g11.frame
+    u, v = (frame.rational(Poly.var(frame.sigma.ctx, x).scale(2),
+                           sig_pow=1) for x in "uv")
+    assert is_zero(gam[0, 0, 0] + u)
+    assert is_zero(gam[0, 0, 1] + v)
+    assert is_zero(gam[0, 1, 1] - u)
+    assert is_zero(gam[1, 0, 0] - v)
 
 
 # -- structural identities --------------------------------------------
@@ -177,25 +198,30 @@ def test_lowered_riemann_block_is_antisymmetric():
 
 
 def test_ricci_contractions_are_symmetric():
-    for g in (kahler_metric_jets(Fraction(-4, 5), Fraction(1, 10)),
-              skew_metric(Fraction(1, 3), Fraction(-2, 5))):
-        ric = ricci(riemann(christoffel(g, inverse_metric(g))))
-        assert ric.r12.base == ric.r21.base
+    g = skew_metric(Fraction(1, 3), Fraction(-2, 5))
+    ric = ricci(riemann(christoffel(g, inverse_metric(g))))
+    assert ric.r12.base == ric.r21.base
+    for chart in (sphere_chart, conformal_chart):
+        ric = ricci(riemann(christoffel(*chart())))
+        assert is_zero(ric.r12 - ric.r21)
+
+
+def _einstein_tensor(g, ginv):
+    """The four components of R_{mu nu} - (R/2) g_{mu nu}."""
+    ric = ricci(riemann(christoffel(g, ginv)))
+    half_r = scalar_curvature(g, ginv, ric).scale(Fraction(1, 2))
+    return [ric.comp(i, j) - half_r * g.comp(i, j)
+            for i in range(2) for j in range(2)]
 
 
 def test_two_dimensional_einstein_identity():
-    """R_{mu nu} - (R/2) g_{mu nu} vanishes identically in 2d."""
-    for g in (kahler_metric_jets(0, 0),
-              kahler_metric_jets(Fraction(3, 5), Fraction(-1, 5)),
-              kahler_metric_jets(Fraction(3, 2), 2),
-              skew_metric(Fraction(-3, 2), 2)):
-        ginv = inverse_metric(g)
-        ric = ricci(riemann(christoffel(g, ginv)))
-        half_r = scalar_curvature(g, ginv, ric).scale(Fraction(1, 2))
-        for i in range(2):
-            for j in range(2):
-                comp = ric.comp(i, j) - half_r * g.comp(i, j)
-                assert comp.base == 0
+    """R_{mu nu} - (R/2) g_{mu nu} vanishes identically in 2d: at a point
+    of a skew jet metric, and as rational functions on both sphere
+    charts."""
+    g = skew_metric(Fraction(-3, 2), 2)
+    assert all(c.base == 0 for c in _einstein_tensor(g, inverse_metric(g)))
+    for chart in (sphere_chart, conformal_chart):
+        assert all(is_zero(c) for c in _einstein_tensor(*chart()))
 
 
 # -- truncated jet stages ---------------------------------------------
@@ -243,29 +269,12 @@ def test_truncated_chart_b_pipeline_changes_no_value(lambdas):
         assert [rep[k] for k in ("R11", "R12", "R22", "R21")] == want
 
 
-def _sphere_charts(order=2):
-    return [sphere_metric_jets(t, order=order) for t in _SPHERE_TS[::3]] \
-        + [kahler_metric_jets(u, v, order=order) for u, v in _KAHLER_POINTS]
-
-
-def test_truncated_sphere_pipeline_changes_no_value():
-    """The sphere charts at their default order give the Ricci and scalar
-    curvature of order-3 charts through whole inverses and products."""
-    for g, g3 in zip(_sphere_charts(), _sphere_charts(order=3)):
-        assert (g.g11.order, g3.g11.order) == (2, 3)
-        ginv, ginv3 = inverse_metric(g), whole_inverse(g3)
-        block = riemann(christoffel(g, ginv))
-        block3 = whole_riemann(christoffel(g3, ginv3))
-        assert ricci_bases(block) == ricci_bases(block3)
-        assert scalar_curvature(g, ginv, ricci(block)).base \
-            == scalar_curvature(g3, ginv3, ricci(block3)).base
-
-
 def test_sphere_inverse_is_one_order_below_the_metric():
-    """The order-2 sphere and conformal charts are inverted through order
-    1, and their Ricci and scalar curvature equal those from the whole
-    order-2 inverse."""
-    for g in _sphere_charts():
+    """The order-2 conformal sphere chart, as jets, is inverted through
+    order 1, and its Ricci and scalar curvature equal those from the
+    whole order-2 inverse."""
+    for u, v in _KAHLER_POINTS:
+        g = conformal_jets(u, v)
         ginv, whole = inverse_metric(g), whole_inverse(g)
         assert [x.order for x in (ginv.g11, ginv.g12, ginv.g22)] == [1] * 3
         assert [x.order for x in (whole.g11, whole.g12, whole.g22)] \
