@@ -185,8 +185,6 @@ class Poly:
     def __add__(self, other):
         return self._combine(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly._of(self.ctx, {k: -n for k, n in self.terms.items()},
                         self.den)
@@ -307,8 +305,6 @@ class Poly:
                 return t1 == t2
             return t1.keys() == t2.keys() and all(
                 n * d2 == t2[k] * d1 for k, n in t1.items())
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(self.ctx, other)
         return NotImplemented
 
     # -- calculus and queries -----------------------------------------
@@ -521,9 +517,6 @@ class TruncatedSeries:
     def _combine(self, other, op):
         """op(self, other) at the lower known order: the longer operand is
         cut to that order before the sum, so no term above it is formed."""
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries(Poly.const(self.ctx, other),
-                                    self.known_order)
         self._check(other)
         n, m = self.known_order, other.known_order
         a, b = self.body, other.body
@@ -534,8 +527,6 @@ class TruncatedSeries:
         return TruncatedSeries._capped(op(a, b), n)
 
     def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return self.scale(other)
         p, q = self.body, other.body
         if p.ctx is not q.ctx:
             self._check(other)
@@ -548,8 +539,6 @@ class TruncatedSeries:
         n = min(self.known_order + (min(q.terms) >> top),
                 other.known_order + (min(p.terms) >> top))
         return TruncatedSeries._capped(p.mul(q, cap=n), n)
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         return TruncatedSeries._capped(self.body.scale(c), self.known_order)

@@ -145,9 +145,7 @@ class SigmaSeries(QuotientFrame):
         poly = self.sigma_poly = _sigma_poly(self.ctx, self.lam, level)
         super().__init__(TruncatedSeries(Poly.const(self.ctx, 1), order),
                          TruncatedSeries(poly, order))
-        # sigma's derivatives by sorted curve indices: the exact
-        # polynomials, and the series at the frame's order
-        self._d = {(): poly}
+        # sd(*k) by the sorted index tuple k
         self._sd = {(): self.sigma}
         # sd(*a) * sd(*b) by the sorted pair of sorted index tuples
         self._sd_products = {}
@@ -196,22 +194,16 @@ class SigmaSeries(QuotientFrame):
 
     # -- sigma derivatives --------------------------------------------
 
-    def sigma_deriv(self, indices):
-        """sigma differentiated by curve indices, e.g. (2, 2, 1)."""
-        key = tuple(sorted(indices))
-        if key not in self._d:
-            base = self.sigma_deriv(key[1:]) if len(key) > 1 \
-                else self.sigma_poly
-            var = "u" if key[0] == 1 else "v"
-            self._d[key] = base.diff(var)
-        return self._d[key]
-
     def sd(self, *indices):
-        """``sigma_deriv`` as a series at the frame's order, built once per
-        sorted index tuple."""
+        """sigma differentiated by curve indices, e.g. sd(2, 2, 1), as a
+        series at the frame's order: the exact ``sigma_poly`` is
+        differentiated along the sorted indices, once per sorted tuple."""
         key = tuple(sorted(indices))
         if key not in self._sd:
-            self._sd[key] = TruncatedSeries(self.sigma_deriv(key), self.order)
+            d = self.sigma_poly
+            for k in key:
+                d = d.diff(k - 1)
+            self._sd[key] = TruncatedSeries(d, self.order)
         return self._sd[key]
 
     def sd_product(self, a, b):
@@ -260,8 +252,6 @@ class SigmaRational:
     def __add__(self, other):
         return self._combine(other, operator.add)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SigmaRational(self.frame, -self.num, self.sig_pow,
                              self.det_pow)
@@ -270,13 +260,9 @@ class SigmaRational:
         return self._combine(other, operator.sub)
 
     def __mul__(self, other):
-        if not isinstance(other, SigmaRational):
-            return self.scale(other)
         return SigmaRational(self.frame, self.num * other.num,
                              self.sig_pow + other.sig_pow,
                              self.det_pow + other.det_pow)
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         return SigmaRational(self.frame, self.num.scale(c), self.sig_pow,

@@ -114,6 +114,18 @@ def test_points_floor():
         quick_cfg("dz-check", points=0).validate()
 
 
+@pytest.mark.parametrize("kw", [dict(command="nope"), dict(seed=1 << 64)],
+                         ids=["unknown-command", "seed-past-64-bits"])
+def test_config_rejected(kw):
+    with pytest.raises(ConfigError):
+        RunConfig(**{"command": "chern", **kw}).validate()
+
+
+def test_seed_past_64_bits_exits_two(capsys):
+    assert cli.main(["chern", "--seed", str(1 << 64)]) == 2
+    assert "64 bits" in capsys.readouterr().err
+
+
 def test_bad_lambda_count():
     with pytest.raises(ConfigError):
         quick_cfg("quartic-verify", lambdas=(1, 2)).validate()
@@ -193,6 +205,28 @@ def test_run_exit_one_on_failing_check(monkeypatch):
     report, code = run(quick_cfg("fresnel"))
     assert code == 1
     assert report["status"] == "fail"
+
+
+def test_dz_mismatch_fails_with_the_point_echo(monkeypatch):
+    """A point whose jet dZ differs from the closed form fails
+    dz-closed-form with that point's echo alone, and the run exits 1."""
+    real, seen = cli.dz_closed_form, []
+
+    def off_at_first_point(p):
+        seen.append(p)
+        dz1, dz2 = real(p)
+        return (dz1 + 1 if len(seen) == 1 else dz1), dz2
+    monkeypatch.setattr(cli, "dz_closed_form", off_at_first_point)
+    # the memo keeps each point set with its dZ failures
+    cli._drawn_points.cache_clear()
+    try:
+        report, code = run(quick_cfg("dz-check", points=3))
+    finally:
+        cli._drawn_points.cache_clear()
+    assert (code, report["status"], len(seen)) == (1, "fail", 3)
+    [check] = report["checks"]
+    assert check["status"] == "fail" and check["points"] == 3
+    assert check["failures"] == [cli._point_echo(seen[0])]
 
 
 def test_qualified_checks_still_exit_zero():

@@ -9,7 +9,8 @@ from dataclasses import replace
 import pytest
 
 from kummergauss import inversion
-from kummergauss.inversion import (AdmissibilityError, ChartBPoint, chart_F,
+from kummergauss.inversion import (AdmissibilityError, ChartBPoint,
+                                   SingularPointError, chart_F,
                                    dz_closed_form, f5_scalar, quartic_check,
                                    quartic_identity, random_admissible_points,
                                    ricci_point, xyz_jets)
@@ -17,6 +18,7 @@ from kummergauss.jets import Jet
 from kummergauss.quadext import QuadExtContext
 from kummergauss.rings import Context, Poly, rat
 from kummergauss.sigma import LAMBDA_NAMES
+from kummergauss.tensor import MetricTensor
 
 W = ChartBPoint(1, 4)
 RING = Context(("x1", "x2") + LAMBDA_NAMES)
@@ -216,6 +218,17 @@ def test_ricci_nonzero_at_random_points():
         for key in ("R11", "R12", "R22"):
             assert not rep[key].is_zero(), (p, key)
         assert (rep["R12"] - rep["R21"]).is_zero()
+
+
+def test_ricci_point_rejects_a_singular_metric(monkeypatch):
+    """Where det g is not invertible at the base point, ricci_point raises
+    SingularPointError in place of the ring's NonInvertibleError."""
+    real = inversion.inverse_metric
+    # g12 = g22 = g11 makes det g the zero jet
+    monkeypatch.setattr(inversion, "inverse_metric",
+                        lambda g: real(MetricTensor(g.g11, g.g11, g.g11)))
+    with pytest.raises(SingularPointError):
+        ricci_point(ChartBPoint(1, 4))
 
 
 def test_random_points_deterministic():

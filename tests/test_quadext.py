@@ -450,6 +450,16 @@ def test_jet_product_over_two_contexts_rejected():
     assert (ja * Jet.coordinate(c, 2, c.w, 1)).base == 6
 
 
+@pytest.mark.parametrize("op", [
+    lambda a, b: Jet.coordinate(a, 2, a.w, 0) + Jet.coordinate(b, 2, b.w, 0),
+    lambda a, b: Jet.coordinate(a, 2, a.w, 0) * b.w,
+    lambda a, b: Jet.from_coeffs(a, 0, {(0, 0): a.w}).diff(0),
+], ids=["sum-over-two-rings", "scaled-by-another-ring", "diff-at-order-0"])
+def test_jet_guards_raise(op):
+    with pytest.raises(ValueError):
+        op(QuadExtContext(2, 3), QuadExtContext(2, 5))
+
+
 def test_equal_values_have_equal_fields_and_hash():
     rng = random.Random(20261018)
     ctx = QuadExtContext(rat(-3, 7), rat(5, 2))

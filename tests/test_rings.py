@@ -640,3 +640,40 @@ def test_map_context_substitutes_missing_vars():
     p = Poly.from_terms(CTX3, [((1, 0, 2), rat(3))])
     q = p.map_context(CTX, {"a": rat(1, 3)})
     assert q == Poly.from_terms(CTX, [((1, 0), rat(1, 3))])
+
+
+# -- guards -----------------------------------------------------------
+
+_U, _U3 = Poly.var(CTX, "u"), Poly.var(CTX3, "u")
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: _U ** -1, ValueError),
+    (lambda: _U.diff("a"), ContextError),
+    (lambda: Poly.var(CTX, "a"), ContextError),
+    (lambda: Poly.var(CTX3, "a").map_context(CTX), ContextError),
+    (lambda: TruncatedSeries(_U, -1), ValueError),
+    (lambda: TruncatedSeries(_U, 3) + TruncatedSeries(_U3, 3), ContextError),
+    (lambda: TruncatedSeries(_U, 3) * TruncatedSeries(_U3, 3), ContextError),
+], ids=["negative-power", "diff-by-unknown-variable", "unknown-variable",
+        "map-without-target", "negative-known-order",
+        "series-sum-across-contexts", "series-product-across-contexts"])
+def test_ring_guards_raise(make, error):
+    with pytest.raises(error) as exc:
+        make()
+    assert exc.type is error
+
+
+def test_equal_terms_in_different_contexts_are_unequal():
+    """u packs to the same key whether a is graded or not; the contexts
+    still differ, so the polynomials do."""
+    graded = Context(("u", "v", "a"), grading=3)
+    assert _U3.terms == Poly.var(graded, "u").terms
+    assert _U3 != Poly.var(graded, "u")
+
+
+def test_order_zero_series_differentiates_to_zero():
+    """A series known only through its constant term has a derivative known
+    through no order, kept as zero at order 0."""
+    s = TruncatedSeries(Poly.const(CTX, 3) + _U, 0)
+    assert s.diff("u") == TruncatedSeries(Poly.zero(CTX), 0)

@@ -289,6 +289,15 @@ def test_metric_det_inverse_writes_nothing():
     assert s.dhat == d1
 
 
+def test_singular_metric_rejected():
+    """An all-zero metric has no inverse: its Dhat vanishes through every
+    order."""
+    s = build_sigma(3, lambdas=(0, 0, 0, 0, 0), order=4)
+    zero = rings.TruncatedSeries(Poly.zero(s.ctx), 4)
+    with pytest.raises(sigma.SingularMetricError):
+        metric_det_inverse(sigma.GaussMetric(s, zero, zero, zero))
+
+
 def test_dhat_stages_need_no_prior_call():
     """A fresh frame differentiates and renormalizes a rational over Dhat
     by itself, with the result of computing Dhat first."""
