@@ -13,7 +13,9 @@ dZ.  Every point is lifted at ``JET_ORDER`` = 3, the order the Ricci
 values read (the metric through order 2, differentiated twice); dZ and
 the quartic read the same lift's first and zeroth orders.  A point keeps
 the exact lift and metric it computes first (``lift``, ``metric``), so
-the admissible-point filter and every later check share them."""
+the admissible-point filter and every later check share them.
+``metric`` cuts the metric one order lower before the generic
+``tensor.inverse_metric`` inverts it."""
 
 import random
 from dataclasses import dataclass
@@ -102,8 +104,9 @@ class ChartBPoint:
     def metric(self):
         """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2
         etc. about the base point, one order below the lift, and of its
-        inverse (``inverse_metric``).  Raises NonInvertibleError where
-        det g is not invertible."""
+        inverse, one order lower still: ``christoffel`` multiplies the
+        inverse only into first derivatives of g.  Raises
+        NonInvertibleError where det g is not invertible."""
         _, _, Z, lifted = self.lift
         jx1, jx2 = lifted["x1"], lifted["x2"]
         dz1 = Z.diff(0)
@@ -112,8 +115,9 @@ class ChartBPoint:
         g11 = (jx2 * jx2 + dz1 * dz1).add_scalar(1)
         g12 = (jx1 * jx2 + dz1 * dz2).add_scalar(1)
         g22 = (jx1 * jx1 + dz2 * dz2).add_scalar(1)
-        g = MetricTensor(g11, g12, g22)
-        return g, inverse_metric(g)
+        cut = MetricTensor(*(x.truncated(JET_ORDER - 2)
+                             for x in (g11, g12, g22)))
+        return MetricTensor(g11, g12, g22), inverse_metric(cut)
 
 
 def _sqrt_jet(s, slot):

@@ -18,18 +18,7 @@ only, and ``jets.Jet`` runs the inversion chart's jets over it."""
 import math
 from fractions import Fraction
 
-from .rings import rat
-
-
-def rational_sqrt(q):
-    """Exact square root of a rational, or None when irrational/negative."""
-    if q < 0:
-        return None
-    n, d = int(q.numerator), int(q.denominator)
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return rat(rn, rd)
+from .rings import rat, rational_sqrt
 
 
 class NonInvertibleError(ArithmeticError):
@@ -94,8 +83,6 @@ class QuadExtScalar:
     def __add__(self, other):
         return self._combine(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadExtScalar(self.ctx, -self.na, -self.nd, self.den)
 
@@ -106,15 +93,9 @@ class QuadExtScalar:
         """self + sign * other over the common denominator: the numerators
         of ``other`` enter with ``sign``, so no negation of it is built,
         and equal denominators are not cross-multiplied.  Any other
-        operand than an element, an int or a ``Fraction`` is left to its
-        own ``__radd__``."""
+        operand than an element is left to its own ``__radd__``."""
         if not isinstance(other, QuadExtScalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            # an int or Fraction adds into the first numerator
-            n, d = other.numerator, other.denominator
-            return QuadExtScalar(self.ctx, self.na * d + sign * n * self.den,
-                                 self.nd * d, self.den * d)
+            return NotImplemented
         self._check_ctx(other)
         e1, e2 = self.den, other.den
         f1, f2, den = (1, sign, e1) if e1 == e2 else (e2, sign * e1, e1 * e2)
@@ -122,20 +103,16 @@ class QuadExtScalar:
                              self.nd * f1 + other.nd * f2, den)
 
     def __mul__(self, other):
-        """The product with an element, an int or a ``Fraction``; any other
-        operand, such as a jet, is left to its ``__rmul__``."""
+        """The product with an element; any other operand, such as a jet, is
+        left to its ``__rmul__``."""
         if not isinstance(other, QuadExtScalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            return self.scale(other)
+            return NotImplemented
         self._check_ctx(other)
         r, k = self.ctx.rule
         a1, d1, a2, d2 = self.na, self.nd, other.na, other.nd
         return QuadExtScalar(self.ctx, r * a1 * a2 + k * d1 * d2,
                              r * (a1 * d2 + d1 * a2),
                              r * self.den * other.den)
-
-    __rmul__ = __mul__
 
     def scale(self, q):
         """Multiply by an int or a ``Fraction``."""

@@ -33,6 +33,17 @@ def rat(p, q=1):
     return Fraction(p, q)
 
 
+def rational_sqrt(q):
+    """Exact square root of a rational, or None when irrational/negative."""
+    if q < 0:
+        return None
+    n, d = int(q.numerator), int(q.denominator)
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        return None
+    return rat(rn, rd)
+
+
 _SHIFT = 8
 _MASK = (1 << _SHIFT) - 1
 _EXP_LIMIT = _MASK

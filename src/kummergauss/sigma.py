@@ -242,8 +242,6 @@ class SigmaRational:
 
     def _combine(self, other, op):
         """op(self, other) over the larger of each pair of powers."""
-        if not isinstance(other, SigmaRational):
-            other = self.frame.scalar(other)
         a = max(self.sig_pow, other.sig_pow)
         b = max(self.det_pow, other.det_pow)
         x, y = self._raise_to(a, b), other._raise_to(a, b)
@@ -267,6 +265,17 @@ class SigmaRational:
     def scale(self, c):
         return SigmaRational(self.frame, self.num.scale(c), self.sig_pow,
                              self.det_pow)
+
+    def inverse(self):
+        """The reciprocal of a quotient whose numerator is a nonzero
+        constant ``Poly``, over the negated powers; any other numerator
+        raises ``ArithmeticError``."""
+        num = self.num
+        if not (isinstance(num, Poly) and num.terms.keys() == {0}):
+            raise ArithmeticError("only a constant numerator is inverted")
+        return SigmaRational(self.frame,
+                             Poly.const(num.ctx, rat(num.den, num.terms[0])),
+                             -self.sig_pow, -self.det_pow)
 
     def diff(self, i):
         """Coordinate derivative (i = 0 for u, 1 for v) in closed pair form:

@@ -5,15 +5,16 @@ from that chart's metric.
 
 Both charts are exact rational functions with one denominator each, built
 once per check as ``sigma.SigmaRational`` quotients with ``Poly``
-numerators: the curvature pipeline of ``tensor`` runs on them whole, and
-each report reads its values off them at rational points."""
+numerators.  Each chart states only its metric: ``tensor.inverse_metric``
+derives the inverse, the curvature pipeline of ``tensor`` runs on them
+whole, and each report reads its values off them at rational points."""
 
 from fractions import Fraction
 
-from .quadext import rational_sqrt
-from .rings import Context, Poly, rat
+from .rings import Context, Poly, rat, rational_sqrt
 from .sigma import QuotientFrame
-from .tensor import MetricTensor, christoffel, ricci, riemann, scalar_curvature
+from .tensor import (MetricTensor, christoffel, inverse_metric, ricci,
+                     riemann, scalar_curvature)
 
 
 class DegenerateTetradError(ArithmeticError):
@@ -85,26 +86,22 @@ _KAHLER_POINTS = ((0, 0), (Fraction(1, 2), Fraction(1, 3)), (1, 0),
 
 def sphere_chart():
     """The round sphere in the chart z = cos theta, as the exact rational
-    pair (metric, inverse) in (z, phi): dz^2 / p + p dphi^2 with the one
-    denominator p = 1 - z^2."""
+    metric dz^2 / p + p dphi^2 in (z, phi), with the one denominator
+    p = 1 - z^2."""
     one, z = Poly.const(_Z_CTX, 1), Poly.var(_Z_CTX, "z")
     frame = QuotientFrame(one, one - z * z)
-    p, p_inv, zero = (frame.rational(one, sig_pow=-1),
-                      frame.rational(one, sig_pow=1), frame.scalar(0))
-    return MetricTensor(p_inv, zero, p), MetricTensor(p, zero, p_inv)
+    return MetricTensor(frame.rational(one, sig_pow=1), frame.scalar(0),
+                        frame.rational(one, sig_pow=-1))
 
 
 def conformal_chart():
     """The conformal plane chart 4 (du^2 + dv^2) / q^2, q = 1 + u^2 + v^2,
-    as the exact rational pair (metric, inverse) in (u, v); the inverse
-    q^2 / 4 is q at the signed power -2."""
+    as the exact rational metric in (u, v)."""
     one = Poly.const(_UV_CTX, 1)
     u, v = Poly.var(_UV_CTX, "u"), Poly.var(_UV_CTX, "v")
     frame = QuotientFrame(one, one + u * u + v * v)
     conf = frame.rational(one.scale(4), sig_pow=2)
-    inv = frame.rational(one.scale(Fraction(1, 4)), sig_pow=-2)
-    zero = frame.scalar(0)
-    return MetricTensor(conf, zero, conf), MetricTensor(inv, zero, inv)
+    return MetricTensor(conf, frame.scalar(0), conf)
 
 
 def _value(x, point):
@@ -112,12 +109,13 @@ def _value(x, point):
     return x.num.eval(point) / x.frame.sigma.eval(point) ** x.sig_pow
 
 
-def _chart_report(g, ginv, points):
+def _chart_report(g, points):
     """Largest |R_ij - g_ij| and |R - 2| at the points of a chart with
-    metric g and inverse ginv: both vanish exactly on an Einstein chart
-    with scalar curvature 2."""
+    metric g: both vanish exactly on an Einstein chart with scalar
+    curvature 2."""
+    ginv = inverse_metric(g)
     ric = ricci(riemann(christoffel(g, ginv)))
-    scal = scalar_curvature(g, ginv, ric)
+    scal = scalar_curvature(ginv, ric)
     devs = (ric.r11 - g.g11, ric.r12 - g.g12, ric.r22 - g.g22)
     max_dev = max_scal_dev = Fraction(0)
     for pt in points:
@@ -131,15 +129,15 @@ def sphere_einstein_check():
     """Verify R_ij = g_ij and R = 2 exactly at theta = 2 atan t for each
     t of ``_SPHERE_TS``, that is at z = (1 - t^2) / (1 + t^2), one point
     per t: the metric does not depend on phi."""
-    return _chart_report(*sphere_chart(), [{"z": (1 - t * t) / (1 + t * t)}
-                                           for t in _SPHERE_TS])
+    return _chart_report(sphere_chart(), [{"z": (1 - t * t) / (1 + t * t)}
+                                          for t in _SPHERE_TS])
 
 
 def kahler_conformal_check():
     """Check exactly that the conformal chart is Einstein with R = 2 at
     rational sample points and that the metric really is the conformal
     factor times identity."""
-    g, ginv = conformal_chart()
+    g = conformal_chart()
     points = [{"u": Fraction(u), "v": Fraction(v)} for u, v in _KAHLER_POINTS]
     max_conf_dev = Fraction(0)
     for pt in points:
@@ -147,7 +145,7 @@ def kahler_conformal_check():
         max_conf_dev = max(max_conf_dev, abs(_value(g.g11, pt) - conf),
                            abs(_value(g.g22, pt) - conf),
                            abs(_value(g.g12, pt)))
-    return dict(_chart_report(g, ginv, points),
+    return dict(_chart_report(g, points),
                 max_conformal_dev=max_conf_dev)
 
 
@@ -179,7 +177,7 @@ def chern_number(tolerance):
     num = u * q.diff("u")
     top = [q.grading_degree_max()]
     limit = num.coefficient(top) / q.coefficient(top)
-    f = conformal_chart()[0].g11
+    f = conformal_chart().g11
     f_u = f.diff(0)
     radius = 1
     while True:

@@ -2,22 +2,22 @@
 the 4x4 determinant shared by the kernel-matrix checks of both charts.
 
 Ring elements must support +, -, *, unary -, ``.diff(i)`` for coordinate
-index i in {0, 1}, and ``.scale(q)`` by a rational q; ``inverse_metric``
-takes jets and also needs ``.order``, ``.truncated(n)`` and
-``.inverse()``.  The same code drives the ``sigma.SigmaRational``
-quotients of the sigma chart (series numerators) and of the sphere charts
-(``Poly`` numerators), and the inversion chart's exact point jets.
+index i in {0, 1}, ``.scale(q)`` by a rational q, and ``.inverse()`` of
+det g for ``inverse_metric``.  The same code drives the
+``sigma.SigmaRational`` quotients of the sigma chart (series numerators)
+and of the sphere charts (``Poly`` numerators), and the inversion chart's
+exact point jets.
 
 The curvature steps pass plain components: ``christoffel`` returns the
 dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and
 ``ricci`` contracts that block into a ``RicciTensor``.
 
-Over jets each stage forms only the orders the next one reads:
-``inverse_metric`` inverts one order below the metric (``christoffel``
-multiplies the inverse only into first derivatives of g), and
-``riemann`` multiplies Gamma cut to the order of dGamma.  The sigma
-chart's series are multiplied whole: there a Gamma.Gamma product decides
-the known order of the sum, so a lower cap would lower validated orders.
+Over jets ``riemann`` multiplies Gamma cut to the order of dGamma, so it
+forms only the orders its block keeps; the inversion chart likewise
+inverts its metric one order low (see ``inversion.ChartBPoint.metric``).
+The sigma chart's series are multiplied whole: there a Gamma.Gamma
+product decides the known order of the sum, so a lower cap would lower
+validated orders.
 """
 
 from fractions import Fraction
@@ -76,13 +76,10 @@ def det4(m):
 
 
 def inverse_metric(g):
-    """Inverse of a metric of jets, one order below the metric, through the
-    ring's ``inverse()`` of det g; the ring's error propagates when the
-    determinant is not invertible."""
-    n = g.g11.order - 1
-    g = MetricTensor(*(x.truncated(n) for x in (g.g11, g.g12, g.g22)))
-    det = g.g11 * g.g22 - g.g12 * g.g12
-    det_inv = det.inverse()
+    """Inverse of a metric: the adjugate times the ring's ``inverse()`` of
+    det g, whose error propagates when the determinant is not
+    invertible."""
+    det_inv = (g.g11 * g.g22 - g.g12 * g.g12).inverse()
     return MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),
                         g.g11 * det_inv)
 
@@ -140,7 +137,7 @@ def ricci(block):
     return RicciTensor(-block[1, 0], block[0, 0], block[0, 1], -block[1, 1])
 
 
-def scalar_curvature(g, ginv, ric):
+def scalar_curvature(ginv, ric):
     """R = g^{mu nu} R_{mu nu}."""
     acc = None
     for mu in range(2):

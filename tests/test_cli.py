@@ -215,7 +215,7 @@ def test_dz_mismatch_fails_with_the_point_echo(monkeypatch):
     def off_at_first_point(p):
         seen.append(p)
         dz1, dz2 = real(p)
-        return (dz1 + 1 if len(seen) == 1 else dz1), dz2
+        return (dz1 + dz1.ctx.one if len(seen) == 1 else dz1), dz2
     monkeypatch.setattr(cli, "dz_closed_form", off_at_first_point)
     # the memo keeps each point set with its dZ failures
     cli._drawn_points.cache_clear()

@@ -261,13 +261,14 @@ def egregium(p):
     d = x2 - x1: L = Z_11 d, M = Z_12 d - (Z_1 - Z_2), N = Z_22 d, and
     |S_1 x S_2|^2 = EG - F^2, so K = (LN - M^2) / (EG - F^2)^2."""
     Z = p.lift[2]
+    one = Z.ring.one
     z1, z2 = Z.get(1, 0), Z.get(0, 1)
     z11, z12, z22 = Z.get(2, 0).scale(2), Z.get(1, 1), Z.get(0, 2).scale(2)
     x1, x2 = p.x1, p.x2
     d = x2 - x1
-    E = z1 * z1 + (1 + x2 * x2)
-    F = z1 * z2 + (1 + x1 * x2)
-    G = z2 * z2 + (1 + x1 * x1)
+    E = z1 * z1 + one.scale(1 + x2 * x2)
+    F = z1 * z2 + one.scale(1 + x1 * x2)
+    G = z2 * z2 + one.scale(1 + x1 * x1)
     L, M, N = z11.scale(d), z12.scale(d) - (z1 - z2), z22.scale(d)
     area = E * G - F * F
     return (L * N - M * M) * (area * area).inv(), (E, F, G)

@@ -9,8 +9,8 @@ import pytest
 
 from kummergauss.jets import Jet
 from kummergauss.quadext import (NonInvertibleError, QuadExtContext,
-                                 rational_sqrt)
-from kummergauss.rings import rat
+                                 QuadExtScalar)
+from kummergauss.rings import rat, rational_sqrt
 
 
 def random_elem(rng, ctx, span=9):
@@ -177,9 +177,11 @@ def test_kernel_matches_fraction_reference(c1, c2):
             assert parts(total) == _add_reference(u, v)
             assert parts(x - y) == _add_reference(u, tuple(-q for q in v))
             q = rat(rng.randint(-50, 50), rng.randint(1, 5040))
-            # rational operands, Fraction and int, on either side
+            # rational factors, Fraction and int, scaled in or as elements
+            # on either side
             for r in (q, q.numerator):
-                for z in (x.scale(r), x * r, r * x):
+                e = ctx.rational(r)
+                for z in (x.scale(r), x * e, e * x):
                     assert parts(z) == tuple(p * r for p in u)
                     assert_canonical(z)
             for z in (x, y, prod, total, x.scale(q), -x):
@@ -199,16 +201,22 @@ def test_kernel_matches_fraction_reference(c1, c2):
 
 
 def test_rational_addition_matches_element_addition():
+    """A rational enters the ring through ``ctx.rational`` and adds into
+    the first part; a bare int or ``Fraction`` is a foreign operand."""
     rng = random.Random(20261019)
     ctx = QuadExtContext(rat(-3, 7), rat(11, 5040))
     for _ in range(60):
         x = ctx.element(*random_parts(rng))
         q = rat(rng.randint(-50, 50), rng.randint(1, 5040))
         for r in (q, q.numerator):
-            for z in (x + r, r + x):
-                assert z == x + ctx.rational(r)
+            e = ctx.rational(r)
+            for z in (x + e, e + x):
+                assert z == ctx.element(x.a + r, x.d)
                 assert_canonical(z)
-            assert x - r == x + ctx.rational(-r)
+            assert x - e == x + ctx.rational(-r)
+            for op in (lambda: x + r, lambda: r + x, lambda: x * r):
+                with pytest.raises(TypeError):
+                    op()
 
 
 def test_difference_is_sum_with_negation():
@@ -219,9 +227,9 @@ def test_difference_is_sum_with_negation():
     for _ in range(100):
         x = ctx.element(*random_parts(rng))
         y = ctx.element(*random_parts(rng))
-        # adding an integer and negating keep the denominator, so these
-        # take the shared-denominator path
-        same_den = -(x + rng.randint(-9, 9))
+        # adding an integer element and negating keep the denominator, so
+        # these take the shared-denominator path
+        same_den = -(x + ctx.rational(rng.randint(-9, 9)))
         assert same_den.den == x.den
         for z in (y, same_den, x):
             for value, want in ((x - z, x + (-z)), (z - x, z + (-x)),
@@ -315,6 +323,10 @@ class _RefJet:
     def _new(self, order, coeffs):
         return _RefJet(self.ctx, order, coeffs)
 
+    def _elem(self, e):
+        """An int or a ``Fraction`` as an element; an element as is."""
+        return e if isinstance(e, QuadExtScalar) else self.ctx.rational(e)
+
     def __add__(self, other):
         return self._combine(other, 1)
 
@@ -340,12 +352,13 @@ class _RefJet:
         return self._new(n, _schoolbook(self.coeffs, other.coeffs, n))
 
     def scale(self, e):
+        e = self._elem(e)
         return self._new(self.order,
                          {k: x * e for k, x in self.coeffs.items()})
 
     def add_scalar(self, e):
         out = dict(self.coeffs)
-        out[0, 0] = out.get((0, 0), self.ctx.zero) + e
+        out[0, 0] = out.get((0, 0), self.ctx.zero) + self._elem(e)
         return self._new(self.order, out)
 
     def truncated(self, n):
@@ -355,9 +368,9 @@ class _RefJet:
         out = {}
         for (i, j), x in self.coeffs.items():
             if which == 0 and i:
-                out[i - 1, j] = x * i
+                out[i - 1, j] = x * self._elem(i)
             elif which == 1 and j:
-                out[i, j - 1] = x * j
+                out[i, j - 1] = x * self._elem(j)
         return self._new(self.order - 1, out)
 
     def inverse(self):
@@ -499,7 +512,7 @@ def test_rational_elements_equal_their_rationals():
     assert hash(half) == hash(rat(1, 2))
     assert ctx.rational(3) == 3 and hash(ctx.rational(3)) == hash(3)
     assert half != rat(1, 3) and half != 0
-    assert ctx.w != rat(1, 2) and (ctx.w + rat(1, 2)) != rat(1, 2)
+    assert ctx.w != rat(1, 2) and (ctx.w + half) != rat(1, 2)
     assert {half: "x"}[rat(1, 2)] == "x"
 
 
@@ -637,11 +650,11 @@ def test_jet_plus_scalar_is_add_scalar(ring, e):
     jet = x * x + Jet.coordinate(ring, 3, ring.zero, 1)
     # the second jet has no constant term until the scalar gives it one
     for j in (jet, Jet.from_coeffs(ring, 2, {(1, 0): ring.one})):
-        for q in (rat(-2, 9), e):
+        for q, elem in ((rat(-2, 9), ring.rational(rat(-2, 9))), (e, e)):
             total = j + q
             assert total.order == j.order
             assert total.coeffs == j.add_scalar(q).coeffs
-            assert total.base == j.base + q
+            assert total.base == j.base + elem
             assert {k: v for k, v in total.coeffs.items() if k != (0, 0)} \
                 == {k: v for k, v in j.coeffs.items() if k != (0, 0)}
 

@@ -8,8 +8,8 @@ import pytest
 
 from kummergauss import reference, rings, sigma
 from kummergauss.rings import Context, Poly, rat
-from kummergauss.sigma import (LAMBDA_NAMES, SigmaRational, SigmaSeries,
-                               build_sigma, gauss_metric, kernel_residual,
+from kummergauss.sigma import (LAMBDA_NAMES, QuotientFrame, SigmaRational,
+                               SigmaSeries, build_sigma, gauss_metric, kernel_residual,
                                kummer_det, kummer_matrix, metric_det_inverse,
                                pde_residuals, ricci_hat, wp2, wp3)
 from kummergauss.tensor import det4
@@ -273,8 +273,27 @@ def test_metric_inverse_is_inverse():
     g = m.tensor
     one = g.g11 * ginv.g11 + g.g12 * ginv.g12
     off = g.g11 * ginv.g12 + g.g12 * ginv.g22
-    assert (one - 1).is_zero_through()
+    assert (one - s.scalar(1)).is_zero_through()
     assert off.is_zero_through()
+
+
+def test_quotient_inverse_takes_constant_numerators_only():
+    """A constant ``Poly`` numerator inverts to its reciprocal over the
+    negated powers; a series numerator (even the constant 1), a
+    non-constant ``Poly`` and zero raise ``ArithmeticError``."""
+    one, u = Poly.const(UV, 1), Poly.var(UV, "u")
+    frame = QuotientFrame(one, one + u * u)
+    x = frame.rational(one.scale(rat(-3, 4)), sig_pow=2, det_pow=-1)
+    inv = x.inverse()
+    assert inv.num == Poly.const(UV, rat(-4, 3))
+    assert (inv.sig_pow, inv.det_pow) == (-2, 1)
+    prod = x * inv
+    assert (prod.num, prod.sig_pow, prod.det_pow) == (one, 0, 0)
+    s = build_sigma(3)
+    for bad in (s.scalar(1), s.rational(s.sigma, sig_pow=1),
+                frame.rational(u, sig_pow=1), frame.scalar(0)):
+        with pytest.raises(ArithmeticError):
+            bad.inverse()
 
 
 def test_metric_det_inverse_writes_nothing():

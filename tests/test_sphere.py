@@ -19,8 +19,8 @@ from kummergauss.sphere import (DegenerateTetradError, chern_number,
                                 kahler_conformal_check, sphere_chart,
                                 sphere_einstein_check)
 from kummergauss.sphere import _SPHERE_TS, _value
-from kummergauss.tensor import (MetricTensor, christoffel, ricci, riemann,
-                                scalar_curvature)
+from kummergauss.tensor import (MetricTensor, christoffel, inverse_metric,
+                                ricci, riemann, scalar_curvature)
 
 
 # -- tetrad constants -------------------------------------------------
@@ -100,32 +100,60 @@ def test_kahler_einstein_and_conformal_within_tolerance():
 def test_charts_are_einstein_as_rational_functions(chart):
     """R_ij - g_ij and R - 2 have the zero polynomial as numerator on the
     whole chart, not only at the sample points."""
-    g, ginv = chart()
+    g = chart()
+    ginv = inverse_metric(g)
     ric = ricci(riemann(christoffel(g, ginv)))
-    scal = scalar_curvature(g, ginv, ric)
+    scal = scalar_curvature(ginv, ric)
     for dev in (ric.r11 - g.g11, ric.r12 - g.g12, ric.r22 - g.g22,
-                scal - 2):
+                scal - g.g11.frame.scalar(2)):
         assert dev.num == Poly.zero(dev.num.ctx)
+
+
+@pytest.mark.parametrize("chart,diagonal", [
+    (sphere_chart, ((1, -1), (1, 1))),
+    (conformal_chart, ((Fraction(1, 4), -2), (Fraction(1, 4), -2)))],
+    ids=["sphere", "conformal"])
+def test_derived_inverse_is_the_closed_form(chart, diagonal):
+    """The inverse ``inverse_metric`` derives is the closed form each
+    chart once stated beside its metric, entry by entry: p and 1/p on the
+    sphere, p = 1 - z^2, and q^2 / 4 twice on the conformal chart, each a
+    constant over a power of the chart's denominator, and zero off the
+    diagonal."""
+    ginv = inverse_metric(chart())
+    for x, (c, power) in zip((ginv.g11, ginv.g22), diagonal):
+        assert x.num == Poly.const(x.num.ctx, c)
+        assert (x.sig_pow, x.det_pow) == (power, 0)
+    assert ginv.g12.num == Poly.zero(ginv.g12.num.ctx)
+
+
+def test_conformal_ricci_is_one_term_over_q_squared():
+    """R_11 and R_22 of the conformal chart clear to g11 = 4 / q^2 itself:
+    the derived inverse's zero off-diagonal sits at q^-4, below every
+    term it is summed with, so no Christoffel sum is raised to a higher
+    power of q."""
+    g = conformal_chart()
+    ric = ricci(riemann(christoffel(g, inverse_metric(g))))
+    for r in (ric.r11, ric.r22):
+        assert (len(r.num.terms), r.sig_pow) == (1, 2)
+        assert r.num == g.g11.num
 
 
 def _rescaled(chart, entry, sig_pow, factor):
     """A mutant of a diagonal chart: metric entry ``entry`` (0 or 1) times
-    factor * (denominator)^-sig_pow, and the inverse entry to match."""
+    factor * (denominator)^-sig_pow.  The checks derive the inverse from
+    the mutated metric."""
     def mutant():
-        g, ginv = chart()
+        g = chart()
         frame = g.g11.frame
-        one = frame.sigma_pow(0)
-        diag, inv = [g.g11, g.g22], [ginv.g11, ginv.g22]
-        diag[entry] *= frame.rational(one.scale(factor), sig_pow=sig_pow)
-        inv[entry] *= frame.rational(one.scale(1 / Fraction(factor)),
-                                     sig_pow=-sig_pow)
-        return (MetricTensor(diag[0], g.g12, diag[1]),
-                MetricTensor(inv[0], ginv.g12, inv[1]))
+        diag = [g.g11, g.g22]
+        diag[entry] *= frame.rational(frame.sigma_pow(0).scale(factor),
+                                      sig_pow=sig_pow)
+        return MetricTensor(diag[0], g.g12, diag[1])
     return mutant
 
 
 def test_kahler_verify_fails_on_a_wrong_conformal_factor(monkeypatch):
-    # g11 = 3/q^2 in place of 4/q^2, with its inverse q^2/3
+    # g11 = 3/q^2 in place of 4/q^2
     monkeypatch.setattr(sphere, "conformal_chart", _rescaled(
         conformal_chart, 0, 0, Fraction(3, 4)))
     rep = kahler_conformal_check()
@@ -159,14 +187,16 @@ def test_constant_factor_on_g_phiphi_is_no_mutant(monkeypatch):
 
 def test_sphere_module_does_not_import_jets():
     """The double-sphere charts are rational functions; the jets of the
-    inversion chart stay out of a fresh interpreter that imports them."""
+    inversion chart and their ring Q(w) stay out of a fresh interpreter
+    that imports them."""
     src = os.path.dirname(os.path.dirname(kummergauss.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, kummergauss.sphere; "
-            "print('kummergauss.jets' in sys.modules)")
+            "print(['kummergauss.jets' in sys.modules, "
+            "'kummergauss.quadext' in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[False, False]"
 
 
 # -- Chern number -----------------------------------------------------
@@ -174,7 +204,7 @@ def test_sphere_module_does_not_import_jets():
 def c1_from_chart(radius):
     """-R f_u / (2f) at (R, 0) for the conformal factor f = g11 of the
     chart."""
-    f = conformal_chart()[0].g11
+    f = conformal_chart().g11
     pt = {"u": Fraction(radius), "v": Fraction(0)}
     return -radius * _value(f.diff(0), pt) / (2 * _value(f, pt))
 
@@ -210,7 +240,7 @@ def test_chern_meets_tightest_tolerance():
 def test_chern_density_is_the_axis_closed_form():
     """-u f_u / (2f) = u q_u / q as rational functions on the whole chart,
     cross-multiplied: -u f_u q - 2 f u q_u has the zero numerator."""
-    f = conformal_chart()[0].g11
+    f = conformal_chart().g11
     frame = f.frame
     u = frame.rational(Poly.var(frame.sigma.ctx, "u"))
     q, q_u = frame.rational(frame.sigma), frame.rational(frame.sd(1))
@@ -224,9 +254,9 @@ def test_chern_fails_on_a_metric_off_the_chart(monkeypatch):
     chart = sphere.conformal_chart
 
     def squared():
-        g, ginv = chart()
+        g = chart()
         f = g.g11
-        return MetricTensor(f * f, g.g12, f * f), ginv
+        return MetricTensor(f * f, g.g12, f * f)
 
     monkeypatch.setattr(sphere, "conformal_chart", squared)
     assert chern_number(tolerance=1e-6) == (1, 2, None)

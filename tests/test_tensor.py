@@ -12,8 +12,7 @@ from kummergauss.inversion import random_admissible_points, ricci_point
 from kummergauss.jets import Jet
 from kummergauss.quadext import QuadExtContext
 from kummergauss.rings import Poly, rat
-from kummergauss.sphere import (_KAHLER_POINTS, _value, conformal_chart,
-                                sphere_chart)
+from kummergauss.sphere import _value, conformal_chart, sphere_chart
 from kummergauss.tensor import (MetricTensor, christoffel, det4,
                                 inverse_metric, ricci, riemann,
                                 scalar_curvature)
@@ -23,15 +22,6 @@ EXACT = QuadExtContext(1, 1)
 ORDER = 3
 # theta = 2 atan(1/2): z = cos theta = 3/5 on the sphere chart
 Z = {"z": Fraction(3, 5)}
-
-
-def conformal_jets(u, v, order=2):
-    """The conformal chart 4 (du^2 + dv^2) / (1 + u^2 + v^2)^2 as jets."""
-    ju = Jet.coordinate(EXACT, order, Fraction(u), 0)
-    jv = Jet.coordinate(EXACT, order, Fraction(v), 1)
-    f = (ju * ju + jv * jv).add_scalar(1).inverse()
-    conf = (f * f).scale(4)
-    return MetricTensor(conf, Jet.from_coeffs(EXACT, order, {}), conf)
 
 
 def is_zero(x):
@@ -70,8 +60,8 @@ def test_sphere_christoffels_closed_form():
     """On dz^2 / p + p dphi^2, p = 1 - z^2: Gamma^z_zz = z / p,
     Gamma^z_phiphi = z p and Gamma^phi_zphi = -z / p, the rest zero, as
     rational functions."""
-    g, ginv = sphere_chart()
-    gam = christoffel(g, ginv)
+    g = sphere_chart()
+    gam = christoffel(g, inverse_metric(g))
     frame = g.g11.frame
     z = Poly.var(frame.sigma.ctx, "z")
     assert is_zero(gam[0, 0, 0] - frame.rational(z, sig_pow=1))
@@ -110,7 +100,8 @@ def test_sphere_christoffels_against_finite_differences():
                     acc += ginv[lam][sig] * (dg[mu][sig][nu] + dg[nu][mu][sig]
                                              - dg[sig][mu][nu])
                 expected[(lam, mu, nu)] = acc / 2.0
-    gam = christoffel(*sphere_chart())
+    g = sphere_chart()
+    gam = christoffel(g, inverse_metric(g))
     for key, want in expected.items():
         assert abs(float(_value(gam[key], Z)) - want) < 1e-6, key
 
@@ -118,11 +109,12 @@ def test_sphere_christoffels_against_finite_differences():
 def test_sphere_is_einstein_with_scalar_two():
     # theta = 2 atan(3/7): z = (1 - 9/49) / (1 + 9/49)
     pt = {"z": Fraction(20, 29)}
-    g, ginv = sphere_chart()
+    g = sphere_chart()
+    ginv = inverse_metric(g)
     ric = ricci(riemann(christoffel(g, ginv)))
     assert _value(ric.r11, pt) == _value(g.g11, pt)
     assert _value(ric.r22, pt) == _value(g.g22, pt)
-    assert _value(scalar_curvature(g, ginv, ric), pt) == 2
+    assert _value(scalar_curvature(ginv, ric), pt) == 2
 
 
 # -- conformal plane chart --------------------------------------------
@@ -130,8 +122,8 @@ def test_sphere_is_einstein_with_scalar_two():
 def test_conformal_chart_christoffel_closed_form():
     """With q = 1 + u^2 + v^2: Gamma^u_uu = -2u/q, Gamma^u_uv = -2v/q,
     Gamma^u_vv = 2u/q and Gamma^v_uu = 2v/q, as rational functions."""
-    g, ginv = conformal_chart()
-    gam = christoffel(g, ginv)
+    g = conformal_chart()
+    gam = christoffel(g, inverse_metric(g))
     frame = g.g11.frame
     u, v = (frame.rational(Poly.var(frame.sigma.ctx, x).scale(2),
                            sig_pow=1) for x in "uv")
@@ -202,14 +194,16 @@ def test_ricci_contractions_are_symmetric():
     ric = ricci(riemann(christoffel(g, inverse_metric(g))))
     assert ric.r12.base == ric.r21.base
     for chart in (sphere_chart, conformal_chart):
-        ric = ricci(riemann(christoffel(*chart())))
+        g = chart()
+        ric = ricci(riemann(christoffel(g, inverse_metric(g))))
         assert is_zero(ric.r12 - ric.r21)
 
 
-def _einstein_tensor(g, ginv):
+def _einstein_tensor(g):
     """The four components of R_{mu nu} - (R/2) g_{mu nu}."""
+    ginv = inverse_metric(g)
     ric = ricci(riemann(christoffel(g, ginv)))
-    half_r = scalar_curvature(g, ginv, ric).scale(Fraction(1, 2))
+    half_r = scalar_curvature(ginv, ric).scale(Fraction(1, 2))
     return [ric.comp(i, j) - half_r * g.comp(i, j)
             for i in range(2) for j in range(2)]
 
@@ -219,20 +213,12 @@ def test_two_dimensional_einstein_identity():
     of a skew jet metric, and as rational functions on both sphere
     charts."""
     g = skew_metric(Fraction(-3, 2), 2)
-    assert all(c.base == 0 for c in _einstein_tensor(g, inverse_metric(g)))
+    assert all(c.base == 0 for c in _einstein_tensor(g))
     for chart in (sphere_chart, conformal_chart):
-        assert all(is_zero(c) for c in _einstein_tensor(*chart()))
+        assert all(is_zero(c) for c in _einstein_tensor(chart()))
 
 
 # -- truncated jet stages ---------------------------------------------
-
-def whole_inverse(g):
-    """The inverse metric through the metric's own order, as
-    ``inverse_metric`` formed it before it truncated."""
-    det_inv = (g.g11 * g.g22 - g.g12 * g.g12).inverse()
-    return MetricTensor(g.g22 * det_inv, -(g.g12 * det_inv),
-                        g.g11 * det_inv)
-
 
 def whole_riemann(gam):
     """The R^a_{b01} block with every Gamma.Gamma product formed through
@@ -262,28 +248,30 @@ def test_truncated_chart_b_pipeline_changes_no_value(lambdas):
     inverse and whole products, exactly."""
     for p in random_admissible_points(1, 5, lambdas=lambdas):
         g, _ = p.metric
-        whole = christoffel(g, whole_inverse(g))
+        whole = christoffel(g, inverse_metric(g))
         want = ricci_bases(whole_riemann(whole))
         assert ricci_bases(riemann(whole)) == want
         rep = ricci_point(p)
         assert [rep[k] for k in ("R11", "R12", "R22", "R21")] == want
 
 
-def test_sphere_inverse_is_one_order_below_the_metric():
-    """The order-2 conformal sphere chart, as jets, is inverted through
-    order 1, and its Ricci and scalar curvature equal those from the
-    whole order-2 inverse."""
-    for u, v in _KAHLER_POINTS:
-        g = conformal_jets(u, v)
-        ginv, whole = inverse_metric(g), whole_inverse(g)
-        assert [x.order for x in (ginv.g11, ginv.g12, ginv.g22)] == [1] * 3
-        assert [x.order for x in (whole.g11, whole.g12, whole.g22)] \
-            == [2] * 3
-        block = riemann(christoffel(g, ginv))
-        block_whole = riemann(christoffel(g, whole))
-        assert ricci_bases(block) == ricci_bases(block_whole)
-        assert scalar_curvature(g, ginv, ricci(block)).base \
-            == scalar_curvature(g, whole, ricci(block_whole)).base
+def test_chart_b_inverse_is_one_order_below_the_metric():
+    """A chart-B point's metric (order 2) comes with its inverse through
+    order 1 alone: the whole inverse cut to that order, with the Ricci
+    and scalar curvature of the whole order-2 inverse."""
+    for lambdas in ((0, 0, 0, 0, 0), (1, -3, 2, 5, -1)):
+        for p in random_admissible_points(3, 3, lambdas=lambdas):
+            g, ginv = p.metric
+            whole = inverse_metric(g)
+            entries = list(zip((ginv.g11, ginv.g12, ginv.g22),
+                               (whole.g11, whole.g12, whole.g22)))
+            assert [(x.order, y.order) for x, y in entries] == [(1, 2)] * 3
+            assert all(x.coeffs == y.truncated(1).coeffs for x, y in entries)
+            block = riemann(christoffel(g, ginv))
+            block_whole = riemann(christoffel(g, whole))
+            assert ricci_bases(block) == ricci_bases(block_whole)
+            assert scalar_curvature(ginv, ricci(block)).base \
+                == scalar_curvature(whole, ricci(block_whole)).base
 
 
 def test_ricci_stages_form_only_the_orders_read(monkeypatch):
