@@ -49,12 +49,14 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError("unknown command %r" % self.command)
+        # a bool is an int, and 7.0 == 7: neither may stand for an int
+        for name in ("sigma_level", "max_order", "seed", "points"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError("%s must be an integer" % name)
         if self.sigma_level not in (3, 5, 7):
             raise ConfigError("sigma level must be 3, 5 or 7")
-        if self.max_order > MAX_ORDER_LIMIT:
-            raise ConfigError("max order is capped at %d" % MAX_ORDER_LIMIT)
-        if self.max_order < 0:
-            raise ConfigError("max order must be at least 0")
+        if not 0 <= self.max_order <= MAX_ORDER_LIMIT:
+            raise ConfigError("max order must be 0 to %d" % MAX_ORDER_LIMIT)
         levels = self.levels()
         if self.reads_zero_chart() and self.max_order < max(levels) + 2:
             raise ConfigError("max order must be at least %d, the highest "
@@ -65,14 +67,16 @@ class RunConfig:
             if len(self.lambdas) != 5:
                 raise ConfigError("lambda wants exactly five rationals")
             # a float would compare equal to a memoised rational frame
-            if not all(isinstance(x, (int, Fraction)) for x in self.lambdas):
+            if not all(type(x) in (int, Fraction) for x in self.lambdas):
                 raise ConfigError("lambda entries must be integers or "
                                   "fractions")
         if not 0 <= self.seed < 1 << 64:
             raise ConfigError("seed must fit in 64 bits")
-        if not math.isfinite(self.tolerance) \
+        # the report echoes the tolerance as a JSON number
+        if type(self.tolerance) not in (int, float) \
+                or not math.isfinite(self.tolerance) \
                 or self.tolerance < MIN_TOLERANCE:
-            raise ConfigError("tolerance must be finite and at least 1e-10")
+            raise ConfigError("tolerance must be a finite number >= 1e-10")
 
     def lambda_echo(self):
         if self.lambdas is None:

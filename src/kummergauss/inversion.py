@@ -14,8 +14,8 @@ values read (the metric through order 2, differentiated twice); dZ and
 the quartic read the same lift's first and zeroth orders.  A point keeps
 the exact lift and metric it computes first (``lift``, ``metric``), so
 the admissible-point filter and every later check share them.
-``metric`` cuts the metric one order lower before the generic
-``tensor.inverse_metric`` inverts it."""
+``metric`` is ``tensor.induced_metric`` of the lift's (X, Y, Z), cut one
+order lower before the generic ``tensor.inverse_metric`` inverts it."""
 
 import random
 from dataclasses import dataclass
@@ -25,8 +25,8 @@ from .jets import Jet, graded_index
 from .quadext import NonInvertibleError, QuadExtContext
 from .rings import Context, Poly, rat
 from .sigma import LAMBDA_NAMES, kummer_matrix
-from .tensor import (MetricTensor, christoffel, det4, inverse_metric, ricci,
-                     riemann)
+from .tensor import (MetricTensor, christoffel, det4, induced_metric,
+                     inverse_metric, ricci, riemann)
 
 JET_ORDER = 3
 # the ring of the quartic identity and the closed-form dZ
@@ -102,22 +102,17 @@ class ChartBPoint:
 
     @cached_property
     def metric(self):
-        """Jets (g, ginv) of the chart metric g11 = 1 + x2^2 + (dZ/dx1)^2
-        etc. about the base point, one order below the lift, and of its
-        inverse, one order lower still: ``christoffel`` multiplies the
-        inverse only into first derivatives of g.  Raises
-        NonInvertibleError where det g is not invertible."""
-        _, _, Z, lifted = self.lift
-        jx1, jx2 = lifted["x1"], lifted["x2"]
-        dz1 = Z.diff(0)
-        dz2 = Z.diff(1)
-        # dS/dx1 = (1, -x2, dZ/dx1); dS/dx2 = (1, -x1, dZ/dx2)
-        g11 = (jx2 * jx2 + dz1 * dz1).add_scalar(1)
-        g12 = (jx1 * jx2 + dz1 * dz2).add_scalar(1)
-        g22 = (jx1 * jx1 + dz2 * dz2).add_scalar(1)
+        """Jets (g, ginv) of the metric the lift's (X, Y, Z) induces about
+        the base point, one order below the lift, and of its inverse, one
+        order lower still: ``christoffel`` multiplies the inverse only
+        into first derivatives of g.  Raises NonInvertibleError where
+        det g is not invertible."""
+        X, Y, Z, _ = self.lift
+        g = induced_metric(*([X.diff(i), Y.diff(i), Z.diff(i)]
+                             for i in (0, 1)))
         cut = MetricTensor(*(x.truncated(JET_ORDER - 2)
-                             for x in (g11, g12, g22)))
-        return MetricTensor(g11, g12, g22), inverse_metric(cut)
+                             for x in (g.g11, g.g12, g.g22)))
+        return g, inverse_metric(cut)
 
 
 def _sqrt_jet(s, slot):
@@ -259,10 +254,9 @@ def random_admissible_points(seed, count, lambdas=(0, 0, 0, 0, 0)):
     out = []
     while len(out) < count:
         p = ChartBPoint(draw(), draw(), tuple(lambdas))
-        # admissible, with an invertible metric on the principal sheet; the
-        # point keeps its lift and metric for the checks that follow
+        # the lift checks admissibility, and the metric must be invertible
+        # on the principal sheet; the point keeps both for later checks
         try:
-            p.check_admissible()
             p.metric
         except (AdmissibilityError, NonInvertibleError):
             continue

@@ -10,13 +10,13 @@ numerators are series here; the sphere charts (``sphere``) build frames
 over one polynomial denominator with exact ``Poly`` numerators.
 
 A ``SigmaSeries`` frame owns every stage over its sigma: the moduli, X/Y/Z
-(wp2), the four wp3, the kernel matrix, the Gauss metric, Dhat with its
-powers and derivatives, and the cleared Ricci components.  Each is a
-read-only attribute, computed on first use by the module function defining
-the stage; nothing outside the frame writes it.  The frame also forms each
-product of two sigma derivatives once (``sd_product``).  Only products
-are shared: a product's known order does not depend on how its factors
-are grouped, while a sum's does.
+(wp2), the four wp3, the kernel matrix, the Gauss metric (induced by X/Y/Z
+through their wp3 tangents), Dhat with its powers and derivatives, and the
+cleared Ricci components.  Each is a read-only attribute, computed on first
+use by the module function defining the stage; nothing outside the frame
+writes it.  The frame also forms each product of two sigma derivatives
+once (``sd_product``).  Only products are shared: a product's known order
+does not depend on how its factors are grouped, while a sum's does.
 
 A frame is exact through its ``order`` only as far as its sigma is: a
 sigma truncated at level L matches the true one through degree L + 1,
@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .rings import (Context, Poly, TruncatedSeries, exact_divide, rat)
-from .tensor import MetricTensor, christoffel, det4, riemann, ricci
+from .tensor import (MetricTensor, christoffel, det4, induced_metric,
+                     riemann, ricci)
 
 LAMBDA_NAMES = ("l0", "l1", "l2", "l3", "l4")
 DEFAULT_ORDER = 16
@@ -404,28 +405,21 @@ def kernel_residual(s):
 
 
 class GaussMetric:
-    """Surface metric of the (X, Y, Z) chart with sigma^6 denominators."""
+    """The (X, Y, Z) chart's metric over sigma^6, numerators ghat_ij."""
 
-    def __init__(self, frame, ghat11, ghat12, ghat22):
+    def __init__(self, frame, tensor):
         self.frame = frame
-        self.ghat11 = ghat11
-        self.ghat12 = ghat12
-        self.ghat22 = ghat22
-        self.tensor = MetricTensor(frame.rational(ghat11, sig_pow=6),
-                                   frame.rational(ghat12, sig_pow=6),
-                                   frame.rational(ghat22, sig_pow=6))
+        self.tensor = tensor
+        self.ghat11, self.ghat12, self.ghat22 = (
+            g.num for g in (tensor.g11, tensor.g12, tensor.g22))
 
 
 def gauss_metric(s):
-    """First fundamental form of S = (X, Y, Z): g11 = wp221^2 + wp211^2 +
-    wp111^2 and companions, assembled from the sigma^3 numerators."""
-    n222, n221, n211, n111 = (w.num for w in s.wp3s)
-    # the squares ghat11 and ghat22 share are formed once
-    sq221, sq211 = n221 * n221, n211 * n211
-    ghat11 = sq221 + sq211 + n111 * n111
-    ghat12 = n222 * n221 + n221 * n211 + n211 * n111
-    ghat22 = n222 * n222 + sq221 + sq211
-    return GaussMetric(s, ghat11, ghat12, ghat22)
+    """The metric (X, Y, Z) = (wp22, wp21, wp11) induces, from its tangents
+    S_u = (wp221, wp211, wp111) and S_v = (wp222, wp221, wp211)."""
+    w222, w221, w211, w111 = s.wp3s
+    return GaussMetric(s, induced_metric((w221, w211, w111),
+                                         (w222, w221, w211)))
 
 
 class SingularMetricError(ArithmeticError):

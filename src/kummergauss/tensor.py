@@ -6,7 +6,8 @@ index i in {0, 1}, ``.scale(q)`` by a rational q, and ``.inverse()`` of
 det g for ``inverse_metric``.  The same code drives the
 ``sigma.SigmaRational`` quotients of the sigma chart (series numerators)
 and of the sphere charts (``Poly`` numerators), and the inversion chart's
-exact point jets.
+exact point jets.  Both Kummer charts state only their embedding (X, Y, Z):
+``induced_metric`` forms each one's Gauss metric from its tangents.
 
 The curvature steps pass plain components: ``christoffel`` returns the
 dict of Gamma^lam_{mu nu}, ``riemann`` the dict of R^a_{b01}, and
@@ -73,6 +74,12 @@ def det4(m):
         signed = d3 * entry if col % 2 == 1 else -(d3 * entry)
         total = signed if total is None else total + signed
     return total
+
+
+def induced_metric(su, sv):
+    """First fundamental form g_ij = S_i . S_j from the tangents S_u, S_v."""
+    return MetricTensor(*(a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+                          for a, b in ((su, su), (su, sv), (sv, sv))))
 
 
 def inverse_metric(g):

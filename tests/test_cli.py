@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -114,8 +115,18 @@ def test_points_floor():
         quick_cfg("dz-check", points=0).validate()
 
 
-@pytest.mark.parametrize("kw", [dict(command="nope"), dict(seed=1 << 64)],
-                         ids=["unknown-command", "seed-past-64-bits"])
+@pytest.mark.parametrize("kw", [
+    dict(command="nope"), dict(seed=1 << 64),
+    # integer fields take an int that is not a bool
+    dict(command="metric-report", lambdas=(0,) * 5, max_order=16.0),
+    dict(sigma_level=7.0), dict(points=2.5), dict(seed=1.5),
+    dict(points=True),
+    dict(lambdas=(True, 0, 0, 0, 0)),
+    # the report echoes the tolerance as a JSON number
+    dict(tolerance=True), dict(tolerance=Fraction(1, 10 ** 6)),
+], ids=["unknown-command", "seed-past-64-bits", "float-max-order",
+        "float-sigma-level", "float-points", "float-seed", "bool-points",
+        "bool-lambda", "bool-tolerance", "fraction-tolerance"])
 def test_config_rejected(kw):
     with pytest.raises(ConfigError):
         RunConfig(**{"command": "chern", **kw}).validate()

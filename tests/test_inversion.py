@@ -192,6 +192,25 @@ def _swap_eq(a, b):
             and a.a == b.a and a.d == b.d)
 
 
+@LIFT_LAMBDAS
+def test_metric_is_the_closed_form_at_the_base(lambdas):
+    """The metric the lift's (X, Y, Z) induces has, at the base point, the
+    Gram entries of S_1 = (1, -x2, Z_1) and S_2 = (1, -x1, Z_2), with
+    Z_i from the jet-free ``dz_closed_form``, on both sheets."""
+    points = [replace(W, lambdas=lambdas)] \
+        + random_admissible_points(11, 4, lambdas=lambdas)
+    for p in points + [replace(q, sign2=-1) for q in points]:
+        g, _ = p.metric
+        ctx = p.roots[0]
+        dz1, dz2 = dz_closed_form(p)
+        x1, x2 = p.x1, p.x2
+        want = (dz1 * dz1 + ctx.rational(1 + x2 * x2),
+                dz1 * dz2 + ctx.rational(1 + x1 * x2),
+                dz2 * dz2 + ctx.rational(1 + x1 * x1))
+        for entry, value in zip((g.g11, g.g12, g.g22), want):
+            assert (entry.base - value).is_zero(), p
+
+
 def test_metric_swap_covariance():
     """Swapping (x1, x2) swaps the metric diagonal and keeps g12."""
     for p in random_admissible_points(31, 5):

@@ -9,10 +9,11 @@ import pytest
 from kummergauss import reference, rings, sigma
 from kummergauss.rings import Context, Poly, rat
 from kummergauss.sigma import (LAMBDA_NAMES, QuotientFrame, SigmaRational,
-                               SigmaSeries, build_sigma, gauss_metric, kernel_residual,
-                               kummer_det, kummer_matrix, metric_det_inverse,
-                               pde_residuals, ricci_hat, wp2, wp3)
-from kummergauss.tensor import det4
+                               SigmaSeries, build_sigma, gauss_metric,
+                               kernel_residual, kummer_det, kummer_matrix,
+                               metric_det_inverse, pde_residuals, ricci_hat,
+                               wp2, wp3)
+from kummergauss.tensor import MetricTensor, det4
 
 UV = Context(("u", "v"))
 LAMBDA_ZERO = dict.fromkeys(LAMBDA_NAMES, 0)
@@ -112,10 +113,13 @@ def test_sigma_has_weight_three():
 
 @pytest.mark.parametrize("level,order", [(3, 16), (7, 12)])
 def test_stage_weights(level, order):
-    """Every stage built from a weight-3 sigma is weight homogeneous: the
-    wp2 and wp3 numerators, the PDE residuals over sigma^4, and
-    sigma^8 det K with the adopted wp11 entry.  The printed wp22 entry
-    mixes two weights."""
+    """Every stage up to the kernel, built from a weight-3 sigma, is
+    weight homogeneous: the wp2 and wp3 numerators, the PDE residuals over
+    sigma^4, and sigma^8 det K with the adopted wp11 entry.  The printed
+    wp22 entry mixes two weights.  The Euclidean metric sums products of
+    tangent entries 2 apart in weight (ghat11 = wp221^2 + wp211^2 +
+    wp111^2 has 8, 4 and 0), so the metric, Dhat and the cleared Ricci
+    each carry weights 4 apart."""
     s = build_sigma(level, order=order)
     assert [weights(w.num.body) for w in s.xyz] == [{4}, {2}, {0}]
     assert [weights(w.num.body) for w in s.wp3s] == [{6}, {4}, {2}, {0}]
@@ -123,6 +127,12 @@ def test_stage_weights(level, order):
         == [{8}, {6}, {4}, {2}, {0}]
     assert weights(kummer_det(s).body) == {8}
     assert weights(wp22_det(s).body) == {8, 12}
+    m = s.metric
+    assert [weights(g.body) for g in (m.ghat11, m.ghat12, m.ghat22)] \
+        == [{0, 4, 8}, {2, 6, 10}, {4, 8, 12}]
+    assert weights(s.dhat.body) == {8, 12, 16}
+    assert [weights(s.cleared_ricci[k].body) for k in ("R11", "R12", "R22")] \
+        == [{20, 24, 28}, {22, 26, 30}, {24, 28, 32}]
 
 
 def test_sigma_parity():
@@ -312,9 +322,10 @@ def test_singular_metric_rejected():
     """An all-zero metric has no inverse: its Dhat vanishes through every
     order."""
     s = build_sigma(3, lambdas=(0, 0, 0, 0, 0), order=4)
-    zero = rings.TruncatedSeries(Poly.zero(s.ctx), 4)
+    zero = s.rational(rings.TruncatedSeries(Poly.zero(s.ctx), 4), sig_pow=6)
+    g = MetricTensor(zero, zero, zero)
     with pytest.raises(sigma.SingularMetricError):
-        metric_det_inverse(sigma.GaussMetric(s, zero, zero, zero))
+        metric_det_inverse(sigma.GaussMetric(s, g))
 
 
 def test_dhat_stages_need_no_prior_call():

@@ -11,11 +11,11 @@ import pytest
 from kummergauss.inversion import random_admissible_points, ricci_point
 from kummergauss.jets import Jet
 from kummergauss.quadext import QuadExtContext
-from kummergauss.rings import Poly, rat
+from kummergauss.rings import Context, Poly, rat
 from kummergauss.sphere import _value, conformal_chart, sphere_chart
 from kummergauss.tensor import (MetricTensor, christoffel, det4,
-                                inverse_metric, ricci, riemann,
-                                scalar_curvature)
+                                induced_metric, inverse_metric, ricci,
+                                riemann, scalar_curvature)
 
 # rational jets inside Q(w)
 EXACT = QuadExtContext(1, 1)
@@ -37,6 +37,22 @@ def skew_metric(u, v):
                         (ju * jv).scale(Fraction(1, 2)).add_scalar(
                             Fraction(1, 3)),
                         (jv * jv + ju).add_scalar(3))
+
+
+# -- the induced metric -----------------------------------------------
+
+def test_induced_metric_of_a_graph():
+    """The graph (x, y, f) has tangents (1, 0, f_x) and (0, 1, f_y), so its
+    first fundamental form is (1 + f_x^2, f_x f_y, 1 + f_y^2)."""
+    ctx = Context(("x", "y"))
+    x, y = Poly.var(ctx, "x"), Poly.var(ctx, "y")
+    one, zero = Poly.const(ctx, 1), Poly.zero(ctx)
+    f = x ** 3 * y - 2 * x * y * y + x * rat(1, 3) + 5
+    fx, fy = f.diff("x"), f.diff("y")
+    g = induced_metric((one, zero, fx), (zero, one, fy))
+    assert g.g11 == one + fx * fx
+    assert g.g12 == fx * fy
+    assert g.g22 == one + fy * fy
 
 
 # -- flat space -------------------------------------------------------
