@@ -6,7 +6,6 @@ text table.  Exit status: 0 when every check passes, 1 when any check
 fails, 2 on a configuration error or when the report cannot be written.
 """
 
-import argparse
 import json
 import math
 import sys
@@ -17,7 +16,7 @@ from functools import lru_cache
 
 from . import __version__, reference
 from .inversion import (ChartBPoint, dz_closed_form, quartic_check,
-                        quartic_identity, random_admissible_points,
+                        quartic_identities, random_admissible_points,
                         ricci_point)
 from .rings import format_rational, parse_rational
 from .sigma import (DEFAULT_ORDER, build_sigma, kernel_residual, kummer_det,
@@ -64,7 +63,8 @@ class RunConfig:
         if self.points < 1:
             raise ConfigError("points must be at least 1")
         if self.lambdas is not None:
-            if len(self.lambdas) != 5:
+            if not isinstance(self.lambdas, (tuple, list)) \
+                    or len(self.lambdas) != 5:
                 raise ConfigError("lambda wants exactly five rationals")
             # a float would compare equal to a memoised rational frame
             if not all(type(x) in (int, Fraction) for x in self.lambdas):
@@ -120,11 +120,11 @@ def _built_frame(build, level, lambdas, order):
     return build(level, lambdas=lambdas, order=order)
 
 
-@lru_cache(maxsize=2)
-def _quartic_identity(variant):
-    """``quartic_identity`` per kernel-matrix variant, once per process: it
-    reads neither lambda nor the config."""
-    return quartic_identity(variant)
+@lru_cache(maxsize=1)
+def _identities(build):
+    """Both quartic identities, built once per process by the function
+    bound to ``quartic_identities`` here, as ``_frame`` keeps frames."""
+    return build()
 
 
 @lru_cache(maxsize=1)
@@ -334,13 +334,13 @@ def run_inversion(cfg):
                           val.is_zero(), point=_point_echo(w),
                           value=str(val)))
     # the quartic as one identity in symbolic lambda on both sheets
-    det, reduced = _quartic_identity("wp11")
+    det, reduced = _identities(quartic_identities)["wp11"]
     out.append(_check("inversion-quartic-identity", reduced.is_zero(),
                       terms=len(det.terms), reduced_terms=len(reduced.terms),
                       **{"lambda": "symbolic"}))
     out.append(_dz_check("inversion-random-dz", cfg))
     # the discrepancy resolution: the alternative diagonal entry must fail
-    _, alt = _quartic_identity("wp22")
+    _, alt = _identities(quartic_identities)["wp22"]
     val = quartic_check(witnesses[0], variant="wp22")
     out.append(_check("inversion-variant-wp22-fails", not alt.is_zero(),
                       point=_point_echo(witnesses[0]), value=str(val),
@@ -493,6 +493,8 @@ def _parse_lambda(text):
 
 
 def build_parser():
+    # imported here, so that importing the module for ``run`` skips it
+    import argparse
     ap = argparse.ArgumentParser(
         prog="kummer-verify",
         description="exact verification suite for the Kummer-surface "

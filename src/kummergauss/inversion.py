@@ -1,7 +1,7 @@
 """Jacobi-inversion chart: X, Y, Z as symmetric functions of (x1, x2) with
 y_i^2 = f5(x_i).  ``chart_F`` is the one F, for rationals, jets and
 ``Poly``s.  The quartic is one ``Poly`` identity in symbolic lambda, which
-holds on both sheets (``quartic_identity``).
+holds on both sheets (``quartic_identities``).
 
 Points are evaluated exactly through jets over Q(w), w = y1 y2 with
 w^2 = c1 c2, c_i = f5(x_i) at the base point: along the lift
@@ -188,31 +188,43 @@ def dz_closed_form(p):
     return tuple(out)
 
 
-def quartic_identity(variant="wp11"):
-    """D^4 det K on the chart as a ``Poly`` in (x1, x2, y1, y2, l0..l4),
-    and its normal form modulo y_i^2 = f5(x_i).  Each kernel-matrix entry
-    is linear in (lambda, X, Y, Z, 2), so with D = 4 (x1 - x2)^2 and
-    N = F - 2 y1 y2 = Z D the matrix of (lambda D, X D, Y D, N, 2 D) has
-    determinant D^4 det K.  The quotient ring is free on 1, y1, y2, y1 y2
-    over Q[x1, x2, lambda], so a zero normal form is det K = 0 on the
-    chart for every lambda and both sheets."""
+def quartic_identities():
+    """{variant: (D^4 det K, its normal form modulo y_i^2 = f5(x_i))} for
+    both kernel-matrix variants, as ``Poly``s in (x1, x2, y1, y2, l0..l4).
+    Each kernel-matrix entry is linear in (lambda, X, Y, Z, 2), so with
+    D = 4 (x1 - x2)^2 and N = F - 2 y1 y2 = Z D the matrix of
+    (lambda D, X D, Y D, N, 2 D) has determinant D^4 det K.  The quotient
+    ring is free on 1, y1, y2, y1 y2 over Q[x1, x2, lambda], so a zero
+    normal form is det K = 0 on the chart for every lambda and both
+    sheets.  The variants differ only in K[1][1] and det is linear in row
+    1, so det(wp22) = det(wp11) + (4N - 4XD) C11, where the cofactor C11
+    of K[1][1] is the determinant with row 1 -> (0, 1, 0, 0)."""
     x1, x2, y1, y2, *lam = [Poly.var(_CHART_CTX, name)
                             for name in _CHART_CTX.names]
     zero = Poly.zero(_CHART_CTX)
     D = (x1 - x2) ** 2 * 4
     N = chart_F(x1, x2, lam) - y1 * y2 * 2
-    det = det4(kummer_matrix([l * D for l in lam], (x1 + x2) * D,
-                             -(x1 * x2) * D, N, D * 2, zero, variant))
-    # y1, y2 are variables 2 and 3: y_i^(2k + e) -> f5(x_i)^k y_i^e
+    XD = (x1 + x2) * D
+    m = kummer_matrix([l * D for l in lam], XD, -(x1 * x2) * D, N, D * 2,
+                      zero)
+    det11 = det4(m)
+    m[1] = [zero, Poly.const(_CHART_CTX, 1), zero, zero]
+    dets = {"wp11": det11, "wp22": det11 + (N - XD) * 4 * det4(m)}
+    # y1, y2 are ungraded: y_i^(2k + e) -> f5(x_i)^k y_i^e takes k times
+    # the key of y_i^2 off the key and leaves its degree bits alone
+    (s1, mask), (s2, _) = (_CHART_CTX.field(y) for y in ("y1", "y2"))
     f1, f2 = f5_scalar(x1, lam), f5_scalar(x2, lam)
-    parts = {}
-    for key, c in det.items():
-        e = list(_CHART_CTX.unpack(key))
-        k1, e[2] = divmod(e[2], 2)
-        k2, e[3] = divmod(e[3], 2)
-        parts.setdefault((k1, k2), {})[_CHART_CTX.pack(e)] = c
-    return det, sum((Poly(_CHART_CTX, t) * f1 ** k1 * f2 ** k2
-                     for (k1, k2), t in parts.items()), zero)
+    factor = lru_cache(lambda k1, k2: f1 ** k1 * f2 ** k2)
+
+    def normal_form(det):
+        parts = {}
+        for key, n in det.terms.items():
+            k1, k2 = (key >> s1 & mask) >> 1, (key >> s2 & mask) >> 1
+            parts.setdefault((k1, k2), {})[
+                key - (k1 << s1 + 1) - (k2 << s2 + 1)] = n
+        return sum((Poly(_CHART_CTX, t) * factor(*ks)
+                    for ks, t in parts.items()), zero).scale(rat(1, det.den))
+    return {variant: (det, normal_form(det)) for variant, det in dets.items()}
 
 
 def quartic_check(p, variant="wp11"):

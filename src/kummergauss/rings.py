@@ -102,6 +102,10 @@ class Context:
     def unpack(self, key):
         return tuple((key >> (_SHIFT * i)) & _MASK for i in range(self.n))
 
+    def field(self, name):
+        """(shift, mask): ``name``'s exponent is (key >> shift) & mask."""
+        return _SHIFT * self.index[name], _MASK
+
     def grading_degree(self, key):
         return key >> self.top
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from kummergauss import reference
 from kummergauss.inversion import (ChartBPoint, dz_closed_form,
-                                   quartic_check, quartic_identity,
+                                   quartic_check, quartic_identities,
                                    random_admissible_points, ricci_point,
                                    xyz_jets)
 from kummergauss.jets import Jet
@@ -107,7 +107,7 @@ def test_criterion_5_inversion_chart():
     for p in (w, ChartBPoint(1, 4, sign2=-1), w2):
         ok = ok and quartic_check(p).is_zero()
     # the quartic for symbolic lambda on both sheets, as one identity
-    ok = ok and quartic_identity()[1].is_zero()
+    ok = ok and quartic_identities()["wp11"][1].is_zero()
     # 20 random points: derivative cross-check
     points = random_admissible_points(20260803, 20)
     for p in points:
@@ -128,8 +128,8 @@ def test_criterion_6_diagonal_discrepancy():
     adopted = quartic_check(w, variant="wp11")
     other = quartic_check(w, variant="wp22")
     ok = adopted.is_zero() and not other.is_zero()
-    ok = ok and quartic_identity("wp11")[1].is_zero()
-    ok = ok and not quartic_identity("wp22")[1].is_zero()
+    ok = ok and quartic_identities()["wp11"][1].is_zero()
+    ok = ok and not quartic_identities()["wp22"][1].is_zero()
     report(6, "adopted diagonal passes, printed variant fails", ok)
 
 

@@ -121,12 +121,13 @@ def test_points_floor():
     dict(command="metric-report", lambdas=(0,) * 5, max_order=16.0),
     dict(sigma_level=7.0), dict(points=2.5), dict(seed=1.5),
     dict(points=True),
-    dict(lambdas=(True, 0, 0, 0, 0)),
+    dict(lambdas=(True, 0, 0, 0, 0)), dict(lambdas=5),
     # the report echoes the tolerance as a JSON number
     dict(tolerance=True), dict(tolerance=Fraction(1, 10 ** 6)),
 ], ids=["unknown-command", "seed-past-64-bits", "float-max-order",
         "float-sigma-level", "float-points", "float-seed", "bool-points",
-        "bool-lambda", "bool-tolerance", "fraction-tolerance"])
+        "bool-lambda", "int-lambda", "bool-tolerance",
+        "fraction-tolerance"])
 def test_config_rejected(kw):
     with pytest.raises(ConfigError):
         RunConfig(**{"command": "chern", **kw}).validate()
@@ -342,6 +343,23 @@ def test_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_skips_argparse():
+    """Importing ``kummergauss.cli`` for ``run`` loads no argparse; only
+    ``build_parser`` imports it."""
+    script = textwrap.dedent("""
+        import sys
+        import kummergauss.cli
+        assert "argparse" not in sys.modules
+        kummergauss.cli.build_parser()
+        assert "argparse" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(kummergauss.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- shared stages: one frame per level, one draw, one lift per point ---
 
 def _counted(monkeypatch, module, name, calls):
@@ -402,6 +420,16 @@ def test_frames_outlive_the_run(monkeypatch):
                              max_order=order))[1] == 0
     assert _frame_keys(frames) == [(3, LAM, 4), (3, other, 4),
                                    (3, ZERO, 8), (3, ZERO, 9)]
+
+
+def test_quartic_identities_built_once(monkeypatch):
+    """inversion-verify at lambda = 0 and at nonzero lambda reads one pair
+    of quartic identities: they depend on neither."""
+    calls = []
+    _counted(monkeypatch, cli, "quartic_identities", calls)
+    for lambdas in (ZERO, LAM):
+        assert run(quick_cfg("inversion-verify", lambdas=lambdas))[1] == 0
+    assert len(calls) == 1
 
 
 def test_a_new_builder_starts_cold(monkeypatch):

@@ -12,13 +12,14 @@ from kummergauss import inversion
 from kummergauss.inversion import (AdmissibilityError, ChartBPoint,
                                    SingularPointError, chart_F,
                                    dz_closed_form, f5_scalar, quartic_check,
-                                   quartic_identity, random_admissible_points,
-                                   ricci_point, xyz_jets)
+                                   quartic_identities,
+                                   random_admissible_points, ricci_point,
+                                   xyz_jets)
 from kummergauss.jets import Jet
 from kummergauss.quadext import QuadExtContext
 from kummergauss.rings import Context, Poly, rat
-from kummergauss.sigma import LAMBDA_NAMES
-from kummergauss.tensor import MetricTensor
+from kummergauss.sigma import LAMBDA_NAMES, kummer_matrix
+from kummergauss.tensor import MetricTensor, det4
 
 W = ChartBPoint(1, 4)
 RING = Context(("x1", "x2") + LAMBDA_NAMES)
@@ -122,7 +123,7 @@ def test_second_witness_on_quartic():
 def test_quartic_identity_holds_on_both_sheets():
     """D^4 det K is a nonzero polynomial that reduces to 0 modulo
     y_i^2 = f5(x_i): det K vanishes for every lambda and sign choice."""
-    det, reduced = quartic_identity()
+    det, reduced = quartic_identities()["wp11"]
     assert len(det.terms) == 189
     assert reduced.is_zero()
 
@@ -130,7 +131,7 @@ def test_quartic_identity_holds_on_both_sheets():
 def test_wp22_identity_is_det_k_on_both_sheets():
     """The printed variant leaves a nonzero normal form, and its value at
     the witness is D^4 times the pointwise det K on each sheet."""
-    det, reduced = quartic_identity("wp22")
+    det, reduced = quartic_identities()["wp22"]
     assert (len(det.terms), len(reduced.terms)) == (283, 264)
     d4 = (4 * (1 - 4) ** 2) ** 4
     for sign2 in (1, -1):
@@ -147,8 +148,60 @@ def test_quartic_identity_catches_a_wrong_F(monkeypatch):
     orig = inversion.chart_F
     monkeypatch.setattr(inversion, "chart_F",
                         lambda x1, x2, lam: orig(x1, x2, lam) + lam[0])
-    _, reduced = quartic_identity()
+    _, reduced = quartic_identities()["wp11"]
     assert not reduced.is_zero()
+
+
+def _chart_ring():
+    """(x1, x2, y1, y2, [l0..l4]) as variables of the chart ring."""
+    ctx = inversion._CHART_CTX
+    x1, x2, y1, y2, *lam = [Poly.var(ctx, name) for name in ctx.names]
+    return x1, x2, y1, y2, lam
+
+
+def _unpacked_normal_form(det):
+    """det modulo y_i^2 = f5(x_i), term by term through ``unpack`` and
+    ``pack``: y_i^(2k + e) -> f5(x_i)^k y_i^e, with each part multiplied
+    by its own f5 powers."""
+    ctx = det.ctx
+    x1, x2, _, _, lam = _chart_ring()
+    f1, f2 = f5_scalar(x1, lam), f5_scalar(x2, lam)
+    parts = {}
+    for key, c in det.items():
+        e = list(ctx.unpack(key))
+        k1, e[2] = divmod(e[2], 2)
+        k2, e[3] = divmod(e[3], 2)
+        parts.setdefault((k1, k2), {})[ctx.pack(e)] = c
+    return sum((Poly(ctx, t) * f1 ** k1 * f2 ** k2
+                for (k1, k2), t in parts.items()), Poly.zero(ctx))
+
+
+def test_wp22_determinant_is_the_direct_build():
+    """The wp22 determinant, formed as a one-row correction of the wp11
+    one, equals ``det4`` of the wp22 kernel matrix built directly."""
+    x1, x2, y1, y2, lam = _chart_ring()
+    D = (x1 - x2) ** 2 * 4
+    N = chart_F(x1, x2, lam) - y1 * y2 * 2
+    m = kummer_matrix([l * D for l in lam], (x1 + x2) * D, -(x1 * x2) * D,
+                      N, D * 2, Poly.zero(x1.ctx), "wp22")
+    assert quartic_identities()["wp22"][0] == det4(m)
+
+
+@pytest.mark.parametrize("variant", ["wp11", "wp22"])
+def test_normal_form_matches_unpack_pack(variant):
+    det, reduced = quartic_identities()[variant]
+    assert reduced == _unpacked_normal_form(det)
+
+
+def test_normal_form_of_higher_y_powers(monkeypatch):
+    """Determinants times y1^5 y2^2 reach f5(x1)^3 f5(x2)^2, and the odd
+    power of y1 stays: the packed-key reduction still equals the oracle."""
+    _, _, y1, y2, _ = _chart_ring()
+    orig = inversion.det4
+    monkeypatch.setattr(inversion, "det4",
+                        lambda m: orig(m) * y1 ** 5 * y2 ** 2)
+    for det, reduced in quartic_identities().values():
+        assert reduced == _unpacked_normal_form(det)
 
 
 def test_quartic_zero_with_nonzero_moduli():
